@@ -14,6 +14,7 @@ function of (config, seed). Timing columns are zeroed in CSV output unless
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -154,6 +155,25 @@ class Instance:
         keys = (["c0"] if has_fid else []) + [f"c{i}" for i in range(1, depth + 1)]
         return tuple(float(scale_cfg.get(k, 1.0)) for k in keys)
 
+    @functools.cached_property
+    def assembly(self):
+        return solver_mod.assemble_problem(self.problem)
+
+    @functools.cached_property
+    def norms(self):
+        """Certified entry norms of the block operator. They do not depend on
+        the dual scales, so every PDHG run of the instance shares them; a
+        process that already holds them may assign this attribute."""
+        return solver_mod.certify_norms(self.assembly, seed=self.seed + SEED_NORMS)
+
+    def run_pdhg(self, scale_cfg, budget):
+        """PDHG with steps certified for these dual scales from the shared norms."""
+        steps = solver_mod.compute_step_sizes(
+            self.assembly, scales=self.scales_list(scale_cfg), norms=self.norms)
+        return solver_mod.pdhg_solve(
+            self.problem, steps, budget=budget,
+            init_x=self.init_x, ground_truth=self.ground_truth)
+
 
 def _solver_name(entry, index):
     return f"{entry['kind']}{index}"
@@ -163,11 +183,7 @@ def _run_entry(instance, entry, budget):
     problem = instance.problem
     kind = entry.get("kind")
     if kind == "pdhg":
-        scales = instance.scales_list(entry.get("scales", {}))
-        state, metrics = solver_mod.pdhg_solve(
-            problem, budget=budget, scales=scales,
-            init_x=instance.init_x, ground_truth=instance.ground_truth,
-            norm_seed=instance.seed + SEED_NORMS)
+        state, metrics = instance.run_pdhg(entry.get("scales", {}), budget)
         return state.x, metrics
     if kind == "sm_c":
         mode = solver_mod.ConstantStep(float(_require(entry, "step", "solver entry")))
@@ -199,7 +215,9 @@ def _steps_summary(steps):
         "sigma": [float(s) for s in steps.sigma],
         "scales": [float(c) for c in steps.scales],
         "inflation": steps.inflation,
-        "norms": {f"block{b}_row{r}_entry{e}": {"value": en.value, "exact": en.exact}
+        "norms": {f"block{b}_row{r}_entry{e}": {
+                      "value": en.value, "exact": en.exact,
+                      "iterations": en.iterations, "converged": en.converged}
                   for (b, r, e), en in sorted(steps.norms.items())},
         "certificates": {f"slot{slot}": value
                          for slot, (value, _) in sorted(steps.certificates.items())},
@@ -269,17 +287,18 @@ def _sweep_combos(sweep_cfg):
     return keys, list(itertools.product(*grids))
 
 
-def _sweep_worker(args):
-    config, combo_scales, seed, budget = args
-    instance = Instance(config, seed_override=seed, budget_override=budget)
-    scales = instance.scales_list(combo_scales)
-    _, metrics = solver_mod.pdhg_solve(
-        instance.problem, budget=instance.budget, scales=scales,
-        init_x=instance.init_x, ground_truth=instance.ground_truth,
-        norm_seed=instance.seed + SEED_NORMS)
+def _sweep_point(instance, scale_cfg):
+    _, metrics = instance.run_pdhg(scale_cfg, instance.budget)
     trailing = metrics.objective[1:]  # rows for iterations 1..budget
     return {"avg_objective": float(np.mean(trailing)),
             "final_objective": float(metrics.objective[-1])}
+
+
+def _sweep_worker(args):
+    config, scale_cfg, seed, budget, norms = args
+    instance = Instance(config, seed_override=seed, budget_override=budget)
+    instance.norms = norms
+    return _sweep_point(instance, scale_cfg)
 
 
 def cmd_sweep(config_path, seed=None, budget=None, jobs=1):
@@ -288,13 +307,14 @@ def cmd_sweep(config_path, seed=None, budget=None, jobs=1):
     out_dir = Path(_require(config, "output_dir", "config"))
     out_dir.mkdir(parents=True, exist_ok=True)
     keys, combos = _sweep_combos(_require(config, "sweep", "config"))
-    work = [(config, dict(zip(keys, combo)), instance.seed, instance.budget)
-            for combo in combos]
+    scale_cfgs = [dict(zip(keys, combo)) for combo in combos]
     if jobs > 1:
+        work = [(config, scale_cfg, instance.seed, instance.budget, instance.norms)
+                for scale_cfg in scale_cfgs]
         with get_context("spawn").Pool(jobs) as pool:
             results = pool.map(_sweep_worker, work)
     else:
-        results = [_sweep_worker(w) for w in work]
+        results = [_sweep_point(instance, scale_cfg) for scale_cfg in scale_cfgs]
     rows = []
     for combo, res in zip(combos, results):
         rows.append(tuple(combo) + (res["avg_objective"], res["final_objective"]))

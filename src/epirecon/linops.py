@@ -333,13 +333,6 @@ def materialize(op) -> np.ndarray:
     return mat
 
 
-def adjoint_mismatch(op, x, w) -> float:
-    """|<Kx, w> - <x, K*w>| for one test pair."""
-    lhs = float(np.vdot(op.apply(x), w))
-    rhs = float(np.vdot(x, op.adjoint(w)))
-    return abs(lhs - rhs)
-
-
 # --- descriptor (de)serialization -------------------------------------------
 #
 # Operators are stored in JSON manifests; tensor payloads go to blob files

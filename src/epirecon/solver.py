@@ -180,6 +180,15 @@ def evaluate_objectives(problem: ProblemSpec, x, z=None) -> ObjectiveReport:
 
 # --- step sizes ---------------------------------------------------------------
 
+def assemble_problem(problem: ProblemSpec) -> BlockAssembly:
+    """Dual blocks of the problem; a dualized fidelity leads as its own block."""
+    if problem.fidelity.dualize and problem.forward is None:
+        raise ValueError("dualized fidelity needs an explicit forward operator")
+    return assemble_blocks(
+        problem.regularizer,
+        forward=problem.forward if problem.fidelity.dualize else None)
+
+
 @dataclass(frozen=True)
 class EntryNorm:
     value: float
@@ -235,6 +244,16 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norms=None,
     """
     if norms is None:
         norms = certify_norms(assembly, seed=norm_seed)
+    expected = {(bi, ri, ei) for bi, block in enumerate(assembly.blocks)
+                for ri, row in enumerate(block.operator.rows)
+                for ei in range(len(row.entries))}
+    missing = sorted(expected - norms.keys())
+    if missing:
+        raise CertificationError(f"no norm bound for entry {missing[0]}")
+    extra = sorted(norms.keys() - expected, key=repr)
+    if extra:
+        raise CertificationError(f"norm bound for entry {extra[0]!r}, which the "
+                                 "block assembly does not have")
     nblocks = len(assembly.blocks)
     if scales is None:
         scales = (1.0,) * nblocks
@@ -402,7 +421,7 @@ def _fidelity_conjugate_prox(problem: ProblemSpec, sigma, wbar):
     return prox.kl_conjugate_prox(wbar, sigma, y, fid.background)
 
 
-def _dual_update(problem, block, sigma, current, applied):
+def _dual_update(problem, block, sigma, current, applied, cap):
     if block.kind == "fidelity":
         tilde = current[0] + sigma * applied[0]
         return [_fidelity_conjugate_prox(problem, sigma, tilde)]
@@ -414,7 +433,6 @@ def _dual_update(problem, block, sigma, current, applied):
             block.negative_slope, tilde_p / sigma + bias, tilde_q / sigma)
         return [tilde_p - sigma * (proj_p - bias), tilde_q - sigma * proj_q]
     tilde = current[0] + sigma * applied[0]
-    cap = problem.reg_weight * problem.regularizer.readout_weights()
     return [prox.readout_conjugate_prox(tilde, sigma, cap, block.shift[0],
                                         block.negative_slope)]
 
@@ -447,11 +465,7 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    assembly = assemble_blocks(
-        problem.regularizer,
-        forward=problem.forward if problem.fidelity.dualize else None)
-    if problem.fidelity.dualize and problem.forward is None:
-        raise ValueError("dualized fidelity needs an explicit forward operator")
+    assembly = assemble_problem(problem)
     if steps is None:
         steps = compute_step_sizes(assembly, scales=scales, norm_seed=norm_seed)
     if len(steps.tau) != len(assembly.primal_shapes) or \
@@ -478,6 +492,7 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
     _check_finite(state, state.iteration)
     observe(state.iteration)
     tau = steps.tau
+    cap = problem.reg_weight * problem.regularizer.readout_weights()
     for _ in range(budget):
         k = state.iteration + 1
         primal = state.primal()
@@ -501,7 +516,7 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
             try:
                 applied = block.operator.apply(relaxed)
                 state.duals[bi] = _dual_update(problem, block, steps.sigma[bi],
-                                               state.duals[bi], applied)
+                                               state.duals[bi], applied, cap)
             except NonFiniteError as exc:
                 raise DivergenceError(k, f"dual block {bi} ({block.kind})") from exc
         state.iteration = k

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import epirecon as er
-from epirecon.cli import ConfigError, cmd_solve, cmd_sweep, load_config, main
+from epirecon import solver as solver_mod
+from epirecon.cli import (ConfigError, Instance, cmd_solve, cmd_sweep, load_config,
+                          main)
 from epirecon.verify import adjoint_suite
 
 
@@ -33,6 +35,25 @@ def write_config(tmp_path, cfg, name="config.json"):
     return path
 
 
+def estimated_entries(cfg):
+    """Block entries whose norm comes from power iteration, not a known bound."""
+    return sum(op.norm_bound is None
+               for block in Instance(cfg).assembly.blocks
+               for row in block.operator.rows for _, op in row.entries)
+
+
+def count_norm_estimates(monkeypatch):
+    calls = []
+    real = solver_mod.estimate_norm
+
+    def counting(op, **kwargs):
+        calls.append(op)
+        return real(op, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "estimate_norm", counting)
+    return calls
+
+
 def test_solve_writes_artifacts(tmp_path):
     cfg = denoise_config(tmp_path)
     path = write_config(tmp_path, cfg)
@@ -45,7 +66,15 @@ def test_solve_writes_artifacts(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["reference"]["budget"] == 3 * cfg["budget"]
     assert "pdhg0" in summary["solvers"]
-    assert "certificates" in summary["solvers"]["pdhg0"]["step_sizes"]
+    steps = summary["solvers"]["pdhg0"]["step_sizes"]
+    assert "certificates" in steps
+    assert not all(norm["exact"] for norm in steps["norms"].values())
+    for norm in steps["norms"].values():
+        assert norm["converged"] is True
+        if norm["exact"]:
+            assert norm["iterations"] == 0
+        else:
+            assert norm["iterations"] > 0
     header = (out / "pdhg0_metrics.csv").read_text().splitlines()[0]
     assert header == "iter,objective_P,objective_P1,data_term,reg_term,feasibility,psnr,seconds"
 
@@ -107,6 +136,41 @@ def test_sweep_grid_rows_and_argmin(tmp_path):
     assert np.isclose(best["avg_objective"], min(avg_col))
     assert np.isclose(best["scales"]["c1"], best_row[0])
     assert np.isclose(best["scales"]["c2"], best_row[1])
+
+
+def test_sweep_certifies_norms_once(tmp_path, monkeypatch):
+    cfg = denoise_config(tmp_path, "out_once", budget=5)
+    cfg["sweep"] = {"c1": [0.5, 1.0], "c2": [0.5, 1.0]}
+    expected = estimated_entries(cfg)
+    assert expected > 0
+    calls = count_norm_estimates(monkeypatch)
+    assert cmd_sweep(write_config(tmp_path, cfg)) == 0
+    assert len(calls) == expected
+
+
+def test_solve_certifies_norms_once(tmp_path, monkeypatch):
+    cfg = denoise_config(tmp_path, "out_solve_once", budget=5)
+    cfg["solvers"] = [{"kind": "pdhg", "scales": {"c1": 1.0, "c2": 1.0}},
+                      {"kind": "pdhg", "scales": {"c1": 0.5, "c2": 2.0}}]
+    expected = estimated_entries(cfg)
+    calls = count_norm_estimates(monkeypatch)
+    assert cmd_solve(write_config(tmp_path, cfg)) == 0
+    assert len(calls) == expected
+    summary = json.loads((Path(cfg["output_dir"]) / "summary.json").read_text())
+    norms = [summary["solvers"][name]["step_sizes"]["norms"] for name in ("pdhg0", "pdhg1")]
+    assert norms[0] == norms[1]
+
+
+def test_sweep_parallel_matches_serial(tmp_path):
+    outputs = []
+    for jobs in (1, 2):
+        cfg = denoise_config(tmp_path, f"out_jobs{jobs}", budget=10)
+        cfg["sweep"] = {"c1": [0.5, 1.0], "c2": [0.5, 1.0]}
+        assert cmd_sweep(write_config(tmp_path, cfg, f"jobs{jobs}.json"), jobs=jobs) == 0
+        out = Path(cfg["output_dir"])
+        outputs.append(((out / "sweep.csv").read_bytes(),
+                        (out / "summary.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_single_cell_matches_solve(tmp_path):

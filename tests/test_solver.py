@@ -63,6 +63,21 @@ def test_step_sizes_fail_closed_on_bad_norms():
         compute_step_sizes(assembly, norms=norms)
 
 
+def test_step_sizes_fail_closed_on_missing_norm_entry():
+    assembly = assemble_blocks(scalar_chain_spec())
+    norms = {(0, 0, 0): EntryNorm(2.0, True), (1, 0, 0): EntryNorm(1.0, True)}
+    with pytest.raises(CertificationError, match=r"no norm bound for entry \(0, 1, 0\)"):
+        compute_step_sizes(assembly, norms=norms)
+
+
+def test_step_sizes_fail_closed_on_extra_norm_entry():
+    assembly = assemble_blocks(scalar_chain_spec())
+    norms = {(0, 0, 0): EntryNorm(2.0, True), (0, 1, 0): EntryNorm(1.0, True),
+             (1, 0, 0): EntryNorm(1.0, True), (2, 0, 0): EntryNorm(1.0, True)}
+    with pytest.raises(CertificationError, match=r"entry \(2, 0, 0\)"):
+        compute_step_sizes(assembly, norms=norms)
+
+
 def test_step_sizes_reject_wrong_scale_count():
     assembly = assemble_blocks(scalar_chain_spec())
     with pytest.raises(ValueError, match="dual scales"):
