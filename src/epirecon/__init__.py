@@ -10,21 +10,18 @@ projected subgradient descent on the nested form is included as a baseline.
 from .blocks import BlockAssembly, BlockOperator, BlockRow, assemble_blocks
 from .icnn import (Activation, AdmissibilityError, AdmissibilityReport,
                    ConvPoolDenseTemplate, DenseTemplate, IcnnLayer, IcnnSpec,
-                   forward, leaky_relu, load_weights, random_admissible,
+                   forward, load_weights, random_admissible,
                    save_weights, subgradient, validate, value_and_subgradient)
 from .linops import (AvgPool2D, Compose, Conv2D, Dense, DiagonalMask, LinOp,
                      NormEstimate, ScaledIdentity, estimate_norm, materialize)
-from .prox import (kl_conjugate_prox, l2_shift_prox, moreau_conjugate_prox,
-                   nonneg_project, numeric_prox_oracle,
-                   project_epigraph_leaky_relu, readout_conjugate_prox,
-                   soft_shrink)
-from .radon import Radon, RadonGeometry, radon_adjoint, radon_apply
+from .prox import (kl_conjugate_prox, project_epigraph_leaky_relu,
+                   readout_conjugate_prox, soft_shrink)
+from .radon import Radon, RadonGeometry
 from .solver import (CertificationError, ConstantStep, DiminishingStep,
                      DivergenceError, Fidelity, ProblemSpec, RunMetrics,
                      SaddleState, StepSizes, compute_step_sizes,
                      evaluate_objectives, iterations_to_threshold, kl_fidelity,
-                     l1_fidelity, l2_fidelity, pdhg_solve, stop_rule,
-                     subgradient_solve)
+                     l1_fidelity, l2_fidelity, pdhg_solve, subgradient_solve)
 from .tasks import TaskConfig, corrupt, fbp, make_phantom, psnr, write_pgm
 from .tensor import (BlobFormatError, NonFiniteError, ShapeMismatchError,
                      as_tensor, read_tensor, write_tensor)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .icnn import IcnnSpec
-from .linops import LinOp, NormEstimate, ScaledIdentity
+from .linops import LinOp, ScaledIdentity
 from .tensor import check_shape
 
 
@@ -67,6 +67,37 @@ class BlockOperator:
                 out[slot] += op.adjoint(w)
         return out
 
+    def flat(self):
+        """This operator as a LinOp on the concatenated, flattened slots."""
+        return FlatBlockOperator(self)
+
+
+def _split(vec, shapes):
+    ends = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+    return [part.reshape(s) for part, s in zip(np.split(vec, ends), shapes)]
+
+
+def _concat(parts):
+    return np.concatenate([np.ravel(p) for p in parts])
+
+
+class FlatBlockOperator(LinOp):
+    """A BlockOperator on stacked vectors, so that estimate_norm, materialize
+    and the verify suites serve block operators like any other LinOp."""
+
+    kind = "flat_block"
+
+    def __init__(self, block: BlockOperator):
+        self.block = block
+        self.input_shape = (sum(int(np.prod(s)) for s in block.input_shapes),)
+        self.output_shape = (sum(int(np.prod(s)) for s in block.output_shapes),)
+
+    def _apply(self, x):
+        return _concat(self.block.apply(_split(x, self.block.input_shapes)))
+
+    def _adjoint(self, w):
+        return _concat(self.block.adjoint(_split(w, self.block.output_shapes)))
+
 
 @dataclass(frozen=True)
 class ConstraintBlock:
@@ -80,26 +111,13 @@ class ConstraintBlock:
     kind: str
     operator: BlockOperator
     shift: tuple
-    layer: int = 0
     negative_slope: float = 0.0
-
-    def dual_shapes(self):
-        return self.operator.output_shapes
 
 
 @dataclass(frozen=True)
 class BlockAssembly:
     blocks: tuple
     primal_shapes: tuple
-    has_fidelity: bool
-
-    @property
-    def epigraph_blocks(self):
-        return tuple(b for b in self.blocks if b.kind == "epigraph")
-
-    @property
-    def readout_block(self):
-        return self.blocks[-1]
 
 
 def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
@@ -142,7 +160,6 @@ def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
                 kind="epigraph",
                 operator=BlockOperator([pre_row, aux_row], primal_shapes),
                 shift=(layer.bias, np.zeros(layer.output_shape)),
-                layer=i,
                 negative_slope=layer.activation.negative_slope))
         else:
             if layer.residual:
@@ -153,58 +170,5 @@ def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
                 kind="readout",
                 operator=BlockOperator([pre_row], primal_shapes),
                 shift=(layer.bias,),
-                layer=i,
                 negative_slope=layer.activation.negative_slope))
-    return BlockAssembly(tuple(blocks), tuple(primal_shapes), forward is not None)
-
-
-def stacked_dot(us, vs) -> float:
-    return float(sum(np.vdot(a, b) for a, b in zip(us, vs)))
-
-
-def materialize_block(block_op: BlockOperator) -> np.ndarray:
-    """Dense matrix of a block operator on vectorized stacked tensors."""
-    in_sizes = [int(np.prod(s)) for s in block_op.input_shapes]
-    out_sizes = [int(np.prod(s)) for s in block_op.output_shapes]
-    mat = np.zeros((sum(out_sizes), sum(in_sizes)))
-    col = 0
-    for slot, shape in enumerate(block_op.input_shapes):
-        basis = [np.zeros(s) for s in block_op.input_shapes]
-        flat = basis[slot].reshape(-1)
-        for j in range(in_sizes[slot]):
-            flat[j] = 1.0
-            outs = block_op.apply(basis)
-            mat[:, col] = np.concatenate([o.ravel() for o in outs])
-            flat[j] = 0.0
-            col += 1
-    return mat
-
-
-def estimate_block_norm(block_op: BlockOperator, tol=1e-6, max_iters=500,
-                        seed=0) -> NormEstimate:
-    """Power iteration on the stacked operator (same scheme as estimate_norm)."""
-    rng = np.random.default_rng(seed)
-    xs = [rng.uniform(-1.0, 1.0, size=s) for s in block_op.input_shapes]
-    nrm = np.sqrt(stacked_dot(xs, xs))
-    xs = [x / nrm for x in xs]
-    history = []
-    estimate = 0.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        ys = block_op.adjoint(block_op.apply(xs))
-        rayleigh = stacked_dot(xs, ys)
-        new_estimate = np.sqrt(max(rayleigh, 0.0))
-        history.append(new_estimate)
-        ynorm = np.sqrt(stacked_dot(ys, ys))
-        if ynorm == 0.0:
-            estimate = 0.0
-            converged = True
-            break
-        done = iterations > 1 and abs(new_estimate - estimate) <= tol * max(new_estimate, 1e-300)
-        estimate = new_estimate
-        if done:
-            converged = True
-            break
-        xs = [y / ynorm for y in ys]
-    return NormEstimate(estimate, iterations, converged, tuple(history))
+    return BlockAssembly(tuple(blocks), tuple(primal_shapes))

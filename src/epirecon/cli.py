@@ -27,7 +27,7 @@ import numpy as np
 from . import icnn as icnn_mod
 from . import solver as solver_mod
 from . import tasks as tasks_mod
-from .icnn import ConvPoolDenseTemplate, DenseTemplate
+from .icnn import ConvPoolDenseTemplate
 from .radon import RadonGeometry
 from .tensor import write_tensor
 from .verify import run_all_suites
@@ -63,7 +63,11 @@ def load_config(path):
 def _build_weights(cfg, side, seed):
     where = "weights"
     if "path" in cfg:
-        return icnn_mod.load_weights(cfg["path"])
+        spec = icnn_mod.load_weights(cfg["path"])
+        if tuple(spec.input_shape) != (side, side):
+            raise ConfigError(f"{where}: network input shape {tuple(spec.input_shape)} "
+                              f"does not match the task image shape {(side, side)}")
+        return spec
     rnd = _require(cfg, "random", where)
     arch = _require(rnd, "arch", where)
     if arch == "conv_pool_dense":
@@ -74,12 +78,6 @@ def _build_weights(cfg, side, seed):
             pool=int(rnd.get("pool", 8)),
             hidden=int(rnd.get("hidden", 16)),
             alpha=float(rnd.get("alpha", 0.2)))
-    elif arch == "dense":
-        template = DenseTemplate(
-            input_dim=int(_require(rnd, "input_dim", where)),
-            hidden_dims=tuple(int(d) for d in _require(rnd, "hidden_dims", where)),
-            readout_dim=int(rnd.get("readout_dim", 1)),
-            hidden_alpha=float(rnd.get("alpha", 0.2)))
     else:
         raise ConfigError(f"{where}: unknown arch {arch!r}")
     return icnn_mod.random_admissible(seed + int(rnd.get("seed_offset", 0)), template)
@@ -119,8 +117,6 @@ class Instance:
             background=float(_require(task, "background", "task"))
             if kind == "ct" else 0.0,
             geometry=geometry,
-            fidelity_weight=float(task["lam"]) if "lam" in task else None,
-            reg_weight=float(task["gamma"]) if "gamma" in task else None,
             seed=self.seed + SEED_NOISE)
         self.measurement, forward = tasks_mod.corrupt(self.task_config, self.ground_truth)
         weights = _build_weights(_require(config, "weights", "config"), side,
@@ -140,6 +136,9 @@ class Instance:
         self.problem = solver_mod.ProblemSpec(
             fidelity=fidelity, forward=forward, measurement=self.measurement,
             reg_weight=reg_weight, regularizer=weights, nonneg=nonneg)
+        # dual-scale keys in block order; c0 only when the fidelity is dualized
+        self.scale_keys = (["c0"] if fidelity.dualize else []) + \
+            [f"c{i}" for i in range(1, weights.depth + 1)]
         self.init_x = None
         if kind == "ct" and bool(task.get("fbp_init", True)):
             recon = tasks_mod.fbp(forward.geometry, self.measurement)
@@ -148,12 +147,16 @@ class Instance:
         self.rel_error_target = float(config.get("rel_error_target", 1e-3))
         self.reference_multiplier = int(config.get("reference_multiplier", 10))
 
+    def check_scale_keys(self, scale_cfg, where):
+        unknown = sorted(set(scale_cfg) - set(self.scale_keys))
+        if unknown:
+            raise ConfigError(f"{where}: unknown dual-scale key {unknown[0]!r}; this "
+                              f"instance has {', '.join(self.scale_keys)}")
+
     def scales_list(self, scale_cfg):
         """Map {"c0": ..., "c1": ..., ...} onto the ordered dual blocks."""
-        has_fid = self.problem.fidelity.dualize
-        depth = self.problem.regularizer.depth
-        keys = (["c0"] if has_fid else []) + [f"c{i}" for i in range(1, depth + 1)]
-        return tuple(float(scale_cfg.get(k, 1.0)) for k in keys)
+        self.check_scale_keys(scale_cfg, "pdhg scales")
+        return tuple(float(scale_cfg.get(k, 1.0)) for k in self.scale_keys)
 
     @functools.cached_property
     def assembly(self):
@@ -234,6 +237,8 @@ def cmd_solve(config_path, seed=None, budget=None):
         raise ConfigError("config: at least one solver entry is required")
 
     pdhg_entries = [e for e in entries if e.get("kind") == "pdhg"]
+    for entry in pdhg_entries:  # reject a bad scale key before any solve runs
+        instance.scales_list(entry.get("scales", {}))
     ref_entry = pdhg_entries[0] if pdhg_entries else {"kind": "pdhg", "scales": {}}
     ref_budget = instance.budget * instance.reference_multiplier
     _, ref_metrics = _run_entry(instance, ref_entry, ref_budget)
@@ -279,10 +284,11 @@ def cmd_solve(config_path, seed=None, budget=None):
     return 0
 
 
-def _sweep_combos(sweep_cfg):
-    keys = [k for k in ("c0", "c1", "c2", "c3", "c4") if k in sweep_cfg]
+def _sweep_combos(instance, sweep_cfg):
+    instance.check_scale_keys(sweep_cfg, "sweep")
+    keys = [k for k in instance.scale_keys if k in sweep_cfg]
     if not keys:
-        raise ConfigError("sweep: no scale grids given (expected c0/c1/c2 lists)")
+        raise ConfigError(f"sweep: no scale grids given (expected {instance.scale_keys})")
     grids = [[float(v) for v in sweep_cfg[k]] for k in keys]
     return keys, list(itertools.product(*grids))
 
@@ -306,7 +312,7 @@ def cmd_sweep(config_path, seed=None, budget=None, jobs=1):
     instance = Instance(config, seed_override=seed, budget_override=budget)
     out_dir = Path(_require(config, "output_dir", "config"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    keys, combos = _sweep_combos(_require(config, "sweep", "config"))
+    keys, combos = _sweep_combos(instance, _require(config, "sweep", "config"))
     scale_cfgs = [dict(zip(keys, combo)) for combo in combos]
     if jobs > 1:
         work = [(config, scale_cfg, instance.seed, instance.budget, instance.norms)
@@ -362,20 +368,16 @@ def _weights_operators(weights_dir):
             named.append((f"layer{i}_carry", layer.carry))
     assembly = assemble_blocks(spec)
     for i, block in enumerate(assembly.blocks):
-        named.append((f"block_{block.kind}_{i}", block.operator))
+        named.append((f"block_{block.kind}_{i}", block.operator.flat()))
     return spec, named
 
 
 def cmd_norm(weights_dir, seed=0):
-    from .blocks import BlockOperator, estimate_block_norm
     from .linops import estimate_norm
     _, named = _weights_operators(weights_dir)
     print(f"{'operator':24s} {'norm':>14s} {'iters':>6s} {'converged':>10s}")
     for name, op in named:
-        if isinstance(op, BlockOperator):
-            est = estimate_block_norm(op, seed=seed)
-        else:
-            est = estimate_norm(op, seed=seed)
+        est = estimate_norm(op, seed=seed)
         print(f"{name:24s} {est.value:14.8g} {est.iterations:6d} {str(est.converged):>10s}")
     return 0
 

@@ -64,11 +64,6 @@ class Activation:
 
 
 RELU = Activation("relu")
-IDENTITY = Activation("identity")
-
-
-def leaky_relu(alpha: float) -> Activation:
-    return Activation("leaky_relu", alpha)
 
 
 @dataclass(frozen=True)

@@ -277,9 +277,6 @@ class NormEstimate:
     converged: bool
     history: tuple
 
-    def __float__(self):
-        return self.value
-
 
 def estimate_norm(op, tol: float = 1e-6, max_iters: int = 500, seed: int = 0) -> NormEstimate:
     """Operator-norm estimate by power iteration on adjoint(apply(.)).

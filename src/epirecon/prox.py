@@ -7,8 +7,6 @@ independent numeric oracle (golden-section / grid search, see verify) in
 the test suite.
 """
 
-import math
-
 import numpy as np
 
 from .tensor import check_shape
@@ -31,19 +29,6 @@ def soft_shrink(xbar, threshold, center=0.0):
     t = _check_step(threshold)
     diff = xbar - center
     return np.where(diff > t, xbar - t, np.where(diff < -t, xbar + t, center))
-
-
-def l2_shift_prox(xbar, step, center=0.0, weight=1.0):
-    """Prox of (weight/2) * |. - center|^2: (xbar + step*weight*center) / (1 + step*weight)."""
-    step = _check_step(step)
-    weight = np.asarray(weight, dtype=np.float64)
-    if np.any(weight <= 0.0):
-        raise ValueError("weight must be positive")
-    return (np.asarray(xbar, dtype=np.float64) + step * weight * center) / (1.0 + step * weight)
-
-
-def nonneg_project(xbar):
-    return np.maximum(np.asarray(xbar, dtype=np.float64), 0.0)
 
 
 def project_epigraph_leaky_relu(alpha, pbar, qbar):
@@ -124,58 +109,3 @@ def l2_conjugate_prox(wbar, sigma, measurement, weight=1.0):
     """Prox of the conjugate of w -> (weight/2)*|w - measurement|^2."""
     sigma = _check_step(sigma)
     return (np.asarray(wbar, dtype=np.float64) - sigma * measurement) / (1.0 + sigma / weight)
-
-
-def moreau_conjugate_prox(prox_fn, step, xbar):
-    """Prox of step*h^* from the prox of h: xbar - step * prox_{h/step}(xbar/step).
-
-    prox_fn(step, point) must evaluate prox of step*h at point.
-    """
-    step = _check_step(step)
-    xbar = np.asarray(xbar, dtype=np.float64)
-    return xbar - step * prox_fn(1.0 / step, xbar / step)
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def numeric_prox_oracle(h, step, xbar, bracket, tol=1e-9):
-    """Golden-section minimization of v -> (v - xbar)^2/(2 step) + h(v).
-
-    Independent scalar oracle for testing closed-form proxes. h may return
-    inf (indicator functions); the bracket must contain a finite region.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError(f"empty bracket {bracket}")
-    step = float(step)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-
-    def objective(v):
-        return 0.5 / step * (v - xbar) ** 2 + h(v)
-
-    probes = np.linspace(lo, hi, 33)
-    finite = [v for v in probes if math.isfinite(objective(v))]
-    if not finite:
-        raise ValueError("bracket does not capture the objective's finite region")
-    # shrink to the finite region so indicator plateaus cannot mislead the
-    # golden-section comparisons (inf vs inf carries no information)
-    pad = (hi - lo) / 32.0
-    a = max(lo, min(finite) - pad)
-    b = min(hi, max(finite) + pad)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = objective(d)
-    candidates = [a, b, (a + b) / 2.0]
-    values = [objective(v) for v in candidates]
-    return candidates[int(np.argmin(values))]

@@ -98,14 +98,6 @@ class Radon(LinOp):
         return self.geometry.scale * contrib.sum(axis=0).reshape(self.input_shape)
 
 
-def radon_apply(geometry: RadonGeometry, x: np.ndarray) -> np.ndarray:
-    return Radon(geometry).apply(x)
-
-
-def radon_adjoint(geometry: RadonGeometry, s: np.ndarray) -> np.ndarray:
-    return Radon(geometry).adjoint(s)
-
-
 def ramp_filter(geometry: RadonGeometry, sinogram: np.ndarray) -> np.ndarray:
     """Ram-Lak filtering of each projection row in the frequency domain."""
     check_shape(sinogram, geometry.sinogram_shape, "ramp_filter sinogram")

@@ -11,7 +11,7 @@ preconditioner satisfies the contraction condition.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,36 +40,118 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Fidelity:
-    """Data term: kind in {l1, l2, kl}; `dualize` moves it to a dual block."""
+    """Data term f(A x; y); `dualize` moves it to a dual block.
 
-    kind: str
+    Each subclass gives value(fwd, y) -> (value, left the domain),
+    residual_subgradient(fwd, y) in measurement space, conjugate_prox and,
+    where one exists, primal_prox. bind() validates the term against the
+    forward operator and measurement once, when the ProblemSpec is built.
+    """
+
     weight: float = 1.0
-    background: np.ndarray = None
     dualize: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("l1", "l2", "kl"):
-            raise ValueError(f"unknown fidelity kind {self.kind!r}")
         if self.weight <= 0.0:
             raise ValueError(f"fidelity weight must be positive, got {self.weight}")
-        if self.kind == "kl":
-            if self.background is None:
-                raise ValueError("kl fidelity needs a background level")
-            object.__setattr__(self, "background", as_tensor(self.background))
-            if not self.dualize:
-                raise ValueError("kl fidelity has no primal prox; set dualize=True")
+
+
+@dataclass(frozen=True)
+class L1Fidelity(Fidelity):
+    """weight * |A x - y|_1; kept primal only with the identity forward."""
+
+    def bind(self, forward, measurement):
+        if not self.dualize and forward is not None:
+            raise ValueError("l1 fidelity kept primal requires an identity forward; "
+                             "set dualize=True for a general operator")
+        return self
+
+    def value(self, fwd, y):
+        return self.weight * float(np.sum(np.abs(fwd - y))), False
+
+    def residual_subgradient(self, fwd, y):
+        return self.weight * np.sign(fwd - y)
+
+    def conjugate_prox(self, wbar, sigma, y):
+        return prox.l1_conjugate_prox(wbar, sigma, self.weight, y)
+
+    def primal_prox(self, xbar, tau, y, forward):
+        return prox.soft_shrink(xbar, tau * self.weight, y)
+
+
+@dataclass(frozen=True)
+class L2Fidelity(Fidelity):
+    """(weight/2) * |A x - y|^2; kept primal with an identity or diagonal forward."""
+
+    def bind(self, forward, measurement):
+        if not self.dualize and forward is not None \
+                and not isinstance(forward, DiagonalMask):
+            raise ValueError("l2 fidelity kept primal requires a diagonal forward; "
+                             "set dualize=True for a general operator")
+        return self
+
+    def value(self, fwd, y):
+        diff = fwd - y
+        return 0.5 * self.weight * float(np.vdot(diff, diff)), False
+
+    def residual_subgradient(self, fwd, y):
+        return self.weight * (fwd - y)
+
+    def conjugate_prox(self, wbar, sigma, y):
+        return prox.l2_conjugate_prox(wbar, sigma, y, self.weight)
+
+    def primal_prox(self, xbar, tau, y, forward):
+        diag = forward.mask if isinstance(forward, DiagonalMask) else 1.0
+        return (xbar + tau * self.weight * diag * y) / (1.0 + tau * self.weight * diag * diag)
+
+
+@dataclass(frozen=True)
+class KLFidelity(Fidelity):
+    """Poisson term sum(A x + b - y) + y.log(y / (A x + b)); it has no primal prox."""
+
+    background: np.ndarray = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.background is None:
+            raise ValueError("kl fidelity needs a background level")
+        if not self.dualize:
+            raise ValueError("kl fidelity has no primal prox; set dualize=True")
+
+    def bind(self, forward, measurement):
+        bg = as_tensor(np.broadcast_to(self.background, measurement.shape))
+        return replace(self, background=bg)
+
+    def value(self, fwd, y):
+        mean = fwd + self.background
+        bad = ((y > 0.0) & (mean <= 0.0)) | ((y <= 0.0) & (mean < 0.0))
+        if np.any(bad):
+            return float("inf"), True
+        val = float(np.sum(fwd - y + self.background))
+        pos = y > 0.0
+        val += float(np.sum(y[pos] * np.log(y[pos] / mean[pos])))
+        return val, False
+
+    def residual_subgradient(self, fwd, y):
+        mean = fwd + self.background
+        if np.any(mean <= 0.0):
+            raise ValueError("kl fidelity domain (forward + background <= 0)")
+        return 1.0 - y / mean
+
+    def conjugate_prox(self, wbar, sigma, y):
+        return prox.kl_conjugate_prox(wbar, sigma, y, self.background)
 
 
 def l1_fidelity(weight, dualize=False):
-    return Fidelity("l1", weight=weight, dualize=dualize)
+    return L1Fidelity(weight, dualize)
 
 
 def l2_fidelity(weight=1.0, dualize=False):
-    return Fidelity("l2", weight=weight, dualize=dualize)
+    return L2Fidelity(weight, dualize)
 
 
 def kl_fidelity(background, dualize=True):
-    return Fidelity("kl", background=background, dualize=dualize)
+    return KLFidelity(dualize=dualize, background=background)
 
 
 @dataclass(frozen=True)
@@ -94,19 +176,8 @@ class ProblemSpec:
         if self.forward is not None:
             check_shape(np.empty(self.forward.input_shape), self.regularizer.input_shape,
                         "forward operator input")
-        if self.fidelity.kind == "kl":
-            bg = as_tensor(np.broadcast_to(self.fidelity.background, self.measurement.shape))
-            object.__setattr__(self, "fidelity", Fidelity(
-                "kl", weight=self.fidelity.weight, background=bg,
-                dualize=self.fidelity.dualize))
-        if not self.fidelity.dualize:
-            if self.fidelity.kind == "l1" and self.forward is not None:
-                raise ValueError("l1 fidelity kept primal requires an identity forward; "
-                                 "set dualize=True for a general operator")
-            if self.fidelity.kind == "l2" and self.forward is not None \
-                    and not isinstance(self.forward, DiagonalMask):
-                raise ValueError("l2 fidelity kept primal requires a diagonal forward; "
-                                 "set dualize=True for a general operator")
+        object.__setattr__(self, "fidelity",
+                           self.fidelity.bind(self.forward, self.measurement))
 
     def apply_forward(self, x):
         return x if self.forward is None else self.forward.apply(x)
@@ -127,24 +198,6 @@ class ObjectiveReport:
     infeasible_data: bool = False
 
 
-def _fidelity_value(problem: ProblemSpec, residual_input):
-    fid = problem.fidelity
-    if fid.kind == "l1":
-        return fid.weight * float(np.sum(np.abs(residual_input - problem.measurement))), False
-    if fid.kind == "l2":
-        diff = residual_input - problem.measurement
-        return 0.5 * fid.weight * float(np.vdot(diff, diff)), False
-    y = problem.measurement
-    mean = residual_input + fid.background
-    bad = ((y > 0.0) & (mean <= 0.0)) | ((y <= 0.0) & (mean < 0.0))
-    if np.any(bad):
-        return float("inf"), True
-    val = float(np.sum(residual_input - y + fid.background))
-    pos = y > 0.0
-    val += float(np.sum(y[pos] * np.log(y[pos] / mean[pos])))
-    return val, False
-
-
 def evaluate_objectives(problem: ProblemSpec, x, z=None) -> ObjectiveReport:
     """Objectives of the nested and the constrained formulation at (x, z).
 
@@ -154,7 +207,8 @@ def evaluate_objectives(problem: ProblemSpec, x, z=None) -> ObjectiveReport:
     """
     spec = problem.regularizer
     reg_value, _ = icnn_mod.forward(spec, x)
-    data, infeasible = _fidelity_value(problem, problem.apply_forward(x))
+    data, infeasible = problem.fidelity.value(problem.apply_forward(x),
+                                              problem.measurement)
     reg_term = problem.reg_weight * reg_value
     primal = data + reg_term
     if z is None:
@@ -224,13 +278,6 @@ class StepSizes:
     norms: dict
     certificates: dict
     inflation: float
-
-    def describe(self):
-        lines = []
-        for slot, (value, terms) in sorted(self.certificates.items()):
-            body = " + ".join(f"{s:.6g}*{n:.6g}^2*tau" for s, n in terms)
-            lines.append(f"slot {slot}: ({body}) = {value:.12g} <= 1")
-        return "\n".join(lines)
 
 
 def compute_step_sizes(assembly: BlockAssembly, scales=None, norms=None,
@@ -388,43 +435,18 @@ def initial_state(problem: ProblemSpec, assembly: BlockAssembly,
     x0 = as_tensor(init_x) if init_x is not None else default_initial_image(problem)
     check_shape(x0, problem.regularizer.input_shape, "initial image")
     _, trace = icnn_mod.forward(problem.regularizer, x0)
-    duals = [[np.zeros(s) for s in block.dual_shapes()] for block in assembly.blocks]
+    duals = [[np.zeros(s) for s in block.operator.output_shapes] for block in assembly.blocks]
     return SaddleState(x=x0, z=[t.copy() for t in trace],
                        x_relaxed=x0.copy(), z_relaxed=[t.copy() for t in trace],
                        duals=duals)
 
 
-# --- primal and dual proxes ---------------------------------------------------
-
-def _primal_x_prox(problem: ProblemSpec, xbar, tau):
-    fid = problem.fidelity
-    if fid.dualize:
-        out = xbar
-    elif fid.kind == "l1":
-        out = prox.soft_shrink(xbar, tau * fid.weight, problem.measurement)
-    else:  # l2 with identity or diagonal forward; both separable
-        diag = problem.forward.mask if isinstance(problem.forward, DiagonalMask) else 1.0
-        out = (xbar + tau * fid.weight * diag * problem.measurement) \
-            / (1.0 + tau * fid.weight * diag * diag)
-    if problem.nonneg:
-        out = np.maximum(out, 0.0)
-    return out
-
-
-def _fidelity_conjugate_prox(problem: ProblemSpec, sigma, wbar):
-    fid = problem.fidelity
-    y = problem.measurement
-    if fid.kind == "l1":
-        return prox.l1_conjugate_prox(wbar, sigma, fid.weight, y)
-    if fid.kind == "l2":
-        return prox.l2_conjugate_prox(wbar, sigma, y, fid.weight)
-    return prox.kl_conjugate_prox(wbar, sigma, y, fid.background)
-
+# --- dual proxes --------------------------------------------------------------
 
 def _dual_update(problem, block, sigma, current, applied, cap):
     if block.kind == "fidelity":
         tilde = current[0] + sigma * applied[0]
-        return [_fidelity_conjugate_prox(problem, sigma, tilde)]
+        return [problem.fidelity.conjugate_prox(tilde, sigma, problem.measurement)]
     if block.kind == "epigraph":
         bias = block.shift[0]
         tilde_p = current[0] + sigma * applied[0]
@@ -453,8 +475,7 @@ def _check_finite(state: SaddleState, iteration):
 
 def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
                scales=None, init_x=None, init: SaddleState = None,
-               ground_truth=None, callbacks=(), metrics_every: int = 1,
-               norm_seed: int = 0):
+               ground_truth=None, metrics_every: int = 1, norm_seed: int = 0):
     """Run the block primal-dual iteration for `budget` iterations.
 
     Returns (final SaddleState, RunMetrics). Step sizes are derived (and
@@ -486,8 +507,6 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
             raise DivergenceError(iteration, "objective evaluation") from exc
         pv = psnr_fn(state.x, ground_truth) if ground_truth is not None else None
         metrics.record(iteration, report, pv, time.perf_counter() - started)
-        for cb in callbacks:
-            cb(iteration, state, report)
 
     _check_finite(state, state.iteration)
     observe(state.iteration)
@@ -504,7 +523,12 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
                 raise DivergenceError(k, f"dual block {bi} ({block.kind})") from exc
             for j in range(len(grads)):
                 grads[j] += adj[j]
-        new_x = _primal_x_prox(problem, primal[0] - tau[0] * grads[0], tau[0])
+        new_x = primal[0] - tau[0] * grads[0]
+        if not problem.fidelity.dualize:
+            new_x = problem.fidelity.primal_prox(new_x, tau[0], problem.measurement,
+                                                 problem.forward)
+        if problem.nonneg:
+            new_x = np.maximum(new_x, 0.0)
         new_z = [primal[j] - tau[j] * grads[j] for j in range(1, len(primal))]
         state.x_relaxed = 2.0 * new_x - state.x
         state.z_relaxed = [2.0 * nz - oz for nz, oz in zip(new_z, state.z)]
@@ -562,27 +586,8 @@ class DiminishingStep:
         return f"sm_d({self.initial:g})"
 
 
-def _fidelity_residual_subgradient(problem: ProblemSpec, fwd):
-    """Subgradient of the fidelity in measurement space, given A x."""
-    fid = problem.fidelity
-    y = problem.measurement
-    if fid.kind == "l1":
-        return fid.weight * np.sign(fwd - y)
-    if fid.kind == "l2":
-        return fid.weight * (fwd - y)
-    mean = fwd + fid.background
-    if np.any(mean <= 0.0):
-        raise DivergenceError(0, "kl fidelity domain (forward + background <= 0)")
-    return 1.0 - y / mean
-
-
-def _fidelity_subgradient(problem: ProblemSpec, x):
-    return problem.adjoint_forward(
-        _fidelity_residual_subgradient(problem, problem.apply_forward(x)))
-
-
 def subgradient_solve(problem: ProblemSpec, mode, *, budget: int, init_x=None,
-                      ground_truth=None, callbacks=(), metrics_every: int = 1):
+                      ground_truth=None, metrics_every: int = 1):
     """Projected subgradient descent on the nested objective.
 
     mode is ConstantStep or DiminishingStep. The auxiliary variables are
@@ -607,18 +612,20 @@ def subgradient_solve(problem: ProblemSpec, mode, *, budget: int, init_x=None,
                                  not np.isfinite(data_value))
         pv = psnr_fn(current, ground_truth) if ground_truth is not None else None
         metrics.record(iteration, report, pv, time.perf_counter() - started)
-        for cb in callbacks:
-            cb(iteration, current, report)
 
     for k in range(budget + 1):
         fwd = problem.apply_forward(x)
         reg_value, reg_grad = icnn_mod.value_and_subgradient(problem.regularizer, x)
         if (metrics_every and k % metrics_every == 0) or k in (0, budget):
-            data_value, _ = _fidelity_value(problem, fwd)
+            data_value, _ = problem.fidelity.value(fwd, problem.measurement)
             observe(k, x, data_value, reg_value)
         if k == budget:
             break
-        g = problem.adjoint_forward(_fidelity_residual_subgradient(problem, fwd))
+        try:
+            residual = problem.fidelity.residual_subgradient(fwd, problem.measurement)
+        except ValueError as exc:  # iterate k left the data term's domain
+            raise DivergenceError(k, str(exc)) from exc
+        g = problem.adjoint_forward(residual)
         if problem.reg_weight > 0.0:
             g = g + problem.reg_weight * reg_grad
         x = x - mode.at(k + 1) * g
@@ -629,22 +636,9 @@ def subgradient_solve(problem: ProblemSpec, mode, *, budget: int, init_x=None,
     return x, metrics
 
 
-# --- stopping -----------------------------------------------------------------
+# --- iterations to threshold --------------------------------------------------
 
 _REFERENCE_FLOOR = 1e-12
-
-
-def stop_rule(metrics: RunMetrics, target_rel_error: float, reference_value: float):
-    """True once the latest objective is within the relative target of the
-    reference; falls back to an absolute test (flagged in notes) when the
-    reference is numerically zero."""
-    if not metrics.objective:
-        return False
-    value = metrics.objective[-1]
-    if abs(reference_value) <= _REFERENCE_FLOOR:
-        metrics.notes["stop_rule_absolute_fallback"] = True
-        return abs(value - reference_value) < target_rel_error
-    return (value - reference_value) / abs(reference_value) < target_rel_error
 
 
 def iterations_to_threshold(metrics: RunMetrics, reference_value: float,

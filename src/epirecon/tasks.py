@@ -33,8 +33,6 @@ class TaskConfig:
     poisson_scale: float = 1e4
     background: float = 50.0
     geometry: RadonGeometry = None
-    fidelity_weight: float = None  # l1 lambda (denoise) / l2 weight (inpaint)
-    reg_weight: float = None
     seed: int = 0
 
     def __post_init__(self):

@@ -12,7 +12,7 @@ import numpy as np
 
 import epirecon as er
 from epirecon import prox
-from epirecon.blocks import assemble_blocks, materialize_block
+from epirecon.blocks import assemble_blocks
 from epirecon.cli import cmd_solve
 from epirecon.radon import Radon, RadonGeometry
 from epirecon.solver import compute_step_sizes, iterations_to_threshold
@@ -213,7 +213,7 @@ def test_criterion_5_certificates_and_feasibility():
         steps = compute_step_sizes(assembly, scales=scales, norm_seed=5)
         for slot, (value, _) in steps.certificates.items():
             assert value <= 1.0 + 1e-12, (name, slot)
-        rows = [math.sqrt(steps.sigma[bi]) * materialize_block(b.operator)
+        rows = [math.sqrt(steps.sigma[bi]) * er.materialize(b.operator.flat())
                 for bi, b in enumerate(assembly.blocks)]
         cols = np.concatenate([np.full(int(np.prod(s)), math.sqrt(steps.tau[j]))
                                for j, s in enumerate(assembly.primal_shapes)])

@@ -218,3 +218,52 @@ def test_norm_and_adjoint_test_commands(tmp_path, capsys):
 def test_missing_weights_dir_is_config_error(tmp_path):
     rc = main(["norm", str(tmp_path / "nope")])
     assert rc == 2
+
+
+def test_scale_keys_follow_the_dual_blocks(tmp_path):
+    # c0 exists only when the fidelity is dualized (ct), never for denoise
+    ct = denoise_config(tmp_path, "out_ct")
+    ct["task"] = {"kind": "ct", "image_side": 8, "phantom": "smooth_blobs",
+                  "poisson_scale": 1e3, "background": 5.0, "gamma": 1.0}
+    assert Instance(ct).scale_keys == ["c0", "c1", "c2"]
+    cfg = denoise_config(tmp_path, "out_c0", budget=5)
+    cfg["sweep"] = {"c0": [0.5, 1.0], "c1": [1.0]}
+    path = write_config(tmp_path, cfg, "c0.json")
+    with pytest.raises(ConfigError, match="unknown dual-scale key 'c0'"):
+        cmd_sweep(path)
+    assert main(["sweep", str(path)]) == 2
+    assert not (Path(cfg["output_dir"]) / "sweep.csv").exists()
+
+
+def test_pdhg_entry_rejects_unknown_scale_key(tmp_path):
+    cfg = denoise_config(tmp_path, "out_c7", budget=5)
+    cfg["solvers"].append({"kind": "pdhg", "scales": {"c1": 1.0, "c7": 2.0}})
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError, match="unknown dual-scale key 'c7'"):
+        cmd_solve(path)
+    assert main(["solve", str(path)]) == 2
+    assert not list(Path(cfg["output_dir"]).glob("*_metrics.csv"))  # nothing ran
+
+
+def test_dense_weights_arch_is_unknown(tmp_path):
+    cfg = denoise_config(tmp_path, "out_dense", budget=5)
+    cfg["weights"] = {"random": {"arch": "dense", "input_dim": 64, "hidden_dims": [4]}}
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError, match="unknown arch 'dense'"):
+        cmd_solve(path)
+    assert main(["solve", str(path)]) == 2
+
+
+def test_weights_path_input_shape_must_match_image(tmp_path):
+    for side in (8, 16):
+        spec = er.random_admissible(3, er.ConvPoolDenseTemplate(
+            side=side, filters=2, kernel=3, pool=4, hidden=4))
+        er.save_weights(spec, tmp_path / f"w{side}")
+    cfg = denoise_config(tmp_path, "out_path", budget=5)  # 8x8 image
+    cfg["weights"] = {"path": str(tmp_path / "w8")}
+    assert Instance(cfg).problem.regularizer.input_shape == (8, 8)
+    cfg["weights"] = {"path": str(tmp_path / "w16")}
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError, match=r"\(16, 16\) does not match .* \(8, 8\)"):
+        cmd_solve(path)
+    assert main(["solve", str(path)]) == 2

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from epirecon import prox
-from epirecon.verify import golden_section_vec, grid_project_epigraph, kl_conjugate_oracle
+from epirecon.verify import (golden_section_vec, grid_project_epigraph, kl_conjugate_oracle,
+                             moreau_conjugate_prox)
 
 
 def test_soft_shrink_paper_cases():
@@ -12,18 +13,6 @@ def test_soft_shrink_paper_cases():
     assert prox.soft_shrink(np.array([-2.0]), 0.5)[0] == -1.5
     got = prox.soft_shrink(np.array([1.4]), 0.5, center=1.2)
     assert got[0] == 1.2
-
-
-def test_nonneg_project():
-    assert np.allclose(prox.nonneg_project(np.array([-1.0, 2.0])), [0.0, 2.0])
-
-
-def test_l2_shift_hand_value():
-    # weight 1, step 0.7, center 1: (3 + 0.7) / 1.7
-    got = prox.l2_shift_prox(np.array([3.0]), 0.7, 1.0)
-    assert np.isclose(got[0], 3.7 / 1.7)
-    want = prox.numeric_prox_oracle(lambda v: 0.5 * (v - 1.0) ** 2, 0.7, 3.0, (-2, 5))
-    assert abs(got[0] - want) < 1e-7
 
 
 def test_epigraph_feasible_points_fixed():
@@ -147,7 +136,7 @@ def test_readout_conjugate_moreau_identity(rng):
                 return np.asarray(point)
             return np.asarray(-bias)
 
-        direct = prox.moreau_conjugate_prox(primal_prox, sigma, np.array([wbar]))[0]
+        direct = moreau_conjugate_prox(primal_prox, sigma, np.array([wbar]))[0]
         assert abs(conj - direct) < 1e-10
 
 
@@ -188,18 +177,6 @@ def test_kl_rejects_negative_parameters():
         prox.kl_conjugate_prox(np.zeros(2), 1.0, 0.0, np.array([-1.0, 0.0]))
 
 
-def test_numeric_prox_oracle_basics():
-    # location accuracy of golden section in f64 bottoms out near sqrt(eps)
-    assert abs(prox.numeric_prox_oracle(lambda v: 0.0, 1.0, 2.5, (-10, 10)) - 2.5) < 1e-7
-    got = prox.numeric_prox_oracle(lambda v: abs(v), 1.0, 2.0, (-5, 5))
-    assert abs(got - 1.0) < 1e-7  # soft threshold
-    clamp = prox.numeric_prox_oracle(
-        lambda v: 0.0 if 0.0 <= v <= 1.0 else np.inf, 1.0, 5.0, (-2, 3))
-    assert abs(clamp - 1.0) < 1e-7
-    with pytest.raises(ValueError, match="finite"):
-        prox.numeric_prox_oracle(lambda v: np.inf, 1.0, 0.0, (0, 1))
-
-
 def test_moreau_identity_random_piecewise(rng):
     # x = prox_{tau h}(x) + tau * prox_{h*/tau}(x/tau) for h(v) = w|v - c|
     for _ in range(100):
@@ -212,7 +189,7 @@ def test_moreau_identity_random_piecewise(rng):
             return prox.soft_shrink(np.asarray(point), step * w, c)
 
         lhs = prox_h(tau, np.array([x]))[0]
-        conj = prox.moreau_conjugate_prox(prox_h, 1.0 / tau, np.array([x / tau]))[0]
+        conj = moreau_conjugate_prox(prox_h, 1.0 / tau, np.array([x / tau]))[0]
         assert abs((lhs + tau * conj) - x) < 1e-10
 
 
@@ -222,13 +199,13 @@ def test_moreau_trivial_cases():
         return np.zeros_like(np.asarray(point))
 
     x = np.array([1.7, -2.3])
-    assert np.allclose(prox.moreau_conjugate_prox(prox_zero_point, 1.3, x), x)
+    assert np.allclose(moreau_conjugate_prox(prox_zero_point, 1.3, x), x)
 
     # h(v) = v^2/2 is self-conjugate: prox_{h*}(x) = x/2 at unit step
     def prox_quad(step, point):
         return np.asarray(point) / (1.0 + step)
 
-    assert np.allclose(prox.moreau_conjugate_prox(prox_quad, 1.0, x), x / 2.0)
+    assert np.allclose(moreau_conjugate_prox(prox_quad, 1.0, x), x / 2.0)
 
 
 def test_firm_nonexpansiveness_all_proxes(rng):
@@ -243,8 +220,6 @@ def test_firm_nonexpansiveness_all_proxes(rng):
         assert np.all(lhs <= rhs + 1e-10)
 
     check(prox.soft_shrink(x, 0.7, 0.3), prox.soft_shrink(y, 0.7, 0.3))
-    check(prox.l2_shift_prox(x, 0.9, 0.5), prox.l2_shift_prox(y, 0.9, 0.5))
-    check(prox.nonneg_project(x), prox.nonneg_project(y))
     check(prox.readout_conjugate_prox(x, 0.8, 1.5, 0.2),
           prox.readout_conjugate_prox(y, 0.8, 1.5, 0.2))
     check(prox.kl_conjugate_prox(x, 0.8, 2.0, 0.5),
@@ -261,7 +236,7 @@ def test_step_validation():
     with pytest.raises(ValueError, match="step"):
         prox.soft_shrink(np.zeros(2), -1.0)
     with pytest.raises(ValueError, match="step"):
-        prox.l2_shift_prox(np.zeros(2), 0.0)
+        prox.soft_shrink(np.zeros(2), 0.0)
     # elementwise steps broadcast
     got = prox.soft_shrink(np.array([2.0, 2.0]), np.array([0.5, 1.5]))
     assert np.allclose(got, [1.5, 0.5])

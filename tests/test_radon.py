@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from epirecon.radon import Radon, RadonGeometry, radon_adjoint, radon_apply
+from epirecon.radon import Radon, RadonGeometry
 from epirecon.tensor import ShapeMismatchError
 
 
 def test_zero_image_zero_sinogram():
     geom = RadonGeometry(image_side=16, n_angles=12, n_bins=24)
-    assert not np.any(radon_apply(geom, np.zeros((16, 16))))
-    assert not np.any(radon_adjoint(geom, np.zeros((12, 24))))
+    assert not np.any(Radon(geom).apply(np.zeros((16, 16))))
+    assert not np.any(Radon(geom).adjoint(np.zeros((12, 24))))
 
 
 def test_centered_pixel_mass_constant_over_angles():
@@ -17,7 +17,7 @@ def test_centered_pixel_mass_constant_over_angles():
     geom = RadonGeometry(image_side=15, n_angles=20, n_bins=31)
     img = np.zeros((15, 15))
     img[7, 7] = 1.0
-    sino = radon_apply(geom, img)
+    sino = Radon(geom).apply(img)
     masses = sino.sum(axis=1)
     assert np.all(np.abs(masses - geom.scale) < 1e-6 * geom.scale)
 

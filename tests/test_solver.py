@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import epirecon as er
-from epirecon.blocks import assemble_blocks, materialize_block
+from epirecon.blocks import assemble_blocks
 from epirecon.solver import (CertificationError, DivergenceError, EntryNorm,
                              RunMetrics, compute_step_sizes, initial_state)
 from epirecon.verify import jacobi_spectral_norm
@@ -46,7 +46,7 @@ def test_step_sizes_certified_on_materialized_instance():
     steps = compute_step_sizes(assembly, scales=(2.0, 0.7, 1.3))
     rows = []
     for bi, block in enumerate(assembly.blocks):
-        rows.append(np.sqrt(steps.sigma[bi]) * materialize_block(block.operator))
+        rows.append(np.sqrt(steps.sigma[bi]) * er.materialize(block.operator.flat()))
     stacked = np.vstack(rows)
     cols = np.concatenate([np.full(int(np.prod(s)), np.sqrt(steps.tau[j]))
                            for j, s in enumerate(assembly.primal_shapes)])
@@ -171,6 +171,16 @@ def test_evaluate_objectives_kl_domain_flag():
     assert np.isfinite(ok.primal)
 
 
+def test_subgradient_kl_domain_exit_reports_its_iteration():
+    # x0 = 1 lies in the domain; the step of 50 carries x1 = -74 out of it
+    problem = er.ProblemSpec(er.kl_fidelity(np.array([0.0])), er.Dense([[1.0]]),
+                             np.array([0.5]), 1.0, make_relu_1d())
+    with pytest.raises(DivergenceError, match="kl fidelity domain") as info:
+        er.subgradient_solve(problem, er.ConstantStep(50.0), budget=5,
+                             init_x=np.array([1.0]))
+    assert info.value.iteration == 1
+
+
 def test_subgradient_constant_step_halves_error():
     spec = make_relu_1d()
     y = np.array([2.0])
@@ -218,26 +228,6 @@ def test_running_min_non_increasing(rng):
     assert rm == list(np.minimum.accumulate(values))
 
 
-def test_stop_rule_arithmetic():
-    metrics = RunMetrics()
-    metrics.iterations.append(0)
-    metrics.objective.append(1.0009)
-    # (1.0009 - 1) / 1 = 9e-4 < 1e-3
-    assert er.stop_rule(metrics, 1e-3, 1.0)
-    metrics.objective[-1] = 1.002
-    assert not er.stop_rule(metrics, 1e-3, 1.0)
-    metrics.objective[-1] = 1.0
-    assert er.stop_rule(metrics, 1e-3, 1.0)
-
-
-def test_stop_rule_absolute_fallback_flagged():
-    metrics = RunMetrics()
-    metrics.iterations.append(0)
-    metrics.objective.append(5e-4)
-    assert er.stop_rule(metrics, 1e-3, 0.0)
-    assert metrics.notes["stop_rule_absolute_fallback"] is True
-
-
 def test_iterations_to_threshold_first_crossing():
     metrics = RunMetrics()
     for k, v in enumerate([2.0, 1.5, 1.0009, 1.0005, 1.0001, 1.00005]):
@@ -247,6 +237,16 @@ def test_iterations_to_threshold_first_crossing():
     assert hit == 2 and not used_abs  # fires at the first crossing only
     miss, _ = er.iterations_to_threshold(metrics, 1.0, 1e-6)
     assert miss is None
+
+
+def test_stop_rule_absolute_fallback_flagged():
+    # a numerically zero reference falls back to an absolute test, flagged
+    metrics = RunMetrics()
+    for k, v in enumerate([2e-3, 5e-4]):
+        metrics.iterations.append(k)
+        metrics.objective.append(v)
+    hit, used_abs = er.iterations_to_threshold(metrics, 0.0, 1e-3)
+    assert hit == 1 and used_abs
 
 
 def test_pdhg_bitwise_deterministic():
@@ -271,7 +271,7 @@ def test_pdhg_bitwise_deterministic():
 def test_problem_spec_validation():
     spec = make_relu_1d()
     with pytest.raises(ValueError, match="kl fidelity has no primal prox"):
-        er.Fidelity("kl", background=np.array([1.0]), dualize=False)
+        er.kl_fidelity(np.array([1.0]), dualize=False)
     with pytest.raises(ValueError, match="identity forward"):
         er.ProblemSpec(er.l1_fidelity(0.1), er.Dense([[2.0]]), np.array([1.0]),
                        1.0, spec)
