@@ -116,8 +116,12 @@ class ConstraintBlock:
 
 @dataclass(frozen=True)
 class BlockAssembly:
+    """The dual blocks, and the network and forward map they were built from."""
+
     blocks: tuple
     primal_shapes: tuple
+    regularizer: IcnnSpec
+    forward: LinOp = None
 
 
 def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
@@ -171,4 +175,4 @@ def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
                 operator=BlockOperator([pre_row], primal_shapes),
                 shift=(layer.bias,),
                 negative_slope=layer.activation.negative_slope))
-    return BlockAssembly(tuple(blocks), tuple(primal_shapes))
+    return BlockAssembly(tuple(blocks), tuple(primal_shapes), spec, forward)

@@ -108,28 +108,39 @@ class Conv2D(LinOp):
         self._squeeze_out = out_channels == 1
         self.output_shape = (h, w) if self._squeeze_out else (out_channels, h, w)
 
-    def _windows(self, arr, pad_top, pad_bot, pad_left, pad_right, kh, kw):
-        padded = np.pad(arr, ((0, 0), (pad_top, pad_bot), (pad_left, pad_right)))
-        win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-        return win  # (channels, H, W, kh, kw)
-
     def _apply(self, x):
         if self._squeeze_in:
             x = x[None]
         kh, kw = self.filters.shape[2:]
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        win = self._windows(x, ph, kh - 1 - ph, pw, kw - 1 - pw, kh, kw)
+        padded = np.pad(x, ((0, 0), (ph, kh - 1 - ph), (pw, kw - 1 - pw)))
+        win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
         out = np.tensordot(self.filters, win, axes=([1, 2, 3], [0, 3, 4]))
         return out[0] if self._squeeze_out else out
 
     def _adjoint(self, w):
+        """col2im: contract the output channels once, giving one plane per
+        input channel and kernel tap, then add each tap's plane, shifted,
+        into one zero-padded buffer and crop the padding. w is first widened
+        with kw - 1 zero columns to the buffer's row width, so each shift is
+        one offset into the flattened buffer and each add one contiguous
+        slice; what runs past a row end comes from the zero columns."""
         if self._squeeze_out:
             w = w[None]
-        kh, kw = self.filters.shape[2:]
+        c_in, kh, kw = self.filters.shape[1:]
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        win = self._windows(w, kh - 1 - ph, ph, kw - 1 - pw, pw, kh, kw)
-        flipped = self.filters[:, :, ::-1, ::-1]
-        out = np.tensordot(flipped, win, axes=([0, 2, 3], [0, 3, 4]))
+        h, wd = w.shape[-2:]
+        row = wd + kw - 1
+        wide = np.zeros(w.shape[:-1] + (row,))
+        wide[..., :wd] = w
+        cols = np.tensordot(self.filters, wide, axes=([0], [0])).reshape(c_in, kh, kw, h * row)
+        flat = np.zeros((c_in, (h + kh) * row))
+        for a in range(kh):
+            for b in range(kw):
+                start = a * row + b
+                flat[:, start:start + h * row] += cols[:, a, b]
+        padded = flat.reshape(c_in, h + kh, row)
+        out = np.ascontiguousarray(padded[:, ph:ph + h, pw:pw + wd])
         return out[0] if self._squeeze_in else out
 
 

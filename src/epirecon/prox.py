@@ -40,23 +40,36 @@ def project_epigraph_leaky_relu(alpha, pbar, qbar):
       q <= alpha*p and p <= -alpha*q -> foot on the left edge q = alpha*p
       otherwise                     -> the corner (0, 0)
     alpha = 0 is the plain relu; alpha = 1 degenerates to the halfplane p <= q.
+
+    Branch-free: outside the epigraph the foot is r*(1, 1) + l*(1, alpha)
+    with the right-ray foot r = max((p+q)/2, 0) and the left-ray foot
+    l = min((p + alpha*q)/(1 + alpha^2), 0). At most one of the two is
+    nonzero (both vanish in the corner), so each branch's foot comes out
+    exactly; inside points are copied back unchanged.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"negative slope must lie in [0, 1], got {alpha}")
     pbar = np.asarray(pbar, dtype=np.float64)
     qbar = np.asarray(qbar, dtype=np.float64)
     check_shape(qbar, pbar.shape, "epigraph projection")
-    inside = np.maximum(pbar, alpha * pbar) <= qbar
-    right = np.abs(qbar) <= pbar
-    mid_r = (pbar + qbar) / 2.0
-    left = (qbar <= alpha * pbar) & (pbar <= -alpha * qbar)
-    foot_l = (pbar + alpha * qbar) / (1.0 + alpha * alpha)
-    p = np.where(inside, pbar,
-                 np.where(right, mid_r,
-                          np.where(left, foot_l, 0.0)))
-    q = np.where(inside, qbar,
-                 np.where(right, mid_r,
-                          np.where(left, alpha * foot_l, 0.0)))
+    # out= buffers throughout: a ufunc on 0-d operands without out= returns
+    # a numpy scalar, which cannot be written in place
+    right, left, p = (np.empty(pbar.shape) for _ in range(3))
+    np.multiply(pbar, alpha, out=left)  # scratch for max(p, alpha*p)
+    np.maximum(pbar, left, out=left)
+    inside = np.less_equal(left, qbar)
+    np.add(pbar, qbar, out=right)
+    np.multiply(right, 0.5, out=right)
+    np.maximum(right, 0.0, out=right)  # r
+    np.multiply(qbar, alpha, out=left)
+    np.add(pbar, left, out=left)
+    np.divide(left, 1.0 + alpha * alpha, out=left)
+    np.minimum(left, 0.0, out=left)  # l
+    np.add(right, left, out=p)
+    q = np.multiply(left, alpha, out=left)
+    np.add(right, q, out=q)
+    np.copyto(p, pbar, where=inside)
+    np.copyto(q, qbar, where=inside)
     return p, q
 
 

@@ -234,13 +234,18 @@ def evaluate_objectives(problem: ProblemSpec, x, z=None) -> ObjectiveReport:
 
 # --- step sizes ---------------------------------------------------------------
 
+def _dualized_forward(problem: ProblemSpec):
+    """The forward map of the leading fidelity block, None when there is none."""
+    if not problem.fidelity.dualize:
+        return None
+    if problem.forward is None:
+        raise ValueError("dualized fidelity needs an explicit forward operator")
+    return problem.forward
+
+
 def assemble_problem(problem: ProblemSpec) -> BlockAssembly:
     """Dual blocks of the problem; a dualized fidelity leads as its own block."""
-    if problem.fidelity.dualize and problem.forward is None:
-        raise ValueError("dualized fidelity needs an explicit forward operator")
-    return assemble_blocks(
-        problem.regularizer,
-        forward=problem.forward if problem.fidelity.dualize else None)
+    return assemble_blocks(problem.regularizer, forward=_dualized_forward(problem))
 
 
 @dataclass(frozen=True)
@@ -270,7 +275,8 @@ def certify_norms(assembly: BlockAssembly, tol=1e-6, max_iters=500, seed=0) -> d
 
 @dataclass(frozen=True)
 class StepSizes:
-    """Primal steps per slot, dual steps per block, and their certificates."""
+    """Primal steps per slot, dual steps per block, and their certificates,
+    together with the block assembly they were certified on."""
 
     tau: tuple
     sigma: tuple
@@ -278,6 +284,7 @@ class StepSizes:
     norms: dict
     certificates: dict
     inflation: float
+    assembly: BlockAssembly
 
 
 def compute_step_sizes(assembly: BlockAssembly, scales=None, norms=None,
@@ -343,7 +350,7 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norms=None,
             raise CertificationError(
                 f"contraction certificate violated at primal slot {slot}: {value} > 1")
     return StepSizes(tuple(tau), tuple(sigma), scales, dict(norms),
-                     certificates, inflation)
+                     certificates, inflation, assembly)
 
 
 # --- iterate containers -------------------------------------------------------
@@ -479,19 +486,23 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
     """Run the block primal-dual iteration for `budget` iterations.
 
     Returns (final SaddleState, RunMetrics). Step sizes are derived (and
-    certified) from power-iteration norm bounds unless given. metrics_every
-    controls how often objectives are evaluated; the final iterate is
-    always recorded. A supplied init state is advanced in place, which is
-    what makes warm restarts cheap.
+    certified) from power-iteration norm bounds unless given; given steps
+    run on the block assembly they were certified on, which must have been
+    built for this problem's regularizer and dualized forward map (the
+    same objects). metrics_every controls how often objectives are
+    evaluated; the final iterate is always recorded. A supplied init state
+    is advanced in place, which is what makes warm restarts cheap.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    assembly = assemble_problem(problem)
     if steps is None:
-        steps = compute_step_sizes(assembly, scales=scales, norm_seed=norm_seed)
-    if len(steps.tau) != len(assembly.primal_shapes) or \
-            len(steps.sigma) != len(assembly.blocks):
-        raise CertificationError("step sizes do not match the block structure")
+        steps = compute_step_sizes(assemble_problem(problem), scales=scales,
+                                   norm_seed=norm_seed)
+    assembly = steps.assembly
+    if assembly.regularizer is not problem.regularizer:
+        raise CertificationError("step sizes were certified for another regularizer")
+    if assembly.forward is not _dualized_forward(problem):
+        raise CertificationError("step sizes were certified for another forward operator")
     state = init if init is not None else initial_state(problem, assembly, init_x)
     from .tasks import psnr as psnr_fn
 

@@ -148,6 +148,27 @@ def test_sweep_certifies_norms_once(tmp_path, monkeypatch):
     assert len(calls) == expected
 
 
+def test_sweep_assembles_blocks_once_per_instance(tmp_path, monkeypatch):
+    cfg = denoise_config(tmp_path, "out_assemble", budget=5)
+    cfg["sweep"] = {"c1": [0.5, 1.0], "c2": [0.5, 1.0]}
+    assembled, instances = [], []
+    real_assemble, real_init = solver_mod.assemble_blocks, Instance.__init__
+
+    def counting_assemble(*args, **kwargs):
+        assembled.append(args)
+        return real_assemble(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        instances.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "assemble_blocks", counting_assemble)
+    monkeypatch.setattr(Instance, "__init__", counting_init)
+    assert cmd_sweep(write_config(tmp_path, cfg)) == 0
+    assert len(instances) == 1
+    assert len(assembled) == len(instances)
+
+
 def test_solve_certifies_norms_once(tmp_path, monkeypatch):
     cfg = denoise_config(tmp_path, "out_solve_once", budget=5)
     cfg["solvers"] = [{"kind": "pdhg", "scales": {"c1": 1.0, "c2": 1.0}},

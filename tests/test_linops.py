@@ -70,6 +70,29 @@ def test_adjoint_identity_all_kinds(rng):
             assert gap <= 1e-8 * allowance, name
 
 
+@pytest.mark.parametrize("filters_shape, input_shape", [
+    ((3, 2, 3), (6, 7)),        # even x odd kernel
+    ((2, 4, 4), (3, 3)),        # kernel larger than the image (allowed)
+    ((1, 2, 3, 3), (2, 5, 5)),  # 3-d input, one filter: output squeezed to 2-d
+])
+def test_conv2d_adjoint_matches_materialized_transpose(rng, filters_shape, input_shape):
+    op = er.Conv2D(rng.standard_normal(filters_shape), input_shape)
+    mat = er.materialize(op)
+    w = rng.standard_normal(op.output_shape)
+    expected = (mat.T @ w.ravel()).reshape(op.input_shape)
+    assert np.max(np.abs(op.adjoint(w) - expected)) <= 1e-12
+
+
+def test_apply_adjoint_output_layout(rng):
+    # the tensor contract: C-contiguous float64 of the declared shape
+    for name, op in default_operator_set():
+        for out, shape in ((op.apply(rng.standard_normal(op.input_shape)), op.output_shape),
+                           (op.adjoint(rng.standard_normal(op.output_shape)), op.input_shape)):
+            assert out.dtype == np.float64, name
+            assert out.shape == tuple(shape), name
+            assert out.flags.c_contiguous, name
+
+
 def test_linearity_all_kinds(rng):
     from epirecon.blocks import BlockOperator
     for name, op in default_operator_set(4):

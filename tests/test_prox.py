@@ -31,6 +31,36 @@ def test_epigraph_hand_cases():
     p, q = prox.project_epigraph_leaky_relu(0.2, np.array([-1.0]), np.array([-1.0]))
     assert np.isclose(p[0], -1.2 / 1.04)
     assert np.isclose(q[0], -0.24 / 1.04)
+    # alpha 1: the halfplane p <= q, every outside foot is ((p+q)/2, (p+q)/2)
+    pb = np.array([3.0, -1.0, 1.0, 0.5, 1.0])
+    qb = np.array([1.0, -3.0, -3.0, -0.5, 2.0])
+    p, q = prox.project_epigraph_leaky_relu(1.0, pb, qb)
+    assert p.tolist() == [2.0, -2.0, -1.0, 0.0, 1.0]
+    assert q.tolist() == [2.0, -2.0, -1.0, 0.0, 2.0]
+
+
+def test_epigraph_zero_dim_inputs():
+    cases = [(0.2, -1.0, -1.0), (0.2, 2.0, 0.5), (0.0, 1.0, -3.0), (0.7, -1.0, 3.0)]
+    for alpha, pb, qb in cases:
+        want_p, want_q = prox.project_epigraph_leaky_relu(alpha, np.array([pb]),
+                                                          np.array([qb]))
+        for args in ((pb, qb), (np.float64(pb), np.float64(qb)),
+                     (np.array(pb), np.array(qb))):
+            p, q = prox.project_epigraph_leaky_relu(alpha, *args)
+            assert np.shape(p) == () and np.shape(q) == ()
+            assert p == want_p[0] and q == want_q[0]
+
+
+def test_epigraph_branch_boundary_ties_unchanged(rng):
+    # q == p > 0 and (t, alpha*t), t < 0, lie on the epigraph boundary:
+    # returned bitwise, signs of zero included
+    for alpha in (0.0, 0.2, 0.7, 1.0):
+        right = rng.uniform(0.1, 5.0, 50)
+        t = -rng.uniform(0.1, 5.0, 50)
+        pb = np.concatenate([right, t])
+        qb = np.concatenate([right, alpha * t])
+        p, q = prox.project_epigraph_leaky_relu(alpha, pb, qb)
+        assert p.tobytes() == pb.tobytes() and q.tobytes() == qb.tobytes(), alpha
 
 
 def test_epigraph_matches_grid_oracle(rng):

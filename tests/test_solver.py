@@ -144,6 +144,27 @@ def test_pdhg_divergence_guard_reports_location():
         er.pdhg_solve(problem, budget=5, init=state, metrics_every=0)
 
 
+def test_pdhg_refuses_steps_certified_for_another_network():
+    template = er.DenseTemplate(input_dim=3, hidden_dims=(4,), readout_dim=2)
+    spec, other = er.random_admissible(1, template), er.random_admissible(2, template)
+    assert spec.depth == other.depth
+    problem = er.ProblemSpec(er.l2_fidelity(), None, np.zeros(3), 0.3, spec)
+    steps = compute_step_sizes(assemble_blocks(other), norm_seed=0)
+    with pytest.raises(CertificationError, match="another regularizer"):
+        er.pdhg_solve(problem, steps, budget=1)
+    er.pdhg_solve(problem, compute_step_sizes(assemble_blocks(spec)), budget=1)
+
+
+def test_pdhg_refuses_steps_certified_for_another_forward():
+    spec = scalar_chain_spec()
+    problem = er.ProblemSpec(er.l2_fidelity(dualize=True), er.Dense([[1.0]]),
+                             np.array([0.5]), 1.0, spec)
+    for forward in (er.Dense([[1.0]]), None):
+        steps = compute_step_sizes(assemble_blocks(spec, forward=forward))
+        with pytest.raises(CertificationError, match="another forward operator"):
+            er.pdhg_solve(problem, steps, budget=1)
+
+
 def test_evaluate_objectives_trace_relations(rng):
     spec = er.random_admissible(12, er.DenseTemplate(
         input_dim=3, hidden_dims=(4,), readout_dim=2, skip_all=True))
