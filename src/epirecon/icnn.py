@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import linops
-from .tensor import as_tensor, check_shape, read_tensor, write_tensor
+from .tensor import (NonFiniteError, as_tensor, check_shape, ensure_finite, read_tensor,
+                     write_tensor)
 
 
 class AdmissibilityError(ValueError):
@@ -81,7 +82,7 @@ class IcnnLayer:
     residual: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "bias", as_tensor(self.bias))
+        object.__setattr__(self, "bias", ensure_finite(as_tensor(self.bias), "icnn bias"))
 
     @property
     def output_shape(self):
@@ -96,6 +97,15 @@ class IcnnLayer:
             s = s + self.carry.apply(z_prev)
         return s + self.bias
 
+    def step(self, x, z_prev):
+        """(preactivation, output); z_prev is None on the first layer, where
+        a residual layer adds x instead."""
+        s = self.preactivation(x, z_prev)
+        out = self.activation(s)
+        if self.residual:
+            out = out + (x if z_prev is None else z_prev)
+        return s, out
+
 
 @dataclass(frozen=True)
 class IcnnSpec:
@@ -109,7 +119,7 @@ class IcnnSpec:
         object.__setattr__(self, "input_shape", tuple(int(s) for s in self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
         if self.head is not None:
-            object.__setattr__(self, "head", as_tensor(self.head))
+            object.__setattr__(self, "head", ensure_finite(as_tensor(self.head), "icnn head"))
 
     @property
     def depth(self) -> int:
@@ -241,13 +251,9 @@ def forward(spec: IcnnSpec, x: np.ndarray):
     trace = []
     z = None
     for i, layer in enumerate(spec.layers, start=1):
-        s = layer.preactivation(x, z)
-        out = layer.activation(s)
-        if layer.residual:
-            out = out + (z if i > 1 else x)
+        _, z = layer.step(x, z)
         if i < spec.depth:
-            trace.append(out)
-        z = out
+            trace.append(z)
     value = float(np.vdot(spec.readout_weights(), z))
     return value, trace
 
@@ -262,13 +268,9 @@ def value_and_subgradient(spec: IcnnSpec, x: np.ndarray):
     check_shape(x, spec.input_shape, "icnn subgradient input")
     preacts = []
     z = None
-    for i, layer in enumerate(spec.layers, start=1):
-        s = layer.preactivation(x, z)
-        out = layer.activation(s)
-        if layer.residual:
-            out = out + (z if i > 1 else x)
+    for layer in spec.layers:
+        s, z = layer.step(x, z)
         preacts.append(s)
-        z = out
     value = float(np.vdot(spec.readout_weights(), z))
     grad_x = np.zeros(spec.input_shape)
     cot = spec.readout_weights().copy()
@@ -442,10 +444,13 @@ def load_weights(path, allow_inadmissible: bool = False) -> IcnnSpec:
     if manifest.get("format") != "icnn-weights":
         raise WeightsFormatError(f"{manifest_path}: not an icnn-weights manifest")
 
+    loaded = []
+
     def load_blob(fname):
         blob = path / fname
         if not blob.exists():
             raise WeightsFormatError(f"{path}: manifest references missing blob {fname!r}")
+        loaded.append(fname)
         return read_tensor(blob)
 
     try:
@@ -463,6 +468,8 @@ def load_weights(path, allow_inadmissible: bool = False) -> IcnnSpec:
         spec = IcnnSpec(tuple(manifest["input_shape"]), layers, head)
     except KeyError as exc:
         raise WeightsFormatError(f"{manifest_path}: missing field {exc}") from exc
+    except NonFiniteError as exc:  # objects are built right after their blob is read
+        raise WeightsFormatError(f"{path}: blob {loaded[-1]!r} refused: {exc}") from exc
     report = validate(spec)
     if not report.ok and not allow_inadmissible:
         raise AdmissibilityError(f"{path}: {report}")

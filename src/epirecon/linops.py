@@ -2,10 +2,12 @@
 
 Every operator is immutable after construction, maps a fixed input shape to
 a fixed output shape, and implements the exact algebraic adjoint of its
-apply (matched pairs). `norm_bound` is set only when the operator norm is
-known exactly; otherwise use estimate_norm.
+apply (matched pairs). Weights are checked finite once, at construction;
+apply and adjoint check only the input shape. `norm_bound` is set only
+when the operator norm is known exactly; otherwise use estimate_norm.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +24,12 @@ class LinOp:
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         check_shape(x, self.input_shape, f"{self.kind}.apply input")
-        out = self._apply(x)
-        return ensure_finite(out, f"{self.kind}.apply output")
+        return self._apply(x)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
         check_shape(w, self.output_shape, f"{self.kind}.adjoint input")
-        out = self._adjoint(w)
-        return ensure_finite(out, f"{self.kind}.adjoint output")
+        return self._adjoint(w)
 
     def _apply(self, x):
         raise NotImplementedError
@@ -52,7 +52,7 @@ class Dense(LinOp):
     kind = "dense"
 
     def __init__(self, matrix, input_shape=None):
-        matrix = as_tensor(matrix)
+        matrix = ensure_finite(as_tensor(matrix), "dense matrix")
         if matrix.ndim != 2:
             raise ValueError(f"dense operator needs a 2-d matrix, got shape {matrix.shape}")
         self.matrix = matrix
@@ -75,21 +75,21 @@ class Conv2D(LinOp):
     Filters are stored as (out_channels, in_channels, kh, kw). A 2-d input
     is treated as a single channel; a single-output-channel result is
     squeezed back to 2-d so one-filter convolutions preserve the image shape.
+
+    The window copy and tap planes (0.85 MB each at 64x64, 8 filters 5x5)
+    live in buffers shared by the operators of one geometry: made per call,
+    malloc can unmap them and fault them in again (2.5x a power step). Each
+    call overwrites what it reads; no two threads may share a geometry.
     """
 
     kind = "conv2d"
 
     def __init__(self, filters, input_shape):
-        filters = as_tensor(filters)
+        filters = ensure_finite(as_tensor(filters), "conv2d filters")
         input_shape = tuple(int(s) for s in input_shape)
-        if len(input_shape) == 2:
-            in_channels = 1
-            self._squeeze_in = True
-        elif len(input_shape) == 3:
-            in_channels = input_shape[0]
-            self._squeeze_in = False
-        else:
+        if len(input_shape) not in (2, 3):
             raise ValueError(f"conv2d input must be 2-d or 3-d, got {input_shape}")
+        in_channels = input_shape[0] if len(input_shape) == 3 else 1
         if filters.ndim == 3:
             filters = filters[:, None, :, :]
         if filters.ndim != 4:
@@ -105,18 +105,21 @@ class Conv2D(LinOp):
         kh, kw = filters.shape[2:]
         if kh > h + (kh - 1) // 2 or kw > w + (kw - 1) // 2:
             raise ValueError(f"kernel {kh}x{kw} too large for input {h}x{w}")
-        self._squeeze_out = out_channels == 1
-        self.output_shape = (h, w) if self._squeeze_out else (out_channels, h, w)
+        self.output_shape = (h, w) if out_channels == 1 else (out_channels, h, w)
+        self._cols, self._wide, self._taps = _conv_work(in_channels, out_channels,
+                                                        h, w, kh, kw)
 
     def _apply(self, x):
-        if self._squeeze_in:
-            x = x[None]
         kh, kw = self.filters.shape[2:]
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
+        x = x.reshape((-1,) + x.shape[-2:])  # a 2-d input is one channel
         padded = np.pad(x, ((0, 0), (ph, kh - 1 - ph), (pw, kw - 1 - pw)))
         win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-        out = np.tensordot(self.filters, win, axes=([1, 2, 3], [0, 3, 4]))
-        return out[0] if self._squeeze_out else out
+        # tensordot(filters, win, axes=([1, 2, 3], [0, 3, 4])) with a kept window copy
+        np.copyto(self._cols, win.transpose(0, 3, 4, 1, 2))
+        out = np.dot(self.filters.reshape(len(self.filters), -1),
+                     self._cols.reshape(self.filters[0].size, -1))
+        return out.reshape(self.output_shape)
 
     def _adjoint(self, w):
         """col2im: contract the output channels once, giving one plane per
@@ -125,23 +128,28 @@ class Conv2D(LinOp):
         with kw - 1 zero columns to the buffer's row width, so each shift is
         one offset into the flattened buffer and each add one contiguous
         slice; what runs past a row end comes from the zero columns."""
-        if self._squeeze_out:
-            w = w[None]
         c_in, kh, kw = self.filters.shape[1:]
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
         h, wd = w.shape[-2:]
         row = wd + kw - 1
-        wide = np.zeros(w.shape[:-1] + (row,))
-        wide[..., :wd] = w
-        cols = np.tensordot(self.filters, wide, axes=([0], [0])).reshape(c_in, kh, kw, h * row)
+        self._wide[..., :wd] = w  # a 2-d w broadcasts over the one channel
+        np.dot(self.filters.transpose(1, 2, 3, 0).reshape(-1, len(self.filters)),
+               self._wide.reshape(len(self.filters), -1), out=self._taps)
+        cols = self._taps.reshape(c_in, kh, kw, h * row)
         flat = np.zeros((c_in, (h + kh) * row))
         for a in range(kh):
             for b in range(kw):
                 start = a * row + b
                 flat[:, start:start + h * row] += cols[:, a, b]
         padded = flat.reshape(c_in, h + kh, row)
-        out = np.ascontiguousarray(padded[:, ph:ph + h, pw:pw + wd])
-        return out[0] if self._squeeze_in else out
+        return np.ascontiguousarray(padded[:, ph:ph + h, pw:pw + wd]).reshape(self.input_shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _conv_work(c_in, c_out, h, w, kh, kw):
+    """Conv2D work buffers for one geometry; wide's columns past w stay 0."""
+    return (np.zeros((c_in, kh, kw, h, w)), np.zeros((c_out, h, w + kw - 1)),
+            np.zeros((c_in * kh * kw, h * (w + kw - 1))))
 
 
 class AvgPool2D(LinOp):
@@ -187,7 +195,7 @@ class DiagonalMask(LinOp):
     kind = "diagonal_mask"
 
     def __init__(self, mask):
-        self.mask = as_tensor(mask)
+        self.mask = ensure_finite(as_tensor(mask), "diagonal_mask mask")
         self.input_shape = self.mask.shape
         self.output_shape = self.mask.shape
         self.norm_bound = float(np.max(np.abs(self.mask))) if self.mask.size else 0.0

@@ -20,7 +20,7 @@ from . import prox
 from .blocks import BlockAssembly, assemble_blocks
 from .icnn import IcnnSpec, require_admissible
 from .linops import DiagonalMask, estimate_norm
-from .tensor import NonFiniteError, as_tensor, check_shape
+from .tensor import as_tensor, check_shape, ensure_finite
 
 
 class CertificationError(ValueError):
@@ -120,7 +120,7 @@ class KLFidelity(Fidelity):
 
     def bind(self, forward, measurement):
         bg = as_tensor(np.broadcast_to(self.background, measurement.shape))
-        return replace(self, background=bg)
+        return replace(self, background=ensure_finite(bg, "kl background"))
 
     def value(self, fwd, y):
         mean = fwd + self.background
@@ -166,7 +166,8 @@ class ProblemSpec:
     nonneg: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "measurement", as_tensor(self.measurement))
+        object.__setattr__(self, "measurement",
+                           ensure_finite(as_tensor(self.measurement), "measurement"))
         if self.reg_weight < 0.0:
             raise ValueError(f"reg_weight must be nonnegative, got {self.reg_weight}")
         require_admissible(self.regularizer)
@@ -218,10 +219,7 @@ def evaluate_objectives(problem: ProblemSpec, x, z=None) -> ObjectiveReport:
     feas = 0.0
     prev = None
     for i, layer in enumerate(spec.layers, start=1):
-        s = layer.preactivation(x, prev)
-        implied = layer.activation(s)
-        if layer.residual:
-            implied = implied + (prev if i > 1 else x)
+        _, implied = layer.step(x, prev)
         if i < spec.depth:
             gap = implied - z[i - 1]
             feas = max(feas, float(np.max(np.maximum(gap, 0.0), initial=0.0)))
@@ -256,8 +254,8 @@ class EntryNorm:
     iterations: int = 0
 
 
-def certify_norms(assembly: BlockAssembly, tol=1e-6, max_iters=500, seed=0) -> dict:
-    """Norm bound per block entry: exact where known, power iteration otherwise."""
+def certify_norms(assembly: BlockAssembly, seed=0) -> dict:
+    """Norm bound per block entry: exact, else estimate_norm (tol 1e-6, 500 steps)."""
     norms = {}
     counter = 0
     for bi, block in enumerate(assembly.blocks):
@@ -266,7 +264,7 @@ def certify_norms(assembly: BlockAssembly, tol=1e-6, max_iters=500, seed=0) -> d
                 if op.norm_bound is not None:
                     norms[(bi, ri, ei)] = EntryNorm(float(op.norm_bound), True)
                 else:
-                    est = estimate_norm(op, tol=tol, max_iters=max_iters, seed=seed + counter)
+                    est = estimate_norm(op, seed=seed + counter)
                     norms[(bi, ri, ei)] = EntryNorm(est.value, False, est.converged,
                                                     est.iterations)
                 counter += 1
@@ -287,14 +285,17 @@ class StepSizes:
     assembly: BlockAssembly
 
 
+NORM_INFLATION = 1.01
+
+
 def compute_step_sizes(assembly: BlockAssembly, scales=None, norms=None,
-                       inflation=1.01, norm_seed=0) -> StepSizes:
+                       norm_seed=0) -> StepSizes:
     """Diagonal steps satisfying the preconditioned contraction condition.
 
     Per dual block, sigma = scale / max(preactivation-row norms)^2; per
     primal slot, tau = 1 / sum of (row-width * sigma * norm^2) over every
-    entry touching the slot. Estimated norms are inflated by the given
-    safety factor so the strict inequality survives estimation error.
+    entry touching the slot. Estimated norms are inflated by NORM_INFLATION
+    so the strict inequality survives estimation error.
     """
     if norms is None:
         norms = certify_norms(assembly, seed=norm_seed)
@@ -321,7 +322,7 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norms=None,
         en = norms[key]
         if en.value < 0.0 or not np.isfinite(en.value):
             raise CertificationError(f"invalid norm bound {en.value} for entry {key}")
-        return en.value if en.exact else en.value * inflation
+        return en.value if en.exact else en.value * NORM_INFLATION
 
     sigma = []
     for bi, block in enumerate(assembly.blocks):
@@ -350,7 +351,7 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norms=None,
             raise CertificationError(
                 f"contraction certificate violated at primal slot {slot}: {value} > 1")
     return StepSizes(tuple(tau), tuple(sigma), scales, dict(norms),
-                     certificates, inflation, assembly)
+                     certificates, NORM_INFLATION, assembly)
 
 
 # --- iterate containers -------------------------------------------------------
@@ -363,12 +364,6 @@ class SaddleState:
     z_relaxed: list
     duals: list  # one list of row arrays per dual block
     iteration: int = 0
-
-    def primal(self):
-        return [self.x] + list(self.z)
-
-    def relaxed(self):
-        return [self.x_relaxed] + list(self.z_relaxed)
 
 
 CSV_HEADER = "iter,objective_P,objective_P1,data_term,reg_term,feasibility,psnr,seconds"
@@ -440,8 +435,7 @@ def initial_state(problem: ProblemSpec, assembly: BlockAssembly,
                   init_x=None) -> SaddleState:
     """Feasible start: trace auxiliaries at the initial image, zero duals."""
     x0 = as_tensor(init_x) if init_x is not None else default_initial_image(problem)
-    check_shape(x0, problem.regularizer.input_shape, "initial image")
-    _, trace = icnn_mod.forward(problem.regularizer, x0)
+    _, trace = icnn_mod.forward(problem.regularizer, x0)  # checks x0's shape
     duals = [[np.zeros(s) for s in block.operator.output_shapes] for block in assembly.blocks]
     return SaddleState(x=x0, z=[t.copy() for t in trace],
                        x_relaxed=x0.copy(), z_relaxed=[t.copy() for t in trace],
@@ -451,27 +445,29 @@ def initial_state(problem: ProblemSpec, assembly: BlockAssembly,
 # --- dual proxes --------------------------------------------------------------
 
 def _dual_update(problem, block, sigma, current, applied, cap):
+    tilde = [c + sigma * a for c, a in zip(current, applied)]
     if block.kind == "fidelity":
-        tilde = current[0] + sigma * applied[0]
-        return [problem.fidelity.conjugate_prox(tilde, sigma, problem.measurement)]
+        return [problem.fidelity.conjugate_prox(tilde[0], sigma, problem.measurement)]
     if block.kind == "epigraph":
         bias = block.shift[0]
-        tilde_p = current[0] + sigma * applied[0]
-        tilde_q = current[1] + sigma * applied[1]
         proj_p, proj_q = prox.project_epigraph_leaky_relu(
-            block.negative_slope, tilde_p / sigma + bias, tilde_q / sigma)
-        return [tilde_p - sigma * (proj_p - bias), tilde_q - sigma * proj_q]
-    tilde = current[0] + sigma * applied[0]
-    return [prox.readout_conjugate_prox(tilde, sigma, cap, block.shift[0],
+            block.negative_slope, tilde[0] / sigma + bias, tilde[1] / sigma)
+        return [tilde[0] - sigma * (proj_p - bias), tilde[1] - sigma * proj_q]
+    return [prox.readout_conjugate_prox(tilde[0], sigma, cap, block.shift[0],
                                         block.negative_slope)]
 
 
 def _check_finite(state: SaddleState, iteration):
-    if not np.all(np.isfinite(state.x)):
-        raise DivergenceError(iteration, "primal image")
-    for j, zj in enumerate(state.z, start=1):
-        if not np.all(np.isfinite(zj)):
-            raise DivergenceError(iteration, f"auxiliary block {j}")
+    """The loop's one finiteness test, over every iterate the state holds.
+    K u is not scanned: a clipping dual prox can map its overflow back to
+    finite duals, which is why the relaxed points are checked here."""
+    for prefix, x, z in (("", state.x, state.z),
+                         ("relaxed ", state.x_relaxed, state.z_relaxed)):
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(iteration, f"{prefix}primal image")
+        for j, zj in enumerate(z, start=1):
+            if not np.all(np.isfinite(zj)):
+                raise DivergenceError(iteration, f"{prefix}auxiliary block {j}")
     for bi, rows in enumerate(state.duals):
         for arr in rows:
             if not np.all(np.isfinite(arr)):
@@ -482,7 +478,7 @@ def _check_finite(state: SaddleState, iteration):
 
 def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
                scales=None, init_x=None, init: SaddleState = None,
-               ground_truth=None, metrics_every: int = 1, norm_seed: int = 0):
+               ground_truth=None, metrics_every: int = 1):
     """Run the block primal-dual iteration for `budget` iterations.
 
     Returns (final SaddleState, RunMetrics). Step sizes are derived (and
@@ -496,8 +492,7 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if steps is None:
-        steps = compute_step_sizes(assemble_problem(problem), scales=scales,
-                                   norm_seed=norm_seed)
+        steps = compute_step_sizes(assemble_problem(problem), scales=scales)
     assembly = steps.assembly
     if assembly.regularizer is not problem.regularizer:
         raise CertificationError("step sizes were certified for another regularizer")
@@ -512,10 +507,7 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
     started = time.perf_counter()
 
     def observe(iteration):
-        try:
-            report = evaluate_objectives(problem, state.x, state.z)
-        except NonFiniteError as exc:
-            raise DivergenceError(iteration, "objective evaluation") from exc
+        report = evaluate_objectives(problem, state.x, state.z)
         pv = psnr_fn(state.x, ground_truth) if ground_truth is not None else None
         metrics.record(iteration, report, pv, time.perf_counter() - started)
 
@@ -525,35 +517,26 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
     cap = problem.reg_weight * problem.regularizer.readout_weights()
     for _ in range(budget):
         k = state.iteration + 1
-        primal = state.primal()
         grads = [np.zeros(s) for s in assembly.primal_shapes]
         for bi, block in enumerate(assembly.blocks):
-            try:
-                adj = block.operator.adjoint(state.duals[bi])
-            except NonFiniteError as exc:
-                raise DivergenceError(k, f"dual block {bi} ({block.kind})") from exc
+            adj = block.operator.adjoint(state.duals[bi])
             for j in range(len(grads)):
                 grads[j] += adj[j]
-        new_x = primal[0] - tau[0] * grads[0]
+        new_x = state.x - tau[0] * grads[0]
         if not problem.fidelity.dualize:
             new_x = problem.fidelity.primal_prox(new_x, tau[0], problem.measurement,
                                                  problem.forward)
         if problem.nonneg:
             new_x = np.maximum(new_x, 0.0)
-        new_z = [primal[j] - tau[j] * grads[j] for j in range(1, len(primal))]
+        new_z = [zj - tj * gj for zj, tj, gj in zip(state.z, tau[1:], grads[1:])]
         state.x_relaxed = 2.0 * new_x - state.x
         state.z_relaxed = [2.0 * nz - oz for nz, oz in zip(new_z, state.z)]
         state.x, state.z = new_x, new_z
-        if not np.all(np.isfinite(new_x)):
-            raise DivergenceError(k, "primal image")
-        relaxed = state.relaxed()
+        relaxed = [state.x_relaxed] + state.z_relaxed
         for bi, block in enumerate(assembly.blocks):
-            try:
-                applied = block.operator.apply(relaxed)
-                state.duals[bi] = _dual_update(problem, block, steps.sigma[bi],
-                                               state.duals[bi], applied, cap)
-            except NonFiniteError as exc:
-                raise DivergenceError(k, f"dual block {bi} ({block.kind})") from exc
+            applied = block.operator.apply(relaxed)
+            state.duals[bi] = _dual_update(problem, block, steps.sigma[bi],
+                                           state.duals[bi], applied, cap)
         state.iteration = k
         _check_finite(state, k)
         if metrics_every and k % metrics_every == 0:
@@ -609,7 +592,6 @@ def subgradient_solve(problem: ProblemSpec, mode, *, budget: int, init_x=None,
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     x = as_tensor(init_x) if init_x is not None else default_initial_image(problem)
-    check_shape(x, problem.regularizer.input_shape, "initial image")
     from .tasks import psnr as psnr_fn
 
     metrics = RunMetrics()

@@ -454,23 +454,26 @@ def equivalence_suite(instances=5, seed=0, budget=20000,
     return _timed("equivalence-small", seed, run)
 
 
+def preconditioned_norm(steps) -> float:
+    """Jacobi norm of S^1/2 K T^1/2, the steps' materialized block operator
+    scaled by sqrt(sigma) per row and sqrt(tau) per column; at most 1 certifies."""
+    assembly = steps.assembly
+    rows = [math.sqrt(steps.sigma[bi]) * linops.materialize(block.operator.flat())
+            for bi, block in enumerate(assembly.blocks)]
+    cols = np.concatenate([np.full(int(np.prod(s)), math.sqrt(steps.tau[j]))
+                           for j, s in enumerate(assembly.primal_shapes)])
+    return jacobi_spectral_norm(np.vstack(rows) * cols[None, :])
+
+
 def certificate_suite(seed=0, tol=1e-6):
     """Materialized scaled block norm under the certified step sizes."""
     def run():
         net = random_admissible(seed + 500, ConvPoolDenseTemplate(
             side=8, filters=2, kernel=3, pool=4, hidden=4))
         for forward in (None, Radon(RadonGeometry(image_side=8, n_angles=6, n_bins=13))):
-            assembly = assemble_blocks(net, forward=forward)
-            steps = solver.compute_step_sizes(assembly, norm_seed=seed)
-            rows = []
-            for bi, block in enumerate(assembly.blocks):
-                mat = linops.materialize(block.operator.flat())
-                rows.append(math.sqrt(steps.sigma[bi]) * mat)
-            stacked = np.vstack(rows)
-            col_scale = np.concatenate([
-                np.full(int(np.prod(s)), math.sqrt(steps.tau[j]))
-                for j, s in enumerate(assembly.primal_shapes)])
-            norm = jacobi_spectral_norm(stacked * col_scale[None, :])
+            steps = solver.compute_step_sizes(assemble_blocks(net, forward=forward),
+                                              norm_seed=seed)
+            norm = preconditioned_norm(steps)
             if norm > 1.0 + tol:
                 return False, f"scaled block norm {norm} exceeds 1"
         return True, "preconditioned norm <= 1 with and without a fidelity block"

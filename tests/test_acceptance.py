@@ -5,21 +5,20 @@ criterion builds thirty 64x64 instances and dominates the runtime.
 """
 
 import json
-import math
 import time
 
 import numpy as np
 
 import epirecon as er
 from epirecon import prox
-from epirecon.blocks import assemble_blocks
 from epirecon.cli import cmd_solve
 from epirecon.radon import Radon, RadonGeometry
-from epirecon.solver import compute_step_sizes, iterations_to_threshold
+from epirecon.solver import (assemble_problem, compute_step_sizes,
+                             iterations_to_threshold)
 from epirecon.verify import (default_operator_set, equivalence_suite,
                              golden_section_vec, grid_project_epigraph,
                              jacobi_spectral_norm, kl_conjugate_oracle,
-                             _adjoint_gap)
+                             preconditioned_norm, _adjoint_gap)
 
 
 def report(name, detail):
@@ -207,17 +206,10 @@ def test_criterion_5_certificates_and_feasibility():
     started = time.perf_counter()
     lines = []
     for name, problem, scales, budget in _desk_instances():
-        assembly = assemble_blocks(
-            problem.regularizer,
-            forward=problem.forward if problem.fidelity.dualize else None)
-        steps = compute_step_sizes(assembly, scales=scales, norm_seed=5)
+        steps = compute_step_sizes(assemble_problem(problem), scales=scales, norm_seed=5)
         for slot, (value, _) in steps.certificates.items():
             assert value <= 1.0 + 1e-12, (name, slot)
-        rows = [math.sqrt(steps.sigma[bi]) * er.materialize(b.operator.flat())
-                for bi, b in enumerate(assembly.blocks)]
-        cols = np.concatenate([np.full(int(np.prod(s)), math.sqrt(steps.tau[j]))
-                               for j, s in enumerate(assembly.primal_shapes)])
-        scaled_norm = jacobi_spectral_norm(np.vstack(rows) * cols[None, :])
+        scaled_norm = preconditioned_norm(steps)
         assert scaled_norm <= 1.0 + 1e-6, name
         _, metrics = er.pdhg_solve(problem, steps=steps, budget=10 * budget,
                                    metrics_every=0)
@@ -274,10 +266,8 @@ def test_criterion_6_comparative_study():
         counts = []
         for seed in range(10):
             problem, init = _study_instance(task, seed)
-            assembly = assemble_blocks(
-                problem.regularizer,
-                forward=problem.forward if problem.fidelity.dualize else None)
-            steps = compute_step_sizes(assembly, scales=cfg["scales"], norm_seed=seed)
+            steps = compute_step_sizes(assemble_problem(problem), scales=cfg["scales"],
+                                       norm_seed=seed)
             _, ref_m = er.pdhg_solve(problem, steps=steps, budget=10 * cfg["budget"],
                                      init_x=init, metrics_every=10)
             reference = float(np.min(ref_m.objective))

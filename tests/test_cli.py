@@ -8,6 +8,7 @@ import epirecon as er
 from epirecon import solver as solver_mod
 from epirecon.cli import (ConfigError, Instance, cmd_solve, cmd_sweep, load_config,
                           main)
+from epirecon.tensor import write_tensor
 from epirecon.verify import adjoint_suite
 
 
@@ -234,6 +235,23 @@ def test_norm_and_adjoint_test_commands(tmp_path, capsys):
     assert main(["adjoint-test", str(tmp_path / "w")]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_non_finite_head_blob_is_a_weights_error(tmp_path, capsys):
+    spec = er.random_admissible(3, er.ConvPoolDenseTemplate(
+        side=8, filters=2, kernel=3, pool=4, hidden=4))
+    er.save_weights(spec, tmp_path / "w")
+    head = spec.head.copy()
+    head[1] = np.nan
+    write_tensor(tmp_path / "w" / "head.tnsb", head)
+    cfg = denoise_config(tmp_path, "out_nan", budget=5)
+    cfg["weights"] = {"path": str(tmp_path / "w")}
+    path = write_config(tmp_path, cfg)
+    for argv in (["solve", str(path)], ["norm", str(tmp_path / "w")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "blob 'head.tnsb' refused" in err and "icnn head" in err
+    assert not list(Path(cfg["output_dir"]).glob("*_metrics.csv"))
 
 
 def test_missing_weights_dir_is_config_error(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 import epirecon as er
 from epirecon.icnn import AdmissibilityError, WeightsFormatError
-from epirecon.tensor import read_tensor, write_tensor
+from epirecon.tensor import NonFiniteError, read_tensor, write_tensor
 from conftest import make_relu_1d, make_two_layer_1d
 
 
@@ -203,6 +203,35 @@ def test_load_rejects_tampered_negative_carry(tmp_path):
     # the override flag loads it anyway
     loaded = er.load_weights(tmp_path / "w", allow_inadmissible=True)
     assert loaded.layers[1].carry.matrix[0, 0] == -1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_network_tensors_refused_when_built(bad):
+    # validate() passed a NaN carry weight or head entry: nan < 0 is False
+    with pytest.raises(NonFiniteError, match="dense matrix"):
+        er.Dense([[0.5, bad]])
+    filters = np.ones((2, 3, 3))
+    filters[1, 0, 2] = bad
+    with pytest.raises(NonFiniteError, match="conv2d filters"):
+        er.Conv2D(filters, (6, 6))
+    relu = er.Activation("relu")
+    with pytest.raises(NonFiniteError, match="icnn bias"):
+        er.IcnnLayer(er.Dense([[1.0]]), None, [bad], relu)
+    layer = er.IcnnLayer(er.Dense([[1.0], [2.0]]), None, [0.0, 0.0], relu)
+    with pytest.raises(NonFiniteError, match="icnn head"):
+        er.IcnnSpec((1,), (layer,), head=[1.0, bad])
+
+
+@pytest.mark.parametrize("blob", ["layer0_matrix.tnsb", "layer1_matrix.tnsb",
+                                  "layer1_bias.tnsb", "head.tnsb"])
+def test_load_names_the_non_finite_blob(tmp_path, blob):
+    spec = er.random_admissible(42, er.DenseTemplate(input_dim=2, hidden_dims=(3,)))
+    er.save_weights(spec, tmp_path / "w")
+    arr = read_tensor(tmp_path / "w" / blob)
+    arr.ravel()[-1] = np.nan
+    write_tensor(tmp_path / "w" / blob, arr)
+    with pytest.raises(WeightsFormatError, match=f"blob '{blob}' refused"):
+        er.load_weights(tmp_path / "w", allow_inadmissible=True)
 
 
 def test_load_missing_blob_error(tmp_path):

@@ -48,6 +48,20 @@ def test_avgpool_inner_product_pairs(rng):
     assert np.isclose(np.vdot(op.apply(x), s), np.vdot(x, op.adjoint(s)))
 
 
+def test_conv2d_results_survive_later_calls(rng):
+    # the operator keeps its work buffers; what it returns must not alias them
+    for filters, shape in (((1, 3, 3), (6, 6)), ((3, 2, 3, 3), (2, 6, 6))):
+        op = er.Conv2D(rng.standard_normal(filters), shape)
+        x, w = rng.standard_normal(op.input_shape), rng.standard_normal(op.output_shape)
+        fx, aw = op.apply(x), op.adjoint(w)
+        kept = fx.copy(), aw.copy()
+        op.adjoint(rng.standard_normal(op.output_shape))
+        op.apply(rng.standard_normal(op.input_shape))
+        assert np.array_equal(fx, kept[0]) and np.array_equal(aw, kept[1])
+        fresh = er.Conv2D(op.filters, shape)
+        assert np.array_equal(fx, fresh.apply(x)) and np.array_equal(aw, fresh.adjoint(w))
+
+
 def test_avgpool_rejects_non_divisible():
     with pytest.raises(ValueError, match="does not divide"):
         er.AvgPool2D(3, (8, 8))

@@ -5,7 +5,8 @@ import epirecon as er
 from epirecon.blocks import assemble_blocks
 from epirecon.solver import (CertificationError, DivergenceError, EntryNorm,
                              RunMetrics, compute_step_sizes, initial_state)
-from epirecon.verify import jacobi_spectral_norm
+from epirecon.tensor import NonFiniteError
+from epirecon.verify import preconditioned_norm
 from conftest import make_relu_1d
 
 
@@ -44,13 +45,7 @@ def test_step_sizes_certified_on_materialized_instance():
         input_dim=4, hidden_dims=(3,), readout_dim=2, skip_all=True))
     assembly = assemble_blocks(spec, forward=er.DiagonalMask(np.ones(4)))
     steps = compute_step_sizes(assembly, scales=(2.0, 0.7, 1.3))
-    rows = []
-    for bi, block in enumerate(assembly.blocks):
-        rows.append(np.sqrt(steps.sigma[bi]) * er.materialize(block.operator.flat()))
-    stacked = np.vstack(rows)
-    cols = np.concatenate([np.full(int(np.prod(s)), np.sqrt(steps.tau[j]))
-                           for j, s in enumerate(assembly.primal_shapes)])
-    assert jacobi_spectral_norm(stacked * cols[None, :]) <= 1.0 + 1e-6
+    assert preconditioned_norm(steps) <= 1.0 + 1e-6
     for value, _ in steps.certificates.values():
         assert value <= 1.0 + 1e-12
 
@@ -141,6 +136,18 @@ def test_pdhg_divergence_guard_reports_location():
     state = initial_state(problem, assembly, init_x=np.array([1.0]))
     state.duals[0][0][0] = np.inf
     with pytest.raises(DivergenceError, match=r"dual block 0"):
+        er.pdhg_solve(problem, budget=5, init=state, metrics_every=0)
+
+
+def test_pdhg_guard_catches_relaxed_point_overflow():
+    # x+ = 1 - tau * 1e308 stays finite but x_bar = 2 x+ - x overflows; the
+    # readout clip maps K x_bar back into [0, cap], so only x_bar shows it
+    spec = make_relu_1d()
+    problem = er.ProblemSpec(er.l1_fidelity(0.1), None, np.array([2.0]), 1.0, spec)
+    state = initial_state(problem, assemble_blocks(spec), init_x=np.array([1.0]))
+    state.duals[0][0][0] = 1e308
+    with np.errstate(over="ignore"), \
+            pytest.raises(DivergenceError, match=r"relaxed primal image at iteration 1"):
         er.pdhg_solve(problem, budget=5, init=state, metrics_every=0)
 
 
@@ -301,6 +308,18 @@ def test_problem_spec_validation():
                        np.array([1.0, 1.0]), 1.0, spec)
     with pytest.raises(ValueError, match="reg_weight"):
         er.ProblemSpec(er.l2_fidelity(), None, np.array([1.0]), -0.1, spec)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_data_refused_when_built(bad):
+    spec = make_relu_1d()
+    with pytest.raises(NonFiniteError, match="diagonal_mask mask"):
+        er.DiagonalMask(np.array([bad]))
+    with pytest.raises(NonFiniteError, match="measurement"):
+        er.ProblemSpec(er.l2_fidelity(), None, np.array([bad]), 1.0, spec)
+    with pytest.raises(NonFiniteError, match="kl background"):
+        er.ProblemSpec(er.kl_fidelity(bad), er.Dense([[1.0]]), np.array([1.0]),
+                       1.0, spec)
 
 
 def test_initial_state_is_feasible():
