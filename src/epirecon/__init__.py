@@ -22,7 +22,7 @@ from .solver import (CertificationError, ConstantStep, DiminishingStep,
                      SaddleState, StepSizes, compute_step_sizes,
                      evaluate_objectives, iterations_to_threshold, kl_fidelity,
                      l1_fidelity, l2_fidelity, pdhg_solve, subgradient_solve)
-from .tasks import TaskConfig, corrupt, fbp, make_phantom, psnr, write_pgm
+from .tasks import TaskConfig, build_problem, corrupt, fbp, make_phantom, psnr, write_pgm
 from .tensor import (BlobFormatError, NonFiniteError, ShapeMismatchError,
                      as_tensor, read_tensor, write_tensor)
 

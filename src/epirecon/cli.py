@@ -1,11 +1,7 @@
 """Command-line workflow: build a task, run solvers, emit reproducible artifacts.
 
-Subcommands:
-  solve <config.json>         run every configured solver on one instance
-  sweep <config.json>         Cartesian sweep over dual-scale hyperparameters
-  verify                      run the bundled property-test suites
-  norm <weights-dir>          print operator-norm estimates for stored weights
-  adjoint-test <weights-dir>  run the adjoint identity on stored weights
+Subcommands (the COMMANDS table): `solve` and `sweep` run a JSON config,
+`verify` runs the property suites, `norm` and `adjoint-test` check stored weights.
 
 One global seed fans out to the components at fixed offsets (phantom +11,
 noise +23, weights +37, norm estimation +53), so every artifact is a pure
@@ -14,6 +10,7 @@ function of (config, seed). Timing columns are zeroed in CSV output unless
 """
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -25,17 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import icnn as icnn_mod
+from . import linops
 from . import solver as solver_mod
 from . import tasks as tasks_mod
-from .icnn import ConvPoolDenseTemplate
-from .radon import RadonGeometry
 from .tensor import write_tensor
-from .verify import run_all_suites
+from .verify import adjoint_suite, run_all_suites
 
-SEED_PHANTOM = 11
-SEED_NOISE = 23
-SEED_WEIGHTS = 37
-SEED_NORMS = 53
+SEEDS = {"phantom": 11, "noise": 23, "weights": 37, "norms": 53}  # offsets from the seed
 
 
 class ConfigError(ValueError):
@@ -46,6 +39,18 @@ def _require(mapping, key, where):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required field {key!r}")
     return mapping[key]
+
+
+@contextlib.contextmanager
+def _refused(where):
+    """Report a plain ValueError, a value some builder refused, as a ConfigError
+    naming `where`; subclasses (ConfigError itself, weights errors) pass unchanged."""
+    try:
+        yield
+    except ValueError as exc:
+        if type(exc) is not ValueError:
+            raise
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path):
@@ -61,88 +66,61 @@ def load_config(path):
 
 
 def _build_weights(cfg, side, seed):
-    where = "weights"
     if "path" in cfg:
         spec = icnn_mod.load_weights(cfg["path"])
         if tuple(spec.input_shape) != (side, side):
-            raise ConfigError(f"{where}: network input shape {tuple(spec.input_shape)} "
+            raise ConfigError(f"weights: network input shape {tuple(spec.input_shape)} "
                               f"does not match the task image shape {(side, side)}")
         return spec
-    rnd = _require(cfg, "random", where)
-    arch = _require(rnd, "arch", where)
-    if arch == "conv_pool_dense":
-        template = ConvPoolDenseTemplate(
-            side=side,
-            filters=int(rnd.get("filters", 8)),
-            kernel=int(rnd.get("kernel", 5)),
-            pool=int(rnd.get("pool", 8)),
-            hidden=int(rnd.get("hidden", 16)),
+    rnd = _require(cfg, "random", "weights")
+    arch = _require(rnd, "arch", "weights")
+    if arch != "conv_pool_dense":
+        raise ConfigError(f"weights: unknown arch {arch!r}")
+    with _refused("weights"):
+        template = icnn_mod.ConvPoolDenseTemplate(
+            side=side, filters=int(rnd.get("filters", 8)), kernel=int(rnd.get("kernel", 5)),
+            pool=int(rnd.get("pool", 8)), hidden=int(rnd.get("hidden", 16)),
             alpha=float(rnd.get("alpha", 0.2)))
-    else:
-        raise ConfigError(f"{where}: unknown arch {arch!r}")
-    return icnn_mod.random_admissible(seed + int(rnd.get("seed_offset", 0)), template)
+        return icnn_mod.random_admissible(seed + int(rnd.get("seed_offset", 0)), template)
+
+
+# the task fields each kind requires, beside image_side, phantom and gamma
+TASK_FIELDS = {"denoise_salt_pepper": ("sp_density", "lam"),
+               "inpaint": ("mask_fraction", "gaussian_sigma"),
+               "ct": ("poisson_scale", "background")}
 
 
 class Instance:
     """One fully built reconstruction problem plus its provenance."""
 
     def __init__(self, config, seed_override=None, budget_override=None):
-        self.config = config
         self.seed = int(config.get("seed", 0)) if seed_override is None else int(seed_override)
         self.budget = int(_require(config, "budget", "config")) \
             if budget_override is None else int(budget_override)
         task = _require(config, "task", "config")
         kind = _require(task, "kind", "task")
         side = int(_require(task, "image_side", "task"))
-        phantom_kind = _require(task, "phantom", "task")
-        self.ground_truth = tasks_mod.make_phantom(phantom_kind, side,
-                                                   self.seed + SEED_PHANTOM)
-        geometry = None
-        if kind == "ct":
-            geometry = RadonGeometry(
-                image_side=side,
-                n_angles=int(task.get("n_angles", max(2, side))),
-                n_bins=int(task.get("n_bins", int(math.ceil(side * math.sqrt(2))) + 1)))
-        self.task_config = tasks_mod.TaskConfig(
-            kind=kind,
-            image_side=side,
-            sp_density=float(_require(task, "sp_density", "task"))
-            if kind == "denoise_salt_pepper" else 0.0,
-            mask_fraction=float(_require(task, "mask_fraction", "task"))
-            if kind == "inpaint" else 0.0,
-            gaussian_sigma=float(_require(task, "gaussian_sigma", "task"))
-            if kind == "inpaint" else 0.0,
-            poisson_scale=float(_require(task, "poisson_scale", "task"))
-            if kind == "ct" else 1e4,
-            background=float(_require(task, "background", "task"))
-            if kind == "ct" else 0.0,
-            geometry=geometry,
-            seed=self.seed + SEED_NOISE)
-        self.measurement, forward = tasks_mod.corrupt(self.task_config, self.ground_truth)
+        fields = {k: float(_require(task, k, "task")) for k in TASK_FIELDS.get(kind, ())}
+        lam = fields.pop("lam", None)
+        gamma = float(_require(task, "gamma", "task"))
         weights = _build_weights(_require(config, "weights", "config"), side,
-                                 self.seed + SEED_WEIGHTS)
-        if kind == "denoise_salt_pepper":
-            fidelity = solver_mod.l1_fidelity(float(_require(task, "lam", "task")))
-            reg_weight = float(_require(task, "gamma", "task"))
-            nonneg = bool(task.get("nonneg", False))
-        elif kind == "inpaint":
-            fidelity = solver_mod.l2_fidelity()
-            reg_weight = float(_require(task, "gamma", "task"))
-            nonneg = bool(task.get("nonneg", False))
-        else:
-            fidelity = solver_mod.kl_fidelity(self.task_config.background)
-            reg_weight = float(_require(task, "gamma", "task"))
-            nonneg = True
-        self.problem = solver_mod.ProblemSpec(
-            fidelity=fidelity, forward=forward, measurement=self.measurement,
-            reg_weight=reg_weight, regularizer=weights, nonneg=nonneg)
+                                 self.seed + SEEDS["weights"])
+        with _refused("task"):
+            self.ground_truth = tasks_mod.make_phantom(_require(task, "phantom", "task"),
+                                                       side, self.seed + SEEDS["phantom"])
+            shape = {k: int(task[k]) for k in ("n_angles", "n_bins") if k in task}
+            geometry = tasks_mod.ct_geometry(side, **shape) if kind == "ct" else None
+            task_config = tasks_mod.TaskConfig(kind=kind, image_side=side, geometry=geometry,
+                                               seed=self.seed + SEEDS["noise"], **fields)
+        with _refused("task gamma" if lam is None else "task gamma or lam"):
+            self.problem, self.init_x = tasks_mod.build_problem(
+                task_config, self.ground_truth, weights, gamma, lam=lam,
+                nonneg=bool(task.get("nonneg", False)))
+        if not task.get("fbp_init", True):
+            self.init_x = None
         # dual-scale keys in block order; c0 only when the fidelity is dualized
-        self.scale_keys = (["c0"] if fidelity.dualize else []) + \
+        self.scale_keys = (["c0"] if self.problem.fidelity.dualize else []) + \
             [f"c{i}" for i in range(1, weights.depth + 1)]
-        self.init_x = None
-        if kind == "ct" and bool(task.get("fbp_init", True)):
-            recon = tasks_mod.fbp(forward.geometry, self.measurement)
-            self.init_x = np.clip(recon, 0.0, None)
         self.record_timing = bool(config.get("record_timing", False))
         self.rel_error_target = float(config.get("rel_error_target", 1e-3))
         self.reference_multiplier = int(config.get("reference_multiplier", 10))
@@ -153,11 +131,6 @@ class Instance:
             raise ConfigError(f"{where}: unknown dual-scale key {unknown[0]!r}; this "
                               f"instance has {', '.join(self.scale_keys)}")
 
-    def scales_list(self, scale_cfg):
-        """Map {"c0": ..., "c1": ..., ...} onto the ordered dual blocks."""
-        self.check_scale_keys(scale_cfg, "pdhg scales")
-        return tuple(float(scale_cfg.get(k, 1.0)) for k in self.scale_keys)
-
     @functools.cached_property
     def assembly(self):
         return solver_mod.assemble_problem(self.problem)
@@ -167,37 +140,41 @@ class Instance:
         """Certified entry norms of the block operator. They do not depend on
         the dual scales, so every PDHG run of the instance shares them; a
         process that already holds them may assign this attribute."""
-        return solver_mod.certify_norms(self.assembly, seed=self.seed + SEED_NORMS)
+        return solver_mod.certify_norms(self.assembly, seed=self.seed + SEEDS["norms"])
 
-    def run_pdhg(self, scale_cfg, budget):
-        """PDHG with steps certified for these dual scales from the shared norms."""
-        steps = solver_mod.compute_step_sizes(
-            self.assembly, scales=self.scales_list(scale_cfg), norms=self.norms)
-        return solver_mod.pdhg_solve(
-            self.problem, steps, budget=budget,
-            init_x=self.init_x, ground_truth=self.ground_truth)
+    def steps(self, scale_cfg):
+        """PDHG steps certified for these dual scales from the shared norms;
+        scale_cfg maps {"c0": ..., "c1": ..., ...} onto the ordered dual blocks."""
+        self.check_scale_keys(scale_cfg, "pdhg scales")
+        scales = tuple(float(scale_cfg.get(k, 1.0)) for k in self.scale_keys)
+        with _refused(f"pdhg scales {scale_cfg}"):
+            return solver_mod.compute_step_sizes(self.assembly, scales=scales,
+                                                 norms=self.norms)
+
+    def run(self, method, budget):
+        """(final image, metrics) of PDHG on certified steps or of a subgradient rule."""
+        kwargs = dict(budget=budget, init_x=self.init_x, ground_truth=self.ground_truth)
+        if isinstance(method, solver_mod.StepSizes):
+            state, metrics = solver_mod.pdhg_solve(self.problem, method, **kwargs)
+            return state.x, metrics
+        return solver_mod.subgradient_solve(self.problem, method, **kwargs)
 
 
-def _solver_name(entry, index):
-    return f"{entry['kind']}{index}"
+STEP_RULES = {"sm_c": (solver_mod.ConstantStep, "step"),
+              "sm_d": (solver_mod.DiminishingStep, "step0")}
 
 
-def _run_entry(instance, entry, budget):
-    problem = instance.problem
+def _method(instance, entry):
+    """Certified PDHG steps or the subgradient step rule of one solver entry."""
     kind = entry.get("kind")
     if kind == "pdhg":
-        state, metrics = instance.run_pdhg(entry.get("scales", {}), budget)
-        return state.x, metrics
-    if kind == "sm_c":
-        mode = solver_mod.ConstantStep(float(_require(entry, "step", "solver entry")))
-    elif kind == "sm_d":
-        mode = solver_mod.DiminishingStep(float(_require(entry, "step0", "solver entry")))
-    else:
+        return instance.steps(entry.get("scales", {}))
+    if kind not in STEP_RULES:
         raise ConfigError(f"unknown solver kind {kind!r}")
-    x, metrics = solver_mod.subgradient_solve(
-        problem, mode, budget=budget, init_x=instance.init_x,
-        ground_truth=instance.ground_truth)
-    return x, metrics
+    rule, key = STEP_RULES[kind]
+    value = float(_require(entry, key, "solver entry"))
+    with _refused(f"solver entry {kind} {key}"):
+        return rule(value)
 
 
 def _json_safe(value):
@@ -236,20 +213,16 @@ def cmd_solve(config_path, seed=None, budget=None):
     if not entries:
         raise ConfigError("config: at least one solver entry is required")
 
-    pdhg_entries = [e for e in entries if e.get("kind") == "pdhg"]
-    for entry in pdhg_entries:  # reject a bad scale key before any solve runs
-        instance.scales_list(entry.get("scales", {}))
-    ref_entry = pdhg_entries[0] if pdhg_entries else {"kind": "pdhg", "scales": {}}
+    methods = [_method(instance, e) for e in entries]  # refuse bad entries before any solve
+    ref_entry = next((e for e in entries if e.get("kind") == "pdhg"),
+                     {"kind": "pdhg", "scales": {}})
     ref_budget = instance.budget * instance.reference_multiplier
-    _, ref_metrics = _run_entry(instance, ref_entry, ref_budget)
+    _, ref_metrics = instance.run(_method(instance, ref_entry), ref_budget)
     reference = float(np.min(ref_metrics.objective))
 
     summary = {
         "seed": instance.seed,
-        "seeds": {"phantom": instance.seed + SEED_PHANTOM,
-                  "noise": instance.seed + SEED_NOISE,
-                  "weights": instance.seed + SEED_WEIGHTS,
-                  "norms": instance.seed + SEED_NORMS},
+        "seeds": {k: instance.seed + offset for k, offset in SEEDS.items()},
         "budget": instance.budget,
         "reference": {"objective": reference,
                       "rule": "min objective of the long reference run",
@@ -259,14 +232,12 @@ def cmd_solve(config_path, seed=None, budget=None):
         "rel_error_target": instance.rel_error_target,
         "solvers": {},
     }
-    for idx, entry in enumerate(entries):
-        name = _solver_name(entry, idx)
-        final_x, metrics = _run_entry(instance, entry, instance.budget)
+    for idx, (entry, method) in enumerate(zip(entries, methods)):
+        name = f"{entry['kind']}{idx}"
+        final_x, metrics = instance.run(method, instance.budget)
         metrics.write_csv(out_dir / f"{name}_metrics.csv", timing=instance.record_timing)
         write_tensor(out_dir / f"{name}_final.tnsb", final_x)
-        image = final_x if final_x.ndim == 2 else final_x.reshape(
-            instance.task_config.image_side, -1)
-        tasks_mod.write_pgm(out_dir / f"{name}_final.pgm", image)
+        tasks_mod.write_pgm(out_dir / f"{name}_final.pgm", final_x)
         hit, used_abs = solver_mod.iterations_to_threshold(
             metrics, reference, instance.rel_error_target)
         entry_summary = {
@@ -294,7 +265,7 @@ def _sweep_combos(instance, sweep_cfg):
 
 
 def _sweep_point(instance, scale_cfg):
-    _, metrics = instance.run_pdhg(scale_cfg, instance.budget)
+    _, metrics = instance.run(instance.steps(scale_cfg), instance.budget)
     trailing = metrics.objective[1:]  # rows for iterations 1..budget
     return {"avg_objective": float(np.mean(trailing)),
             "final_objective": float(metrics.objective[-1])}
@@ -321,9 +292,8 @@ def cmd_sweep(config_path, seed=None, budget=None, jobs=1):
             results = pool.map(_sweep_worker, work)
     else:
         results = [_sweep_point(instance, scale_cfg) for scale_cfg in scale_cfgs]
-    rows = []
-    for combo, res in zip(combos, results):
-        rows.append(tuple(combo) + (res["avg_objective"], res["final_objective"]))
+    rows = [tuple(combo) + (res["avg_objective"], res["final_objective"])
+            for combo, res in zip(combos, results)]
     with open(out_dir / "sweep.csv", "w") as fh:
         fh.write(",".join(keys + ["avg_objective", "final_objective"]) + "\n")
         for row in rows:
@@ -373,21 +343,29 @@ def _weights_operators(weights_dir):
 
 
 def cmd_norm(weights_dir, seed=0):
-    from .linops import estimate_norm
     _, named = _weights_operators(weights_dir)
     print(f"{'operator':24s} {'norm':>14s} {'iters':>6s} {'converged':>10s}")
     for name, op in named:
-        est = estimate_norm(op, seed=seed)
+        est = linops.estimate_norm(op, seed=seed)
         print(f"{name:24s} {est.value:14.8g} {est.iterations:6d} {str(est.converged):>10s}")
     return 0
 
 
 def cmd_adjoint_test(weights_dir, seed=0):
-    from .verify import adjoint_suite
     _, named = _weights_operators(weights_dir)
     result = adjoint_suite(named, pairs=100, seed=seed)
     print(result.line())
     return 0 if result.passed else 1
+
+
+# subcommand: (function, positional argument, help)
+COMMANDS = {
+    "solve": (cmd_solve, "config_path", "run configured solvers on one instance"),
+    "sweep": (cmd_sweep, "config_path", "sweep dual-scale hyperparameters"),
+    "verify": (cmd_verify, None, "run the bundled property suites"),
+    "norm": (cmd_norm, "weights_dir", "print norm estimates for stored weights"),
+    "adjoint-test": (cmd_adjoint_test, "weights_dir", "adjoint identity for stored weights"),
+}
 
 
 def main(argv=None):
@@ -395,41 +373,24 @@ def main(argv=None):
         prog="epirecon",
         description="variational reconstruction with learned convex regularizers")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_solve = sub.add_parser("solve", help="run configured solvers on one instance")
-    p_solve.add_argument("config")
-    p_solve.add_argument("--seed", type=int, default=None)
-    p_solve.add_argument("--budget", type=int, default=None)
-    p_sweep = sub.add_parser("sweep", help="sweep dual-scale hyperparameters")
-    p_sweep.add_argument("config")
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--budget", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
-    p_verify = sub.add_parser("verify", help="run the bundled property suites")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_norm = sub.add_parser("norm", help="print norm estimates for stored weights")
-    p_norm.add_argument("weights_dir")
-    p_norm.add_argument("--seed", type=int, default=0)
-    p_adj = sub.add_parser("adjoint-test", help="adjoint identity for stored weights")
-    p_adj.add_argument("weights_dir")
-    p_adj.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+    for name, (_, positional, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if positional is not None:
+            p.add_argument(positional)
+        if positional == "config_path":  # seed and budget default to the config's
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--budget", type=int, default=None)
+        else:
+            p.add_argument("--seed", type=int, default=0)
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1)
+    args = vars(parser.parse_args(argv))
     try:
-        if args.command == "solve":
-            return cmd_solve(args.config, seed=args.seed, budget=args.budget)
-        if args.command == "sweep":
-            return cmd_sweep(args.config, seed=args.seed, budget=args.budget,
-                             jobs=args.jobs)
-        if args.command == "verify":
-            return cmd_verify(seed=args.seed)
-        if args.command == "norm":
-            return cmd_norm(args.weights_dir, seed=args.seed)
-        if args.command == "adjoint-test":
-            return cmd_adjoint_test(args.weights_dir, seed=args.seed)
+        return COMMANDS[args.pop("command")][0](**args)
     except (ConfigError, icnn_mod.WeightsFormatError, icnn_mod.AdmissibilityError,
             solver_mod.CertificationError, solver_mod.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

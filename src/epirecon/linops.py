@@ -216,6 +216,8 @@ class ScaledIdentity(LinOp):
         self.input_shape = tuple(int(s) for s in shape)
         self.output_shape = self.input_shape
         self.scale = float(scale)
+        if not np.isfinite(self.scale):
+            raise ValueError(f"scaled identity needs a finite scale, got {self.scale}")
         self.norm_bound = abs(self.scale)
 
     def _apply(self, x):

@@ -39,12 +39,12 @@ class RadonGeometry:
         if self.n_angles < 1 or self.n_bins < 1:
             raise ValueError(
                 f"degenerate geometry: n_angles={self.n_angles}, n_bins={self.n_bins}")
-        if self.detector_spacing <= 0:
-            raise ValueError(f"detector_spacing must be positive, got {self.detector_spacing}")
         if self.scale is None:
             object.__setattr__(self, "scale", 1.0 / self.image_side)
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        for name in ("detector_spacing", "scale"):
+            v = getattr(self, name)
+            if not 0.0 < v < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {v}")
         if self.angles is None:
             object.__setattr__(self, "angles", _uniform_angles(self.n_angles))
         angles = tuple(float(a) for a in self.angles)

@@ -52,8 +52,9 @@ class Fidelity:
     dualize: bool = False
 
     def __post_init__(self):
-        if self.weight <= 0.0:
-            raise ValueError(f"fidelity weight must be positive, got {self.weight}")
+        if not 0.0 < self.weight < np.inf:
+            raise ValueError(f"fidelity weight must be finite and positive, "
+                             f"got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,11 @@ class KLFidelity(Fidelity):
 
     def bind(self, forward, measurement):
         bg = as_tensor(np.broadcast_to(self.background, measurement.shape))
-        return replace(self, background=ensure_finite(bg, "kl background"))
+        bg = ensure_finite(bg, "kl background")
+        for name, values in (("background", bg), ("counts", measurement)):
+            if np.any(values < 0.0):
+                raise ValueError(f"kl {name} must be nonnegative")
+        return replace(self, background=bg)
 
     def value(self, fwd, y):
         mean = fwd + self.background
@@ -168,8 +173,9 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "measurement",
                            ensure_finite(as_tensor(self.measurement), "measurement"))
-        if self.reg_weight < 0.0:
-            raise ValueError(f"reg_weight must be nonnegative, got {self.reg_weight}")
+        if not 0.0 <= self.reg_weight < np.inf:
+            raise ValueError(f"reg_weight must be finite and nonnegative, "
+                             f"got {self.reg_weight}")
         require_admissible(self.regularizer)
         expected = (tuple(self.forward.output_shape) if self.forward is not None
                     else tuple(self.regularizer.input_shape))
@@ -315,8 +321,8 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norms=None,
     scales = tuple(float(s) for s in scales)
     if len(scales) != nblocks:
         raise ValueError(f"need {nblocks} dual scales, got {len(scales)}")
-    if any(s <= 0.0 for s in scales):
-        raise ValueError("dual scales must be positive")
+    if not all(0.0 < s < np.inf for s in scales):
+        raise ValueError(f"dual scales must be finite and positive, got {scales}")
 
     def bound(key):
         en = norms[key]
@@ -347,7 +353,7 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norms=None,
         tau.append(1.0 / denom)
         certificates[slot] = (tau[slot] * denom, tuple(terms[slot]))
     for slot, (value, _) in certificates.items():
-        if value > 1.0 + 1e-9:
+        if not value <= 1.0 + 1e-9:
             raise CertificationError(
                 f"contraction certificate violated at primal slot {slot}: {value} > 1")
     return StepSizes(tuple(tau), tuple(sigma), scales, dict(norms),
@@ -553,8 +559,8 @@ class ConstantStep:
     step: float
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < np.inf:
+            raise ValueError(f"step must be finite and positive, got {self.step}")
 
     def at(self, k):
         return self.step
@@ -570,8 +576,8 @@ class DiminishingStep:
     initial: float
 
     def __post_init__(self):
-        if self.initial <= 0.0:
-            raise ValueError("initial step must be positive")
+        if not 0.0 < self.initial < np.inf:
+            raise ValueError(f"initial step must be finite and positive, got {self.initial}")
 
     def at(self, k):
         return self.initial / k

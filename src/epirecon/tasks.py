@@ -1,4 +1,4 @@
-"""Synthetic experiment builders: phantoms, measurement models, PSNR, FBP.
+"""Synthetic experiment builders: phantoms, measurements, problems, PSNR, FBP.
 
 Three task families at configurable scale: salt-and-pepper denoising with
 an identity forward, masked inpainting with additive Gaussian noise, and
@@ -8,12 +8,13 @@ corruption is deterministic under the configured seed.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linops import DiagonalMask
 from .radon import Radon, RadonGeometry, ramp_filter
+from .solver import ProblemSpec, kl_fidelity, l1_fidelity, l2_fidelity
 from .tensor import as_tensor, check_shape
 
 
@@ -38,16 +39,24 @@ class TaskConfig:
     def __post_init__(self):
         if self.kind not in ("denoise_salt_pepper", "inpaint", "ct"):
             raise ValueError(f"unknown task kind {self.kind!r}")
-        for name in ("sp_density", "mask_fraction"):
+        for name, high in (("sp_density", 1.0), ("mask_fraction", 1.0),
+                           ("gaussian_sigma", math.inf), ("background", math.inf)):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            if not (0.0 <= v <= high and math.isfinite(v)):
+                raise ValueError(f"{name} must be finite and within [0, {high:g}], got {v}")
+        if not 0.0 < self.poisson_scale < math.inf:
+            raise ValueError(f"poisson_scale must be finite and positive, "
+                             f"got {self.poisson_scale}")
         if self.kind == "ct" and self.geometry is None:
-            side = self.image_side
-            object.__setattr__(self, "geometry", RadonGeometry(
-                image_side=side,
-                n_angles=max(2, side),
-                n_bins=int(math.ceil(side * math.sqrt(2.0))) + 1))
+            object.__setattr__(self, "geometry", ct_geometry(self.image_side))
+
+
+def ct_geometry(side: int, n_angles: int = None, n_bins: int = None) -> RadonGeometry:
+    """CT geometry; by default max(2, side) angles and enough bins for the diagonal."""
+    return RadonGeometry(
+        image_side=side,
+        n_angles=max(2, side) if n_angles is None else n_angles,
+        n_bins=int(math.ceil(side * math.sqrt(2.0))) + 1 if n_bins is None else n_bins)
 
 
 def make_phantom(kind: str, side: int, seed: int = 0) -> np.ndarray:
@@ -133,11 +142,32 @@ def corrupt(config: TaskConfig, x: np.ndarray):
     count_scale = config.poisson_scale / peak if peak > 0.0 else 1.0
     mean = count_scale * sino + config.background
     y = rng.poisson(np.maximum(mean, 0.0)).astype(np.float64)
-    geom = config.geometry
-    scaled = RadonGeometry(image_side=geom.image_side, n_angles=geom.n_angles,
-                           n_bins=geom.n_bins, detector_spacing=geom.detector_spacing,
-                           scale=geom.scale * count_scale, angles=geom.angles)
-    return y, Radon(scaled)
+    return y, Radon(replace(config.geometry, scale=config.geometry.scale * count_scale))
+
+
+def build_problem(task: TaskConfig, truth, regularizer, reg_weight, lam=None,
+                  nonneg=False):
+    """Corrupt the truth and pose its reconstruction: (ProblemSpec, init_x).
+
+    Each kind's data term is chosen here: lam * L1 with the identity forward
+    (denoise), L2 on the mask (inpaint), Poisson KL through the unscaled Radon
+    transform (ct). CT divides counts and background by the count scale, and
+    with them the KL term, so the problem is O(1) and reg_weight weighs the
+    regularizer against the normalized term; its image stays nonnegative and
+    starts at the clipped FBP. init_x is None otherwise.
+    """
+    y, forward = corrupt(task, truth)
+    if task.kind == "denoise_salt_pepper":
+        if lam is None:
+            raise ValueError("denoise_salt_pepper needs the l1 weight lam")
+        return ProblemSpec(l1_fidelity(lam), None, y, reg_weight, regularizer, nonneg), None
+    if task.kind == "inpaint":
+        return ProblemSpec(l2_fidelity(), forward, y, reg_weight, regularizer, nonneg), None
+    geom = task.geometry
+    count_scale = forward.geometry.scale / geom.scale
+    problem = ProblemSpec(kl_fidelity(task.background / count_scale), Radon(geom),
+                          y / count_scale, reg_weight, regularizer, nonneg=True)
+    return problem, np.clip(fbp(geom, y / count_scale), 0.0, None)
 
 
 def psnr(x: np.ndarray, reference: np.ndarray, peak: float = 1.0) -> float:

@@ -182,23 +182,20 @@ def _desk_instances():
         side=8, filters=2, kernel=3, pool=4, hidden=4))
     truth8 = er.make_phantom("smooth_blobs", 8, 5)
     cfg = er.TaskConfig(kind="denoise_salt_pepper", image_side=8, sp_density=0.1, seed=15)
-    y, _ = er.corrupt(cfg, truth8)
-    out.append(("denoise", er.ProblemSpec(er.l1_fidelity(0.02), None, y, 20.0, spec8),
-                (5.0, 5.0), 4000))
+    problem, _ = er.build_problem(cfg, truth8, spec8, 20.0, lam=0.02)
+    out.append(("denoise", problem, (5.0, 5.0), 4000))
     cfg = er.TaskConfig(kind="inpaint", image_side=8, mask_fraction=0.3,
                         gaussian_sigma=0.03, seed=16)
-    y, fwd = er.corrupt(cfg, truth8)
-    out.append(("inpaint", er.ProblemSpec(er.l2_fidelity(), fwd, y, 2.0, spec8),
-                (5.0, 5.0), 4000))
+    problem, _ = er.build_problem(cfg, truth8, spec8, 2.0)
+    out.append(("inpaint", problem, (5.0, 5.0), 4000))
     spec12 = er.random_admissible(551, er.ConvPoolDenseTemplate(
         side=12, filters=2, kernel=3, pool=4, hidden=4))
     truth12 = er.make_phantom("smooth_blobs", 12, 6)
     geom = RadonGeometry(image_side=12, n_angles=12, n_bins=18)
     cfg = er.TaskConfig(kind="ct", image_side=12, poisson_scale=1e4,
                         background=50.0, geometry=geom, seed=17)
-    y, fwd = er.corrupt(cfg, truth12)
-    out.append(("ct", er.ProblemSpec(er.kl_fidelity(50.0), fwd, y, 20.0, spec12,
-                                     nonneg=True), (100.0, 50.0, 5.0), 4000))
+    problem, _ = er.build_problem(cfg, truth12, spec12, 20.0)
+    out.append(("ct", problem, (100.0, 50.0, 5.0), 4000))
     return out
 
 
@@ -240,22 +237,15 @@ def _study_instance(task, seed):
     if task == "denoise":
         cfg = er.TaskConfig(kind="denoise_salt_pepper", image_side=side,
                             sp_density=0.1, seed=seed + 7)
-        y, _ = er.corrupt(cfg, truth)
-        return er.ProblemSpec(er.l1_fidelity(0.02), None, y, 30.0, spec), None
+        return er.build_problem(cfg, truth, spec, 30.0, lam=0.02)
     if task == "inpaint":
         cfg = er.TaskConfig(kind="inpaint", image_side=side, mask_fraction=0.3,
                             gaussian_sigma=0.03, seed=seed + 7)
-        y, fwd = er.corrupt(cfg, truth)
-        return er.ProblemSpec(er.l2_fidelity(), fwd, y, 3.0, spec), None
+        return er.build_problem(cfg, truth, spec, 3.0)
     geom = RadonGeometry(image_side=side, n_angles=40, n_bins=92)
     cfg = er.TaskConfig(kind="ct", image_side=side, poisson_scale=1e6,
                         background=50.0, geometry=geom, seed=seed + 7)
-    y, fwd = er.corrupt(cfg, truth)
-    # normalize counts to O(1): same minimizers, numerically well conditioned
-    count_scale = fwd.geometry.scale / geom.scale
-    problem = er.ProblemSpec(er.kl_fidelity(50.0 / count_scale), Radon(geom),
-                             y / count_scale, 10.0, spec, nonneg=True)
-    return problem, np.clip(er.fbp(geom, y / count_scale), 0.0, None)
+    return er.build_problem(cfg, truth, spec, 10.0)
 
 
 def test_criterion_6_comparative_study():

@@ -6,8 +6,8 @@ import pytest
 
 import epirecon as er
 from epirecon import solver as solver_mod
-from epirecon.cli import (ConfigError, Instance, cmd_solve, cmd_sweep, load_config,
-                          main)
+from epirecon.cli import (SEEDS, ConfigError, Instance, cmd_solve, cmd_sweep,
+                          load_config, main)
 from epirecon.tensor import write_tensor
 from epirecon.verify import adjoint_suite
 
@@ -306,3 +306,58 @@ def test_weights_path_input_shape_must_match_image(tmp_path):
     with pytest.raises(ConfigError, match=r"\(16, 16\) does not match .* \(8, 8\)"):
         cmd_solve(path)
     assert main(["solve", str(path)]) == 2
+
+
+def ct_config(tmp_path, out_name="out_ct", budget=5):
+    cfg = denoise_config(tmp_path, out_name, budget)
+    cfg["task"] = {"kind": "ct", "image_side": 8, "phantom": "smooth_blobs",
+                   "poisson_scale": 1e3, "background": 5.0, "gamma": 1.0,
+                   "n_angles": 6}
+    cfg["solvers"] = [{"kind": "pdhg", "scales": {"c0": 1.0, "c1": 1.0, "c2": 1.0}}]
+    return cfg
+
+
+def test_ct_instance_problem_is_build_problem(tmp_path):
+    cfg = ct_config(tmp_path)
+    instance = Instance(cfg)
+    seed = cfg["seed"]
+    spec = er.random_admissible(seed + SEEDS["weights"], er.ConvPoolDenseTemplate(
+        side=8, filters=2, kernel=3, pool=4, hidden=4))
+    truth = er.make_phantom("smooth_blobs", 8, seed + SEEDS["phantom"])
+    task = er.TaskConfig(kind="ct", image_side=8, poisson_scale=1e3, background=5.0,
+                         geometry=er.RadonGeometry(image_side=8, n_angles=6, n_bins=13),
+                         seed=seed + SEEDS["noise"])
+    problem, init_x = er.build_problem(task, truth, spec, 1.0)
+    got = instance.problem
+    assert got.forward.geometry == problem.forward.geometry
+    assert got.measurement.tobytes() == problem.measurement.tobytes()
+    assert got.fidelity.background.tobytes() == problem.fidelity.background.tobytes()
+    assert (got.reg_weight, got.nonneg) == (problem.reg_weight, problem.nonneg)
+    assert instance.init_x.tobytes() == init_x.tobytes()
+    cfg["task"]["fbp_init"] = False
+    assert Instance(cfg).init_x is None
+
+
+NAN = float("nan")
+REFUSED = [(ct_config, ("task", "background"), -5.0),
+           (ct_config, ("task", "poisson_scale"), NAN),
+           (denoise_config, ("task", "gamma"), NAN),
+           (denoise_config, ("task", "lam"), NAN),
+           (denoise_config, ("solvers", 0, "scales", "c1"), NAN),
+           (denoise_config, ("solvers", 1, "step"), NAN),
+           (denoise_config, ("solvers", 2, "step0"), NAN)]
+
+
+@pytest.mark.parametrize("make_config, path, value", REFUSED,
+                         ids=[path[-1] for _, path, _ in REFUSED])
+def test_refused_value_exits_2_naming_its_field(tmp_path, capsys, make_config, path,
+                                                value):
+    cfg = make_config(tmp_path, "out_refused")
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    assert main(["solve", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path[-1] in err
+    assert not list(Path(cfg["output_dir"]).glob("*_metrics.csv"))

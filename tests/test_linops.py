@@ -67,6 +67,12 @@ def test_avgpool_rejects_non_divisible():
         er.AvgPool2D(3, (8, 8))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scaled_identity_refuses_non_finite_scale(bad):
+    with pytest.raises(ValueError, match="finite scale"):
+        er.ScaledIdentity((2, 2), bad)
+
+
 def test_shape_mismatch_errors_name_shapes():
     op = er.Dense(np.ones((2, 3)))
     with pytest.raises(ShapeMismatchError, match=r"expected \(3,\), got \(4,\)"):

@@ -51,6 +51,13 @@ def test_degenerate_geometry_rejected():
         RadonGeometry(image_side=8, n_angles=2, n_bins=8, angles=(0.5, 0.5))
 
 
+@pytest.mark.parametrize("field", ["scale", "detector_spacing"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_geometry_scalars_refused_when_built(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        RadonGeometry(image_side=8, n_angles=4, n_bins=12, **{field: bad})
+
+
 def test_shape_mismatch():
     geom = RadonGeometry(image_side=8, n_angles=4, n_bins=12)
     op = Radon(geom)

@@ -322,6 +322,43 @@ def test_problem_data_refused_when_built(bad):
                        1.0, spec)
 
 
+# NaN compares false with every bound, so each check must be written to
+# fail closed on it; inf is refused too, since no scalar here may be infinite
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reg_weight_refused_when_built(bad):
+    with pytest.raises(ValueError, match="reg_weight must be finite"):
+        er.ProblemSpec(er.l2_fidelity(), None, np.array([1.0]), bad, make_relu_1d())
+
+
+@pytest.mark.parametrize("make", [er.l1_fidelity, er.l2_fidelity])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fidelity_weight_refused_when_built(make, bad):
+    with pytest.raises(ValueError, match="fidelity weight must be finite"):
+        make(bad)
+
+
+@pytest.mark.parametrize("rule", [er.ConstantStep, er.DiminishingStep])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_rule_refused_when_built(rule, bad):
+    with pytest.raises(ValueError, match="step must be finite"):
+        rule(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dual_scales_refused_when_certified(bad):
+    assembly = assemble_blocks(scalar_chain_spec())
+    with pytest.raises(ValueError, match="dual scales must be finite"):
+        compute_step_sizes(assembly, scales=(1.0, bad))
+
+
+def test_kl_bind_refuses_negative_background_and_counts():
+    spec, fwd = make_relu_1d(), er.Dense([[1.0]])
+    with pytest.raises(ValueError, match="kl background must be nonnegative"):
+        er.ProblemSpec(er.kl_fidelity(-1.0), fwd, np.array([1.0]), 1.0, spec)
+    with pytest.raises(ValueError, match="kl counts must be nonnegative"):
+        er.ProblemSpec(er.kl_fidelity(1.0), fwd, np.array([-1.0]), 1.0, spec)
+
+
 def test_initial_state_is_feasible():
     spec = er.random_admissible(19, er.ConvPoolDenseTemplate(
         side=8, filters=2, kernel=3, pool=4, hidden=4))

@@ -6,6 +6,7 @@ import pytest
 
 import epirecon as er
 from epirecon.radon import Radon, RadonGeometry
+from epirecon.solver import L1Fidelity, L2Fidelity
 from epirecon.tasks import write_pgm
 
 
@@ -168,3 +169,50 @@ def test_task_config_validation():
     cfg = er.TaskConfig(kind="ct", image_side=16)
     assert cfg.geometry is not None
     assert cfg.geometry.n_bins >= 16
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("poisson_scale", np.nan), ("poisson_scale", np.inf), ("poisson_scale", 0.0),
+    ("background", np.nan), ("background", np.inf), ("background", -5.0),
+    ("gaussian_sigma", np.nan), ("gaussian_sigma", np.inf), ("gaussian_sigma", -0.1)])
+def test_task_config_scalars_refused_when_built(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        er.TaskConfig(kind="ct", image_side=16, **{field: bad})
+
+
+def test_build_problem_matches_hand_normalized_ct():
+    # the normalization written out from corrupt's count-scaled Radon
+    spec = er.random_admissible(3, er.ConvPoolDenseTemplate(
+        side=16, filters=2, kernel=3, pool=4, hidden=4))
+    truth = er.make_phantom("smooth_blobs", 16, 2)
+    geom = RadonGeometry(image_side=16, n_angles=10, n_bins=24)
+    cfg = er.TaskConfig(kind="ct", image_side=16, poisson_scale=1e5,
+                        background=20.0, geometry=geom, seed=9)
+    y, scaled = er.corrupt(cfg, truth)
+    count_scale = scaled.geometry.scale / geom.scale
+    counts = y / count_scale
+    problem, init_x = er.build_problem(cfg, truth, spec, 4.0)
+    assert problem.forward.geometry == geom
+    assert problem.measurement.tobytes() == counts.tobytes()
+    assert problem.fidelity.background.tobytes() == \
+        np.full(y.shape, 20.0 / count_scale).tobytes()
+    assert init_x.tobytes() == np.clip(er.fbp(geom, counts), 0.0, None).tobytes()
+    assert problem.nonneg and problem.fidelity.dualize and problem.reg_weight == 4.0
+
+
+def test_build_problem_data_term_per_kind():
+    spec = er.random_admissible(3, er.ConvPoolDenseTemplate(
+        side=8, filters=2, kernel=3, pool=4, hidden=4))
+    truth = er.make_phantom("smooth_blobs", 8, 2)
+    cfg = er.TaskConfig(kind="denoise_salt_pepper", image_side=8, seed=1)
+    problem, init_x = er.build_problem(cfg, truth, spec, 1.0, lam=0.5, nonneg=True)
+    assert isinstance(problem.fidelity, L1Fidelity)
+    assert problem.fidelity.weight == 0.5 and problem.forward is None
+    assert problem.nonneg and init_x is None
+    with pytest.raises(ValueError, match="lam"):
+        er.build_problem(cfg, truth, spec, 1.0)
+    cfg = er.TaskConfig(kind="inpaint", image_side=8, seed=1)
+    problem, init_x = er.build_problem(cfg, truth, spec, 1.0)
+    assert isinstance(problem.fidelity, L2Fidelity)
+    assert isinstance(problem.forward, er.DiagonalMask)
+    assert not problem.nonneg and init_x is None
