@@ -4,14 +4,13 @@ Subcommands (the COMMANDS table): `solve` and `sweep` run a JSON config,
 `verify` runs the property suites, `norm` and `adjoint-test` check stored weights.
 
 One global seed fans out to the components at fixed offsets (phantom +11,
-noise +23, weights +37, norm estimation +53), so every artifact is a pure
-function of (config, seed). Timing columns are zeroed in CSV output unless
-`record_timing` is set, keeping reruns bitwise identical.
+noise +23, weights +37), so every artifact is a pure function of (config,
+seed). Timing columns are zeroed in CSV output unless `record_timing` is
+set, keeping reruns bitwise identical.
 """
 
 import argparse
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -28,7 +27,7 @@ from . import tasks as tasks_mod
 from .tensor import write_tensor
 from .verify import adjoint_suite, run_all_suites
 
-SEEDS = {"phantom": 11, "noise": 23, "weights": 37, "norms": 53}  # offsets from the seed
+SEEDS = {"phantom": 11, "noise": 23, "weights": 37}  # offsets from the seed
 
 
 class ConfigError(ValueError):
@@ -43,14 +42,21 @@ def _require(mapping, key, where):
 
 @contextlib.contextmanager
 def _refused(where):
-    """Report a plain ValueError, a value some builder refused, as a ConfigError
-    naming `where`; subclasses (ConfigError itself, weights errors) pass unchanged."""
+    """Report a plain ValueError or TypeError, a value a builder or conversion
+    refused, as a ConfigError naming `where`; subclasses pass unchanged."""
     try:
         yield
-    except ValueError as exc:
-        if type(exc) is not ValueError:
+    except (ValueError, TypeError) as exc:
+        if type(exc) not in (ValueError, TypeError):
             raise
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _number(convert, mapping, key, where, default=None):
+    """convert(mapping[key]) or, when the key is absent, the default or a missing field."""
+    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    with _refused(f"{where} {key}"):
+        return convert(value)
 
 
 def load_config(path):
@@ -76,12 +82,12 @@ def _build_weights(cfg, side, seed):
     arch = _require(rnd, "arch", "weights")
     if arch != "conv_pool_dense":
         raise ConfigError(f"weights: unknown arch {arch!r}")
+    defaults = {"filters": 8, "kernel": 5, "pool": 8, "hidden": 16, "alpha": 0.2, "seed_offset": 0}
+    fields = {k: _number(type(d), rnd, k, "weights", d) for k, d in defaults.items()}
+    offset = fields.pop("seed_offset")
     with _refused("weights"):
-        template = icnn_mod.ConvPoolDenseTemplate(
-            side=side, filters=int(rnd.get("filters", 8)), kernel=int(rnd.get("kernel", 5)),
-            pool=int(rnd.get("pool", 8)), hidden=int(rnd.get("hidden", 16)),
-            alpha=float(rnd.get("alpha", 0.2)))
-        return icnn_mod.random_admissible(seed + int(rnd.get("seed_offset", 0)), template)
+        template = icnn_mod.ConvPoolDenseTemplate(side=side, **fields)
+        return icnn_mod.random_admissible(seed + offset, template)
 
 
 # the task fields each kind requires, beside image_side, phantom and gamma
@@ -94,21 +100,22 @@ class Instance:
     """One fully built reconstruction problem plus its provenance."""
 
     def __init__(self, config, seed_override=None, budget_override=None):
-        self.seed = int(config.get("seed", 0)) if seed_override is None else int(seed_override)
-        self.budget = int(_require(config, "budget", "config")) \
+        self.seed = _number(int, config, "seed", "config", 0) \
+            if seed_override is None else int(seed_override)
+        self.budget = _number(int, config, "budget", "config") \
             if budget_override is None else int(budget_override)
         task = _require(config, "task", "config")
         kind = _require(task, "kind", "task")
-        side = int(_require(task, "image_side", "task"))
-        fields = {k: float(_require(task, k, "task")) for k in TASK_FIELDS.get(kind, ())}
+        side = _number(int, task, "image_side", "task")
+        fields = {k: _number(float, task, k, "task") for k in TASK_FIELDS.get(kind, ())}
         lam = fields.pop("lam", None)
-        gamma = float(_require(task, "gamma", "task"))
+        gamma = _number(float, task, "gamma", "task")
+        shape = {k: _number(int, task, k, "task") for k in ("n_angles", "n_bins") if k in task}
         weights = _build_weights(_require(config, "weights", "config"), side,
                                  self.seed + SEEDS["weights"])
         with _refused("task"):
             self.ground_truth = tasks_mod.make_phantom(_require(task, "phantom", "task"),
                                                        side, self.seed + SEEDS["phantom"])
-            shape = {k: int(task[k]) for k in ("n_angles", "n_bins") if k in task}
             geometry = tasks_mod.ct_geometry(side, **shape) if kind == "ct" else None
             task_config = tasks_mod.TaskConfig(kind=kind, image_side=side, geometry=geometry,
                                                seed=self.seed + SEEDS["noise"], **fields)
@@ -122,8 +129,10 @@ class Instance:
         self.scale_keys = (["c0"] if self.problem.fidelity.dualize else []) + \
             [f"c{i}" for i in range(1, weights.depth + 1)]
         self.record_timing = bool(config.get("record_timing", False))
-        self.rel_error_target = float(config.get("rel_error_target", 1e-3))
-        self.reference_multiplier = int(config.get("reference_multiplier", 10))
+        self.rel_error_target = _number(float, config, "rel_error_target", "config", 1e-3)
+        self.reference_multiplier = _number(int, config, "reference_multiplier", "config", 10)
+        with _refused("weights"):
+            self.assembly = solver_mod.assemble_problem(self.problem)
 
     def check_scale_keys(self, scale_cfg, where):
         unknown = sorted(set(scale_cfg) - set(self.scale_keys))
@@ -131,25 +140,14 @@ class Instance:
             raise ConfigError(f"{where}: unknown dual-scale key {unknown[0]!r}; this "
                               f"instance has {', '.join(self.scale_keys)}")
 
-    @functools.cached_property
-    def assembly(self):
-        return solver_mod.assemble_problem(self.problem)
-
-    @functools.cached_property
-    def norms(self):
-        """Certified entry norms of the block operator. They do not depend on
-        the dual scales, so every PDHG run of the instance shares them; a
-        process that already holds them may assign this attribute."""
-        return solver_mod.certify_norms(self.assembly, seed=self.seed + SEEDS["norms"])
-
     def steps(self, scale_cfg):
-        """PDHG steps certified for these dual scales from the shared norms;
-        scale_cfg maps {"c0": ..., "c1": ..., ...} onto the ordered dual blocks."""
+        """PDHG steps certified for these dual scales; scale_cfg maps
+        {"c0": ..., "c1": ..., ...} onto the ordered dual blocks."""
         self.check_scale_keys(scale_cfg, "pdhg scales")
-        scales = tuple(float(scale_cfg.get(k, 1.0)) for k in self.scale_keys)
+        scales = tuple(_number(float, scale_cfg, k, "pdhg scales", 1.0)
+                       for k in self.scale_keys)
         with _refused(f"pdhg scales {scale_cfg}"):
-            return solver_mod.compute_step_sizes(self.assembly, scales=scales,
-                                                 norms=self.norms)
+            return solver_mod.compute_step_sizes(self.assembly, scales=scales)
 
     def run(self, method, budget):
         """(final image, metrics) of PDHG on certified steps or of a subgradient rule."""
@@ -172,7 +170,7 @@ def _method(instance, entry):
     if kind not in STEP_RULES:
         raise ConfigError(f"unknown solver kind {kind!r}")
     rule, key = STEP_RULES[kind]
-    value = float(_require(entry, key, "solver entry"))
+    value = _number(float, entry, key, f"solver entry {kind}")
     with _refused(f"solver entry {kind} {key}"):
         return rule(value)
 
@@ -194,11 +192,8 @@ def _steps_summary(steps):
         "tau": [float(t) for t in steps.tau],
         "sigma": [float(s) for s in steps.sigma],
         "scales": [float(c) for c in steps.scales],
-        "inflation": steps.inflation,
-        "norms": {f"block{b}_row{r}_entry{e}": {
-                      "value": en.value, "exact": en.exact,
-                      "iterations": en.iterations, "converged": en.converged}
-                  for (b, r, e), en in sorted(steps.norms.items())},
+        "norms": {f"block{b}_row{r}_entry{e}": value
+                  for (b, r, e), value in sorted(steps.norms.items())},
         "certificates": {f"slot{slot}": value
                          for slot, (value, _) in sorted(steps.certificates.items())},
     }
@@ -260,7 +255,7 @@ def _sweep_combos(instance, sweep_cfg):
     keys = [k for k in instance.scale_keys if k in sweep_cfg]
     if not keys:
         raise ConfigError(f"sweep: no scale grids given (expected {instance.scale_keys})")
-    grids = [[float(v) for v in sweep_cfg[k]] for k in keys]
+    grids = [_number(lambda grid: [float(v) for v in grid], sweep_cfg, k, "sweep") for k in keys]
     return keys, list(itertools.product(*grids))
 
 
@@ -272,9 +267,8 @@ def _sweep_point(instance, scale_cfg):
 
 
 def _sweep_worker(args):
-    config, scale_cfg, seed, budget, norms = args
+    config, scale_cfg, seed, budget = args
     instance = Instance(config, seed_override=seed, budget_override=budget)
-    instance.norms = norms
     return _sweep_point(instance, scale_cfg)
 
 
@@ -286,7 +280,7 @@ def cmd_sweep(config_path, seed=None, budget=None, jobs=1):
     keys, combos = _sweep_combos(instance, _require(config, "sweep", "config"))
     scale_cfgs = [dict(zip(keys, combo)) for combo in combos]
     if jobs > 1:
-        work = [(config, scale_cfg, instance.seed, instance.budget, instance.norms)
+        work = [(config, scale_cfg, instance.seed, instance.budget)
                 for scale_cfg in scale_cfgs]
         with get_context("spawn").Pool(jobs) as pool:
             results = pool.map(_sweep_worker, work)
@@ -344,10 +338,14 @@ def _weights_operators(weights_dir):
 
 def cmd_norm(weights_dir, seed=0):
     _, named = _weights_operators(weights_dir)
-    print(f"{'operator':24s} {'norm':>14s} {'iters':>6s} {'converged':>10s}")
+    print(f"{'operator':24s} {'bound':>14s} {'estimate':>14s} {'ratio':>9s} iters converged")
     for name, op in named:
         est = linops.estimate_norm(op, seed=seed)
-        print(f"{name:24s} {est.value:14.8g} {est.iterations:6d} {str(est.converged):>10s}")
+        bound = op.norm_bound
+        ratio = f"{bound / est.value:9.6f}" if bound is not None and est.value > 0 else "-"
+        bound = "-" if bound is None else f"{bound:14.8g}"
+        print(f"{name:24s} {bound:>14s} {est.value:14.8g} {ratio:>9s} "
+              f"{est.iterations:5d} {est.converged}")
     return 0
 
 
@@ -363,7 +361,7 @@ COMMANDS = {
     "solve": (cmd_solve, "config_path", "run configured solvers on one instance"),
     "sweep": (cmd_sweep, "config_path", "sweep dual-scale hyperparameters"),
     "verify": (cmd_verify, None, "run the bundled property suites"),
-    "norm": (cmd_norm, "weights_dir", "print norm estimates for stored weights"),
+    "norm": (cmd_norm, "weights_dir", "print norm bounds and estimates for stored weights"),
     "adjoint-test": (cmd_adjoint_test, "weights_dir", "adjoint identity for stored weights"),
 }
 

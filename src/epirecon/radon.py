@@ -97,6 +97,18 @@ class Radon(LinOp):
         contrib = self._w_lo * flat[self._idx_lo] + self._w_hi * flat[self._idx_hi]
         return self.geometry.scale * contrib.sum(axis=0).reshape(self.input_shape)
 
+    def _norm_bound(self):
+        """Collatz-Wielandt: A >= 0 entrywise, so |A|^2 <= max_i (A*A x)_i / x_i over x_i > 0,
+        here for 10 power iterates from ones; unreached pixels become 0 and drop out."""
+        x = np.ones(self.input_shape)
+        best = np.inf
+        for _ in range(10):
+            y = self.adjoint(self.apply(x))
+            pos = x > 0.0
+            best = min(best, float(np.max(y[pos] / x[pos])))
+            x = y / y.max()
+        return np.sqrt(best)
+
 
 def ramp_filter(geometry: RadonGeometry, sinogram: np.ndarray) -> np.ndarray:
     """Ram-Lak filtering of each projection row in the frequency domain."""

@@ -19,7 +19,7 @@ from . import icnn as icnn_mod
 from . import prox
 from .blocks import BlockAssembly, assemble_blocks
 from .icnn import IcnnSpec, require_admissible
-from .linops import DiagonalMask, estimate_norm
+from .linops import DiagonalMask
 from .tensor import as_tensor, check_shape, ensure_finite
 
 
@@ -252,28 +252,18 @@ def assemble_problem(problem: ProblemSpec) -> BlockAssembly:
     return assemble_blocks(problem.regularizer, forward=_dualized_forward(problem))
 
 
-@dataclass(frozen=True)
-class EntryNorm:
-    value: float
-    exact: bool
-    converged: bool = True
-    iterations: int = 0
-
-
-def certify_norms(assembly: BlockAssembly, seed=0) -> dict:
-    """Norm bound per block entry: exact, else estimate_norm (tol 1e-6, 500 steps)."""
+def certify_norms(assembly: BlockAssembly) -> dict:
+    """Each block entry's (block, row, entry) certified norm_bound; a missing
+    or non-finite one fails closed, naming the entry and the operator kind."""
     norms = {}
-    counter = 0
     for bi, block in enumerate(assembly.blocks):
         for ri, row in enumerate(block.operator.rows):
             for ei, (_, op) in enumerate(row.entries):
-                if op.norm_bound is not None:
-                    norms[(bi, ri, ei)] = EntryNorm(float(op.norm_bound), True)
-                else:
-                    est = estimate_norm(op, seed=seed + counter)
-                    norms[(bi, ri, ei)] = EntryNorm(est.value, False, est.converged,
-                                                    est.iterations)
-                counter += 1
+                bound = op.norm_bound
+                if bound is None or not 0.0 <= bound < np.inf:
+                    raise CertificationError(f"no finite norm bound for entry "
+                                             f"{(bi, ri, ei)} ({op.kind}): {bound}")
+                norms[(bi, ri, ei)] = float(bound)
     return norms
 
 
@@ -287,34 +277,18 @@ class StepSizes:
     scales: tuple
     norms: dict
     certificates: dict
-    inflation: float
     assembly: BlockAssembly
 
 
-NORM_INFLATION = 1.01
-
-
-def compute_step_sizes(assembly: BlockAssembly, scales=None, norms=None,
-                       norm_seed=0) -> StepSizes:
+def compute_step_sizes(assembly: BlockAssembly, scales=None, norm_seed=None) -> StepSizes:
     """Diagonal steps satisfying the preconditioned contraction condition.
 
     Per dual block, sigma = scale / max(preactivation-row norms)^2; per
     primal slot, tau = 1 / sum of (row-width * sigma * norm^2) over every
-    entry touching the slot. Estimated norms are inflated by NORM_INFLATION
-    so the strict inequality survives estimation error.
+    entry touching the slot; each norm is the entry's certified bound.
+    norm_seed is ignored (the benchmark's workloads still pass it).
     """
-    if norms is None:
-        norms = certify_norms(assembly, seed=norm_seed)
-    expected = {(bi, ri, ei) for bi, block in enumerate(assembly.blocks)
-                for ri, row in enumerate(block.operator.rows)
-                for ei in range(len(row.entries))}
-    missing = sorted(expected - norms.keys())
-    if missing:
-        raise CertificationError(f"no norm bound for entry {missing[0]}")
-    extra = sorted(norms.keys() - expected, key=repr)
-    if extra:
-        raise CertificationError(f"norm bound for entry {extra[0]!r}, which the "
-                                 "block assembly does not have")
+    norms = certify_norms(assembly)
     nblocks = len(assembly.blocks)
     if scales is None:
         scales = (1.0,) * nblocks
@@ -324,40 +298,29 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norms=None,
     if not all(0.0 < s < np.inf for s in scales):
         raise ValueError(f"dual scales must be finite and positive, got {scales}")
 
-    def bound(key):
-        en = norms[key]
-        if en.value < 0.0 or not np.isfinite(en.value):
-            raise CertificationError(f"invalid norm bound {en.value} for entry {key}")
-        return en.value if en.exact else en.value * NORM_INFLATION
-
     sigma = []
     for bi, block in enumerate(assembly.blocks):
-        row_norms = [bound((bi, 0, ei)) for ei in range(len(block.operator.rows[0].entries))]
+        row_norms = [norms[(bi, 0, ei)] for ei in range(len(block.operator.rows[0].entries))]
         peak = max(row_norms) if row_norms else 0.0
         sigma.append(scales[bi] / peak ** 2 if peak > 0.0 else scales[bi])
-    nslots = len(assembly.primal_shapes)
-    denominators = [0.0] * nslots
-    terms = [[] for _ in range(nslots)]
+    terms = [[] for _ in assembly.primal_shapes]  # (row-width * sigma, norm) per slot
     for bi, block in enumerate(assembly.blocks):
         for ri, row in enumerate(block.operator.rows):
-            width = len(row.entries)
             for ei, (slot, _) in enumerate(row.entries):
-                b = bound((bi, ri, ei))
-                denominators[slot] += width * sigma[bi] * b * b
-                terms[slot].append((width * sigma[bi], b))
+                terms[slot].append((len(row.entries) * sigma[bi], norms[(bi, ri, ei)]))
     tau = []
     certificates = {}
-    for slot, denom in enumerate(denominators):
+    for slot, slot_terms in enumerate(terms):
+        denom = sum(w * b * b for w, b in slot_terms)
         if denom <= 0.0:
             raise CertificationError(f"primal slot {slot} is not touched by any dual block")
         tau.append(1.0 / denom)
-        certificates[slot] = (tau[slot] * denom, tuple(terms[slot]))
-    for slot, (value, _) in certificates.items():
+        value = tau[slot] * denom
         if not value <= 1.0 + 1e-9:
             raise CertificationError(
                 f"contraction certificate violated at primal slot {slot}: {value} > 1")
-    return StepSizes(tuple(tau), tuple(sigma), scales, dict(norms),
-                     certificates, NORM_INFLATION, assembly)
+        certificates[slot] = (value, tuple(slot_terms))
+    return StepSizes(tuple(tau), tuple(sigma), scales, norms, certificates, assembly)
 
 
 # --- iterate containers -------------------------------------------------------
@@ -488,7 +451,7 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
     """Run the block primal-dual iteration for `budget` iterations.
 
     Returns (final SaddleState, RunMetrics). Step sizes are derived (and
-    certified) from power-iteration norm bounds unless given; given steps
+    certified) from the operators' norm bounds unless given; given steps
     run on the block assembly they were certified on, which must have been
     built for this problem's regularizer and dualized forward map (the
     same objects). metrics_every controls how often objectives are

@@ -298,8 +298,20 @@ def linearity_suite(named_ops=None, trials=20, seed=0, rel_tol=1e-10):
     return _timed("linearity", seed, run)
 
 
+def bound_cases(rng):
+    """Operators with computed norm bounds; 16 of the Radon's 64 pixels meet no ray."""
+    return [
+        ("conv_multi_in_out", linops.Conv2D(rng.standard_normal((3, 2, 3, 3)), (2, 5, 5))),
+        ("conv_single_2d", linops.Conv2D(rng.standard_normal((1, 3, 3)), (6, 6))),
+        ("conv_even_4x2", linops.Conv2D(rng.standard_normal((2, 4, 2)), (6, 5))),
+        ("compose_pool_dense", linops.Compose([linops.AvgPool2D(2, (4, 4)), linops.Dense(
+            rng.standard_normal((3, 4)), input_shape=(2, 2))])),
+        ("radon_unreached", Radon(RadonGeometry(image_side=8, n_angles=2, n_bins=4))),
+    ]
+
+
 def norm_oracle_suite(seed=0, tol=1e-5):
-    """Power-iteration norms against the Jacobi oracle on small dense ops."""
+    """Power-iteration norms and certified norm bounds against the Jacobi oracle."""
     def run():
         rng = np.random.default_rng(seed + 41)
         cases = [
@@ -308,16 +320,17 @@ def norm_oracle_suite(seed=0, tol=1e-5):
             ("conv_small", linops.Conv2D(rng.standard_normal((2, 3, 3)), (5, 5))),
             ("radon_tiny", Radon(RadonGeometry(image_side=8, n_angles=6, n_bins=13))),
             ("mask", linops.DiagonalMask(np.array([1.0, 0.0, 1.0]))),
-        ]
+        ] + bound_cases(rng)
         worst = 0.0
         for name, op in cases:
             est = linops.estimate_norm(op, tol=1e-10, max_iters=5000, seed=seed)
             oracle = jacobi_spectral_norm(linops.materialize(op))
             gap = abs(est.value - oracle) / max(oracle, 1.0)
             worst = max(worst, gap)
-            if gap > tol:
-                return False, f"norm mismatch for {name}: {est.value} vs {oracle}"
-        return True, f"{len(cases)} operators, worst relative gap {worst:.2e}"
+            if gap > tol or not oracle <= op.norm_bound:
+                return False, (f"norm mismatch for {name}: estimate {est.value}, "
+                               f"bound {op.norm_bound}, oracle {oracle}")
+        return True, f"{len(cases)} operators, worst relative gap {worst:.2e}, bounds hold"
     return _timed("norm-vs-oracle", seed, run)
 
 
@@ -471,8 +484,7 @@ def certificate_suite(seed=0, tol=1e-6):
         net = random_admissible(seed + 500, ConvPoolDenseTemplate(
             side=8, filters=2, kernel=3, pool=4, hidden=4))
         for forward in (None, Radon(RadonGeometry(image_side=8, n_angles=6, n_bins=13))):
-            steps = solver.compute_step_sizes(assemble_blocks(net, forward=forward),
-                                              norm_seed=seed)
+            steps = solver.compute_step_sizes(assemble_blocks(net, forward=forward))
             norm = preconditioned_norm(steps)
             if norm > 1.0 + tol:
                 return False, f"scaled block norm {norm} exceeds 1"

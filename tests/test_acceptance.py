@@ -15,7 +15,7 @@ from epirecon.cli import cmd_solve
 from epirecon.radon import Radon, RadonGeometry
 from epirecon.solver import (assemble_problem, compute_step_sizes,
                              iterations_to_threshold)
-from epirecon.verify import (default_operator_set, equivalence_suite,
+from epirecon.verify import (bound_cases, default_operator_set, equivalence_suite,
                              golden_section_vec, grid_project_epigraph,
                              jacobi_spectral_norm, kl_conjugate_oracle,
                              preconditioned_norm, _adjoint_gap)
@@ -111,7 +111,7 @@ def test_criterion_2_adjoints_and_norms():
         ("conv", er.Conv2D(rng.standard_normal((2, 3, 3)), (6, 6))),
         ("radon_16", Radon(RadonGeometry(image_side=16, n_angles=12, n_bins=24))),
         ("mask", er.DiagonalMask((rng.uniform(size=9) > 0.3) * 1.0)),
-    ]
+    ] + bound_cases(rng)
     worst_norm = 0.0
     for name, op in norm_cases:
         est = er.estimate_norm(op, tol=1e-11, max_iters=20000, seed=3)
@@ -119,11 +119,13 @@ def test_criterion_2_adjoints_and_norms():
         gap = abs(est.value - oracle) / max(oracle, 1.0)
         worst_norm = max(worst_norm, gap)
         assert gap < 1e-5, name
+        assert oracle <= op.norm_bound, name
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     report("criterion-2 adjoints+norms",
            f"{len(ops)} operators x 100 pairs, worst adjoint gap "
-           f"{worst:.1e} of 1e-8 budget; norm-vs-Jacobi {worst_norm:.1e} ({elapsed:.1f}s)")
+           f"{worst:.1e} of 1e-8 budget; norm-vs-Jacobi {worst_norm:.1e}, "
+           f"{len(norm_cases)} bounds above Jacobi ({elapsed:.1f}s)")
 
 
 # --- criterion 3: convexity sampling ------------------------------------------
@@ -203,7 +205,7 @@ def test_criterion_5_certificates_and_feasibility():
     started = time.perf_counter()
     lines = []
     for name, problem, scales, budget in _desk_instances():
-        steps = compute_step_sizes(assemble_problem(problem), scales=scales, norm_seed=5)
+        steps = compute_step_sizes(assemble_problem(problem), scales=scales)
         for slot, (value, _) in steps.certificates.items():
             assert value <= 1.0 + 1e-12, (name, slot)
         scaled_norm = preconditioned_norm(steps)
@@ -256,8 +258,7 @@ def test_criterion_6_comparative_study():
         counts = []
         for seed in range(10):
             problem, init = _study_instance(task, seed)
-            steps = compute_step_sizes(assemble_problem(problem), scales=cfg["scales"],
-                                       norm_seed=seed)
+            steps = compute_step_sizes(assemble_problem(problem), scales=cfg["scales"])
             _, ref_m = er.pdhg_solve(problem, steps=steps, budget=10 * cfg["budget"],
                                      init_x=init, metrics_every=10)
             reference = float(np.min(ref_m.objective))

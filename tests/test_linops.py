@@ -175,11 +175,23 @@ def test_compose_shapes_and_norm_bound(rng):
     comp = er.Compose([pool, dense])
     assert comp.input_shape == (4, 4)
     assert comp.output_shape == (3,)
-    assert comp.norm_bound is None  # dense bound unknown
+    product = pool.norm_bound * dense.norm_bound
+    assert product <= comp.norm_bound <= product * (1.0 + 1e-11)
     known = er.Compose([pool, er.ScaledIdentity((2, 2), 2.0)])
     assert np.isclose(known.norm_bound, 2.0 * 0.5)
     with pytest.raises(ShapeMismatchError):
         er.Compose([dense, pool])
+
+
+@pytest.mark.parametrize("seed", [1000, 49])
+def test_conv_bound_is_tight_at_64(seed):
+    # the first conv of the 64x64 study network (seed 1000 is the benchmark's)
+    spec = er.random_admissible(seed, er.ConvPoolDenseTemplate(
+        side=64, filters=8, kernel=5, pool=8, hidden=16))
+    conv = spec.layers[0].skip
+    est = er.estimate_norm(conv, tol=1e-10, max_iters=20000)
+    assert est.converged
+    assert est.value <= conv.norm_bound <= 1.005 * est.value
 
 
 def test_min_coefficient():

@@ -3,8 +3,8 @@ import pytest
 
 import epirecon as er
 from epirecon.blocks import assemble_blocks
-from epirecon.solver import (CertificationError, DivergenceError, EntryNorm,
-                             RunMetrics, compute_step_sizes, initial_state)
+from epirecon.solver import (CertificationError, DivergenceError, RunMetrics,
+                             compute_step_sizes, initial_state)
 from epirecon.tensor import NonFiniteError
 from epirecon.verify import preconditioned_norm
 from conftest import make_relu_1d
@@ -18,11 +18,11 @@ def scalar_chain_spec(v0=2.0, w1=1.0):
 
 
 def test_step_sizes_match_hand_substitution():
-    # |V0| = 2, |W1 P| = 1, unit scales: sigma = (1/4, 1), tau = (1, 0.8)
+    # |V0| = 2, |W1 P| = 1, unit scales: sigma = (1/4, 1), tau = (1, 0.8);
+    # the norms are the bounds of the Dense([[v]]) entries and the identity row
     assembly = assemble_blocks(scalar_chain_spec(2.0, 1.0))
-    norms = {(0, 0, 0): EntryNorm(2.0, True), (0, 1, 0): EntryNorm(1.0, True),
-             (1, 0, 0): EntryNorm(1.0, True)}
-    steps = compute_step_sizes(assembly, scales=(1.0, 1.0), norms=norms)
+    steps = compute_step_sizes(assembly, scales=(1.0, 1.0))
+    assert np.allclose(list(steps.norms.values()), [2.0, 1.0, 1.0], rtol=1e-11)
     assert np.isclose(steps.sigma[0], 0.25)
     assert np.isclose(steps.sigma[1], 1.0)
     assert np.isclose(steps.tau[0], 1.0)
@@ -33,9 +33,8 @@ def test_step_sizes_dualized_fidelity_form():
     # |A| = |V0| = 1, unit scales: tau_x = 1 / (sigma0 + sigma1) = 0.5
     assembly = assemble_blocks(scalar_chain_spec(1.0, 1.0),
                                forward=er.Dense([[1.0]]))
-    norms = {(0, 0, 0): EntryNorm(1.0, True), (1, 0, 0): EntryNorm(1.0, True),
-             (1, 1, 0): EntryNorm(1.0, True), (2, 0, 0): EntryNorm(1.0, True)}
-    steps = compute_step_sizes(assembly, scales=(1.0, 1.0, 1.0), norms=norms)
+    steps = compute_step_sizes(assembly, scales=(1.0, 1.0, 1.0))
+    assert np.allclose(list(steps.norms.values()), 1.0, rtol=1e-11)
     assert np.isclose(steps.tau[0], 0.5)
     assert np.isclose(steps.tau[1], 0.5)
 
@@ -50,27 +49,31 @@ def test_step_sizes_certified_on_materialized_instance():
         assert value <= 1.0 + 1e-12
 
 
+class Unbounded(er.LinOp):
+    """A 1x1 identity whose kind gives no norm bound."""
+
+    kind = "unbounded"
+    input_shape = output_shape = (1,)
+
+    def _apply(self, x):
+        return x.copy()
+
+    _adjoint = _apply
+
+
+class NanBound(Unbounded):
+    kind = "nan_bound"
+
+    def _norm_bound(self):
+        return float("nan")
+
+
 def test_step_sizes_fail_closed_on_bad_norms():
-    assembly = assemble_blocks(scalar_chain_spec())
-    norms = {(0, 0, 0): EntryNorm(float("nan"), True),
-             (0, 1, 0): EntryNorm(1.0, True), (1, 0, 0): EntryNorm(1.0, True)}
-    with pytest.raises(CertificationError, match="invalid norm"):
-        compute_step_sizes(assembly, norms=norms)
-
-
-def test_step_sizes_fail_closed_on_missing_norm_entry():
-    assembly = assemble_blocks(scalar_chain_spec())
-    norms = {(0, 0, 0): EntryNorm(2.0, True), (1, 0, 0): EntryNorm(1.0, True)}
-    with pytest.raises(CertificationError, match=r"no norm bound for entry \(0, 1, 0\)"):
-        compute_step_sizes(assembly, norms=norms)
-
-
-def test_step_sizes_fail_closed_on_extra_norm_entry():
-    assembly = assemble_blocks(scalar_chain_spec())
-    norms = {(0, 0, 0): EntryNorm(2.0, True), (0, 1, 0): EntryNorm(1.0, True),
-             (1, 0, 0): EntryNorm(1.0, True), (2, 0, 0): EntryNorm(1.0, True)}
-    with pytest.raises(CertificationError, match=r"entry \(2, 0, 0\)"):
-        compute_step_sizes(assembly, norms=norms)
+    for forward in (Unbounded(), NanBound()):
+        assembly = assemble_blocks(scalar_chain_spec(), forward=forward)
+        with pytest.raises(CertificationError,
+                           match=rf"entry \(0, 0, 0\) \({forward.kind}\)"):
+            compute_step_sizes(assembly)
 
 
 def test_step_sizes_reject_wrong_scale_count():
@@ -156,7 +159,7 @@ def test_pdhg_refuses_steps_certified_for_another_network():
     spec, other = er.random_admissible(1, template), er.random_admissible(2, template)
     assert spec.depth == other.depth
     problem = er.ProblemSpec(er.l2_fidelity(), None, np.zeros(3), 0.3, spec)
-    steps = compute_step_sizes(assemble_blocks(other), norm_seed=0)
+    steps = compute_step_sizes(assemble_blocks(other))
     with pytest.raises(CertificationError, match="another regularizer"):
         er.pdhg_solve(problem, steps, budget=1)
     er.pdhg_solve(problem, compute_step_sizes(assemble_blocks(spec)), budget=1)
