@@ -24,12 +24,6 @@ class BlockRow:
     entries: tuple  # ((slot, LinOp), ...)
     output_shape: tuple
 
-    def apply(self, us):
-        out = np.zeros(self.output_shape)
-        for slot, op in self.entries:
-            out += op.apply(us[slot])
-        return out
-
 
 class BlockOperator:
     """Stacked linear map from a list of primal tensors to a list of rows."""
@@ -40,6 +34,7 @@ class BlockOperator:
         self.rows = tuple(rows)
         self.input_shapes = tuple(tuple(s) for s in input_shapes)
         self.output_shapes = tuple(row.output_shape for row in self.rows)
+        self.slots = tuple(sorted({slot for row in self.rows for slot, _ in row.entries}))
         for row in self.rows:
             for slot, op in row.entries:
                 if tuple(op.input_shape) != self.input_shapes[slot]:
@@ -51,15 +46,30 @@ class BlockOperator:
                         f"block entry emits {tuple(op.output_shape)}, "
                         f"row is {row.output_shape}")
 
-    def apply(self, us):
+    def apply(self, us, out=None):
+        """One array per row, each the sum of its entries in order; written
+        into out (one array per row) when given."""
         if len(us) != len(self.input_shapes):
             raise ValueError(f"expected {len(self.input_shapes)} primal slots, got {len(us)}")
-        return [row.apply(us) for row in self.rows]
+        if out is None:
+            out = [np.empty(shape) for shape in self.output_shapes]
+        for row, acc in zip(self.rows, out):
+            acc.fill(0.0)
+            for slot, op in row.entries:
+                acc += op.apply(us[slot])
+        return out
 
-    def adjoint(self, ws):
+    def adjoint(self, ws, out=None):
+        """One array per primal slot, zero where no row touches it. Written
+        into out when given; there only the touched slots (self.slots) are
+        written, and the others keep what they hold."""
         if len(ws) != len(self.rows):
             raise ValueError(f"expected {len(self.rows)} dual rows, got {len(ws)}")
-        out = [np.zeros(shape) for shape in self.input_shapes]
+        if out is None:
+            out = [np.zeros(shape) for shape in self.input_shapes]
+        else:
+            for slot in self.slots:
+                out[slot].fill(0.0)
         for row, w in zip(self.rows, ws):
             for slot, op in row.entries:  # each entry's adjoint checks w's shape
                 out[slot] += op.adjoint(w)
@@ -70,7 +80,8 @@ class BlockOperator:
         return FlatBlockOperator(self)
 
 
-def _split(vec, shapes):
+def split(vec, shapes):
+    """Views of a flat vector as consecutive arrays of the given shapes."""
     ends = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
     return [part.reshape(s) for part, s in zip(np.split(vec, ends), shapes)]
 
@@ -91,10 +102,10 @@ class FlatBlockOperator(LinOp):
         self.output_shape = (sum(int(np.prod(s)) for s in block.output_shapes),)
 
     def _apply(self, x):
-        return _concat(self.block.apply(_split(x, self.block.input_shapes)))
+        return _concat(self.block.apply(split(x, self.block.input_shapes)))
 
     def _adjoint(self, w):
-        return _concat(self.block.adjoint(_split(w, self.block.output_shapes)))
+        return _concat(self.block.adjoint(split(w, self.block.output_shapes)))
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,11 @@ class Instance:
         scales = tuple(_number(float, scale_cfg, k, "pdhg scales", 1.0)
                        for k in self.scale_keys)
         with _refused(f"pdhg scales {scale_cfg}"):
-            return solver_mod.compute_step_sizes(self.assembly, scales=scales)
+            try:
+                return solver_mod.compute_step_sizes(self.assembly, scales=scales)
+            except solver_mod.CertificationError as exc:
+                field = scale_cfg if exc.block is None else self.scale_keys[exc.block]
+                raise ConfigError(f"pdhg scales {field}: {exc}") from exc
 
     def run(self, method, budget):
         """(final image, metrics) of PDHG on certified steps or of a subgradient rule."""

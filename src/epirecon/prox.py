@@ -19,6 +19,115 @@ def _check_step(step):
     return step
 
 
+def _check_nonnegative(values, what):
+    values = np.asarray(values, dtype=np.float64)
+    if np.any(values < 0.0):
+        raise ValueError(f"{what} must be nonnegative")
+    return values
+
+
+def _out(*operands):
+    """A new float array of the operands' broadcast shape."""
+    return np.empty(np.broadcast_shapes(*(np.shape(v) for v in operands)))
+
+
+# --- formula kernels ------------------------------------------------------------
+# Each builder fixes a prox's step and data and returns its formula as a
+# kernel that checks nothing and writes its result into preallocated float
+# arrays. The public functions check their arguments, then build and call
+# the same kernel; the PDHG solve plan builds each kernel once, on steps and
+# data already checked, and calls it every iteration.
+
+def shrink_kernel(threshold, center=0.0):
+    """kernel(xbar, out): soft_shrink at threshold around center; out may be xbar."""
+    def kernel(xbar, out):
+        diff = xbar - center
+        np.copyto(out, np.where(diff > threshold, xbar - threshold,
+                                np.where(diff < -threshold, xbar + threshold, center)))
+        return out
+    return kernel
+
+
+def clip_kernel(shift, lo, hi):
+    """kernel(wbar, out): clip(wbar + shift, lo, hi); out may be wbar."""
+    def kernel(wbar, out):
+        np.add(wbar, shift, out=out)
+        return out.clip(lo, hi, out=out)
+    return kernel
+
+
+def ratio_kernel(shift, denom):
+    """kernel(wbar, out): (wbar + shift) / denom; out may be wbar."""
+    def kernel(wbar, out):
+        np.add(wbar, shift, out=out)
+        return np.divide(out, denom, out=out)
+    return kernel
+
+
+def epigraph_kernel(alpha, shape):
+    """kernel(pbar, qbar, p, q): the projection of project_epigraph_leaky_relu
+    on arrays of `shape`, into p and q (not aliasing pbar or qbar)."""
+    right = np.empty(shape)
+    inside = np.empty(shape, dtype=bool)
+    ray = 1.0 + alpha * alpha  # squared length of (1, alpha)
+
+    def kernel(pbar, qbar, p, q):
+        np.multiply(pbar, alpha, out=q)  # scratch for max(p, alpha*p)
+        np.maximum(pbar, q, out=q)
+        np.less_equal(q, qbar, out=inside)
+        np.add(pbar, qbar, out=right)
+        np.multiply(right, 0.5, out=right)
+        np.maximum(right, 0.0, out=right)  # r
+        np.multiply(qbar, alpha, out=q)
+        np.add(pbar, q, out=q)
+        np.divide(q, ray, out=q)
+        np.minimum(q, 0.0, out=q)  # l
+        np.add(right, q, out=p)
+        np.multiply(q, alpha, out=q)
+        np.add(right, q, out=q)
+        np.copyto(p, pbar, where=inside)
+        np.copyto(q, qbar, where=inside)
+        return p, q
+    return kernel
+
+
+def readout_kernel(sigma, cap, bias=0.0, negative_slope=0.0):
+    """kernel(wbar, out) of readout_conjugate_prox at step sigma."""
+    return clip_kernel(sigma * bias, negative_slope * cap, cap)
+
+
+def kl_conjugate_kernel(sigma, counts, background, shape):
+    """kernel(wbar, out) of kl_conjugate_prox at step sigma on arrays of
+    `shape`; out may be wbar."""
+    shift = sigma * background
+    spread = 4.0 * sigma * counts
+    root = np.empty(shape)
+
+    def kernel(wbar, out):
+        np.subtract(wbar, 1.0, out=root)
+        np.add(root, shift, out=root)
+        np.square(root, out=root)
+        np.add(root, spread, out=root)
+        np.sqrt(root, out=root)
+        np.add(wbar, 1.0, out=out)
+        np.add(out, shift, out=out)
+        np.subtract(out, root, out=out)
+        return np.multiply(out, 0.5, out=out)
+    return kernel
+
+
+def l1_conjugate_kernel(sigma, weight, measurement):
+    """kernel(wbar, out) of l1_conjugate_prox at step sigma."""
+    return clip_kernel(-(sigma * measurement), -weight, weight)
+
+
+def l2_conjugate_kernel(sigma, measurement, weight=1.0):
+    """kernel(wbar, out) of l2_conjugate_prox at step sigma."""
+    return ratio_kernel(-(sigma * measurement), 1.0 + sigma / weight)
+
+
+# --- checked proxes -------------------------------------------------------------
+
 def soft_shrink(xbar, threshold, center=0.0):
     """Prox of threshold * |. - center|_1 (threshold = step * weight).
 
@@ -27,8 +136,7 @@ def soft_shrink(xbar, threshold, center=0.0):
     """
     xbar = np.asarray(xbar, dtype=np.float64)
     t = _check_step(threshold)
-    diff = xbar - center
-    return np.where(diff > t, xbar - t, np.where(diff < -t, xbar + t, center))
+    return shrink_kernel(t, center)(xbar, _out(xbar, t, center))
 
 
 def project_epigraph_leaky_relu(alpha, pbar, qbar):
@@ -54,23 +162,8 @@ def project_epigraph_leaky_relu(alpha, pbar, qbar):
     check_shape(qbar, pbar.shape, "epigraph projection")
     # out= buffers throughout: a ufunc on 0-d operands without out= returns
     # a numpy scalar, which cannot be written in place
-    right, left, p = (np.empty(pbar.shape) for _ in range(3))
-    np.multiply(pbar, alpha, out=left)  # scratch for max(p, alpha*p)
-    np.maximum(pbar, left, out=left)
-    inside = np.less_equal(left, qbar)
-    np.add(pbar, qbar, out=right)
-    np.multiply(right, 0.5, out=right)
-    np.maximum(right, 0.0, out=right)  # r
-    np.multiply(qbar, alpha, out=left)
-    np.add(pbar, left, out=left)
-    np.divide(left, 1.0 + alpha * alpha, out=left)
-    np.minimum(left, 0.0, out=left)  # l
-    np.add(right, left, out=p)
-    q = np.multiply(left, alpha, out=left)
-    np.add(right, q, out=q)
-    np.copyto(p, pbar, where=inside)
-    np.copyto(q, qbar, where=inside)
-    return p, q
+    return epigraph_kernel(alpha, pbar.shape)(pbar, qbar, np.empty(pbar.shape),
+                                              np.empty(pbar.shape))
 
 
 def readout_conjugate_prox(wbar, sigma, cap, bias=0.0, negative_slope=0.0):
@@ -83,13 +176,11 @@ def readout_conjugate_prox(wbar, sigma, cap, bias=0.0, negative_slope=0.0):
     negative_slope 0 covers relu, 1 covers the identity readout.
     """
     sigma = _check_step(sigma)
-    cap = np.asarray(cap, dtype=np.float64)
-    if np.any(cap < 0.0):
-        raise ValueError("readout weights must be nonnegative")
+    cap = _check_nonnegative(cap, "readout weights")
     if not 0.0 <= negative_slope <= 1.0:
         raise ValueError(f"negative slope must lie in [0, 1], got {negative_slope}")
-    shifted = np.asarray(wbar, dtype=np.float64) + sigma * bias
-    return np.clip(shifted, negative_slope * cap, cap)
+    return readout_kernel(sigma, cap, bias, negative_slope)(
+        wbar, _out(wbar, sigma, cap, bias))
 
 
 def kl_conjugate_prox(wbar, sigma, counts, background):
@@ -100,25 +191,21 @@ def kl_conjugate_prox(wbar, sigma, counts, background):
     The output is < 1 strictly wherever counts > 0 (dual feasibility).
     """
     sigma = _check_step(sigma)
-    counts = np.asarray(counts, dtype=np.float64)
-    background = np.asarray(background, dtype=np.float64)
-    if np.any(counts < 0.0):
-        raise ValueError("counts must be nonnegative")
-    if np.any(background < 0.0):
-        raise ValueError("background must be nonnegative")
-    wbar = np.asarray(wbar, dtype=np.float64)
-    shift = sigma * background
-    return 0.5 * (wbar + 1.0 + shift
-                  - np.sqrt((wbar - 1.0 + shift) ** 2 + 4.0 * sigma * counts))
+    counts = _check_nonnegative(counts, "counts")
+    background = _check_nonnegative(background, "background")
+    out = _out(wbar, sigma, counts, background)
+    return kl_conjugate_kernel(sigma, counts, background, out.shape)(wbar, out)
 
 
 def l1_conjugate_prox(wbar, sigma, weight, measurement):
     """Prox of the conjugate of w -> weight*|w - measurement|_1: a shifted box clip."""
     sigma = _check_step(sigma)
-    return np.clip(np.asarray(wbar, dtype=np.float64) - sigma * measurement, -weight, weight)
+    return l1_conjugate_kernel(sigma, weight, measurement)(
+        wbar, _out(wbar, sigma, weight, measurement))
 
 
 def l2_conjugate_prox(wbar, sigma, measurement, weight=1.0):
     """Prox of the conjugate of w -> (weight/2)*|w - measurement|^2."""
     sigma = _check_step(sigma)
-    return (np.asarray(wbar, dtype=np.float64) - sigma * measurement) / (1.0 + sigma / weight)
+    return l2_conjugate_kernel(sigma, measurement, weight)(
+        wbar, _out(wbar, sigma, measurement, weight))

@@ -10,6 +10,8 @@ sizes are derived from certified operator-norm bounds so that the diagonal
 preconditioner satisfies the contraction condition.
 """
 
+import copy
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -17,14 +19,19 @@ import numpy as np
 
 from . import icnn as icnn_mod
 from . import prox
-from .blocks import BlockAssembly, assemble_blocks
+from .blocks import BlockAssembly, assemble_blocks, split
 from .icnn import IcnnSpec, require_admissible
 from .linops import DiagonalMask
 from .tensor import as_tensor, check_shape, ensure_finite
 
 
 class CertificationError(ValueError):
-    """Raised when a step-size configuration violates its norm inequality."""
+    """Raised when a step-size configuration violates its norm inequality;
+    block is the index of the dual block at fault, when there is one."""
+
+    def __init__(self, message, block=None):
+        super().__init__(message)
+        self.block = block
 
 
 class DivergenceError(RuntimeError):
@@ -43,9 +50,11 @@ class Fidelity:
     """Data term f(A x; y); `dualize` moves it to a dual block.
 
     Each subclass gives value(fwd, y) -> (value, left the domain),
-    residual_subgradient(fwd, y) in measurement space, conjugate_prox and,
-    where one exists, primal_prox. bind() validates the term against the
-    forward operator and measurement once, when the ProblemSpec is built.
+    residual_subgradient(fwd, y) in measurement space, dual_kernel(sigma, y),
+    the prox kernel (see prox) of its conjugate at step sigma, and, where
+    one exists, primal_kernel(tau, y, forward), that of the term itself.
+    bind() validates the term against the forward operator and measurement
+    once, when the ProblemSpec is built.
     """
 
     weight: float = 1.0
@@ -73,11 +82,11 @@ class L1Fidelity(Fidelity):
     def residual_subgradient(self, fwd, y):
         return self.weight * np.sign(fwd - y)
 
-    def conjugate_prox(self, wbar, sigma, y):
-        return prox.l1_conjugate_prox(wbar, sigma, self.weight, y)
+    def dual_kernel(self, sigma, y):
+        return prox.l1_conjugate_kernel(sigma, self.weight, y)
 
-    def primal_prox(self, xbar, tau, y, forward):
-        return prox.soft_shrink(xbar, tau * self.weight, y)
+    def primal_kernel(self, tau, y, forward):
+        return prox.shrink_kernel(tau * self.weight, y)
 
 
 @dataclass(frozen=True)
@@ -98,12 +107,14 @@ class L2Fidelity(Fidelity):
     def residual_subgradient(self, fwd, y):
         return self.weight * (fwd - y)
 
-    def conjugate_prox(self, wbar, sigma, y):
-        return prox.l2_conjugate_prox(wbar, sigma, y, self.weight)
+    def dual_kernel(self, sigma, y):
+        return prox.l2_conjugate_kernel(sigma, y, self.weight)
 
-    def primal_prox(self, xbar, tau, y, forward):
+    def primal_kernel(self, tau, y, forward):
+        """(xbar + tau w d y) / (1 + tau w d^2) for the forward's diagonal d."""
         diag = forward.mask if isinstance(forward, DiagonalMask) else 1.0
-        return (xbar + tau * self.weight * diag * y) / (1.0 + tau * self.weight * diag * diag)
+        return prox.ratio_kernel(tau * self.weight * diag * y,
+                                 1.0 + tau * self.weight * diag * diag)
 
 
 @dataclass(frozen=True)
@@ -122,9 +133,8 @@ class KLFidelity(Fidelity):
     def bind(self, forward, measurement):
         bg = as_tensor(np.broadcast_to(self.background, measurement.shape))
         bg = ensure_finite(bg, "kl background")
-        for name, values in (("background", bg), ("counts", measurement)):
-            if np.any(values < 0.0):
-                raise ValueError(f"kl {name} must be nonnegative")
+        prox._check_nonnegative(bg, "kl background")
+        prox._check_nonnegative(measurement, "kl counts")
         return replace(self, background=bg)
 
     def value(self, fwd, y):
@@ -143,8 +153,8 @@ class KLFidelity(Fidelity):
             raise ValueError("kl fidelity domain (forward + background <= 0)")
         return 1.0 - y / mean
 
-    def conjugate_prox(self, wbar, sigma, y):
-        return prox.kl_conjugate_prox(wbar, sigma, y, self.background)
+    def dual_kernel(self, sigma, y):
+        return prox.kl_conjugate_kernel(sigma, y, self.background, y.shape)
 
 
 def l1_fidelity(weight, dualize=False):
@@ -262,7 +272,8 @@ def certify_norms(assembly: BlockAssembly) -> dict:
                 bound = op.norm_bound
                 if bound is None or not 0.0 <= bound < np.inf:
                     raise CertificationError(f"no finite norm bound for entry "
-                                             f"{(bi, ri, ei)} ({op.kind}): {bound}")
+                                             f"{(bi, ri, ei)} ({op.kind}): {bound}",
+                                             block=bi)
                 norms[(bi, ri, ei)] = float(bound)
     return norms
 
@@ -286,7 +297,9 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norm_seed=None) -> 
     Per dual block, sigma = scale / max(preactivation-row norms)^2; per
     primal slot, tau = 1 / sum of (row-width * sigma * norm^2) over every
     entry touching the slot; each norm is the entry's certified bound.
-    norm_seed is ignored (the benchmark's workloads still pass it).
+    A sigma or tau outside (0, inf) in floating point raises
+    CertificationError naming its block or slot. norm_seed is ignored (the
+    benchmark's workloads still pass it).
     """
     norms = certify_norms(assembly)
     nblocks = len(assembly.blocks)
@@ -302,7 +315,15 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norm_seed=None) -> 
     for bi, block in enumerate(assembly.blocks):
         row_norms = [norms[(bi, 0, ei)] for ei in range(len(block.operator.rows[0].entries))]
         peak = max(row_norms) if row_norms else 0.0
-        sigma.append(scales[bi] / peak ** 2 if peak > 0.0 else scales[bi])
+        try:
+            step = scales[bi] / peak ** 2 if peak > 0.0 else scales[bi]
+        except (OverflowError, ZeroDivisionError):  # peak ** 2 left the float range
+            step = None
+        if step is None or not 0.0 < step < np.inf:
+            raise CertificationError(
+                f"dual block {bi} ({block.kind}): sigma = scale {scales[bi]} / norm "
+                f"bound {peak} squared is not a float in (0, inf)", block=bi)
+        sigma.append(step)
     terms = [[] for _ in assembly.primal_shapes]  # (row-width * sigma, norm) per slot
     for bi, block in enumerate(assembly.blocks):
         for ri, row in enumerate(block.operator.rows):
@@ -315,6 +336,9 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norm_seed=None) -> 
         if denom <= 0.0:
             raise CertificationError(f"primal slot {slot} is not touched by any dual block")
         tau.append(1.0 / denom)
+        if not 0.0 < tau[slot] < np.inf:
+            raise CertificationError(f"primal slot {slot}: tau = 1 / {denom} is not "
+                                     f"a float in (0, inf)")
         value = tau[slot] * denom
         if not value <= 1.0 + 1e-9:
             raise CertificationError(
@@ -411,25 +435,10 @@ def initial_state(problem: ProblemSpec, assembly: BlockAssembly,
                        duals=duals)
 
 
-# --- dual proxes --------------------------------------------------------------
-
-def _dual_update(problem, block, sigma, current, applied, cap):
-    tilde = [c + sigma * a for c, a in zip(current, applied)]
-    if block.kind == "fidelity":
-        return [problem.fidelity.conjugate_prox(tilde[0], sigma, problem.measurement)]
-    if block.kind == "epigraph":
-        bias = block.shift[0]
-        proj_p, proj_q = prox.project_epigraph_leaky_relu(
-            block.negative_slope, tilde[0] / sigma + bias, tilde[1] / sigma)
-        return [tilde[0] - sigma * (proj_p - bias), tilde[1] - sigma * proj_q]
-    return [prox.readout_conjugate_prox(tilde[0], sigma, cap, block.shift[0],
-                                        block.negative_slope)]
-
-
 def _check_finite(state: SaddleState, iteration):
-    """The loop's one finiteness test, over every iterate the state holds.
-    K u is not scanned: a clipping dual prox can map its overflow back to
-    finite duals, which is why the relaxed points are checked here."""
+    """Names the first iterate the state holds that is not finite. K u is
+    not scanned: a clipping dual prox can map its overflow back to finite
+    duals, which is why the relaxed points are checked here."""
     for prefix, x, z in (("", state.x, state.z),
                          ("relaxed ", state.x_relaxed, state.z_relaxed)):
         if not np.all(np.isfinite(x)):
@@ -441,6 +450,135 @@ def _check_finite(state: SaddleState, iteration):
         for arr in rows:
             if not np.all(np.isfinite(arr)):
                 raise DivergenceError(iteration, f"dual block {bi}")
+
+
+# --- the solve plan -----------------------------------------------------------
+
+class SolvePlan:
+    """The buffers and bound prox kernels of one PDHG run, built once.
+
+    One private flat buffer holds the primal slots u = (x, z_1, ...), their
+    relaxed points and the duals, so that the divergence guard is one
+    reduction. step() only does arithmetic, written through out= into
+    buffers the plan owns, in the floating-point order of the three-phase
+    update: each block's adjoint is summed into a zeroed buffer and then
+    added to the gradient, and each dual prox gets c + sigma * (K u_bar).
+    The blocks run one after another, so they share their work buffers.
+    Nothing is checked per iteration: the steps were certified, the
+    fidelity's data were checked when its ProblemSpec was built, and the
+    readout cap is checked here.
+    """
+
+    def __init__(self, problem: ProblemSpec, steps: StepSizes, state: SaddleState):
+        assembly = steps.assembly
+        shapes = assembly.primal_shapes
+        n = sum(math.prod(s) for s in shapes)
+        dual_sizes = [sum(math.prod(s) for s in block.operator.output_shapes)
+                      for block in assembly.blocks]
+        self.buf = np.empty(2 * n + sum(dual_sizes))
+        self.finite = np.empty(self.buf.shape, dtype=bool)
+        self.u_flat, self.relaxed_flat, *dual_flats = split(
+            self.buf, [(n,), (n,)] + [(d,) for d in dual_sizes])
+        self.u = split(self.u_flat, shapes)
+        self.relaxed = split(self.relaxed_flat, shapes)
+        self.duals = [split(flat, block.operator.output_shapes)
+                      for flat, block in zip(dual_flats, assembly.blocks)]
+        for dst, src in zip(self.u + self.relaxed,
+                            [state.x, *state.z, state.x_relaxed, *state.z_relaxed]):
+            np.copyto(dst, src)
+        for dst_rows, src_rows in zip(self.duals, state.duals):
+            for dst, src in zip(dst_rows, src_rows):
+                np.copyto(dst, src)
+        self.iteration = state.iteration
+
+        # the primal phase (gradient, adjoint sums) and the dual phase (tilde,
+        # scaled) of an iteration never overlap, so they share one buffer
+        most = max(dual_sizes)
+        work = np.empty(max(2 * n, 2 * most))
+        self.grad = work[:n]
+        self.grads = split(self.grad, shapes)
+        self.adjoint = split(work[n:2 * n], shapes)  # each block writes its slots
+        self.tau = steps.tau
+        self.blocks = [(block.operator, rows) for block, rows in zip(assembly.blocks,
+                                                                     self.duals)]
+        fidelity = problem.fidelity
+        self.primal_prox = None if fidelity.dualize else fidelity.primal_kernel(
+            steps.tau[0], problem.measurement, problem.forward)
+        self.nonneg = problem.nonneg
+        cap = prox._check_nonnegative(
+            problem.reg_weight * problem.regularizer.readout_weights(), "readout weights")
+        tilde, scaled = work[:most], work[most:2 * most]
+        self.dual_steps = [self._dual_step(problem, block, sigma, flat, rows, cap,
+                                           tilde[:flat.size], scaled[:flat.size])
+                           for block, sigma, flat, rows
+                           in zip(assembly.blocks, steps.sigma, dual_flats, self.duals)]
+
+    def _dual_step(self, problem, block, sigma, dual, rows, cap, tilde, scaled):
+        """The block's dual update from the relaxed point; tilde and scaled
+        are work buffers of the block's dual size."""
+        op, relaxed = block.operator, self.relaxed
+        tilde_rows = split(tilde, op.output_shapes)
+        if block.kind == "epigraph":
+            # rows = tilde - sigma * (P(tilde / sigma + bias) - bias), P the projection
+            bias = block.shift[0]
+            pbar, qbar = split(scaled, op.output_shapes)
+            project = prox.epigraph_kernel(block.negative_slope, pbar.shape)
+
+            def dual_prox():
+                np.divide(tilde, sigma, out=scaled)
+                np.add(pbar, bias, out=pbar)
+                project(pbar, qbar, rows[0], rows[1])
+                np.subtract(rows[0], bias, out=rows[0])
+                np.multiply(dual, sigma, out=dual)
+                np.subtract(tilde, dual, out=dual)
+        else:
+            kernel = (problem.fidelity.dual_kernel(sigma, problem.measurement)
+                      if block.kind == "fidelity" else
+                      prox.readout_kernel(sigma, cap, block.shift[0], block.negative_slope))
+
+            def dual_prox():
+                kernel(tilde_rows[0], rows[0])
+
+        def dual_step():
+            op.apply(relaxed, out=tilde_rows)
+            np.multiply(tilde, sigma, out=tilde)
+            np.add(dual, tilde, out=tilde)  # c + sigma * (K u_bar)
+            dual_prox()
+        return dual_step
+
+    def step(self):
+        """One iteration: primal step, extrapolation by 1, dual proxes."""
+        grad, grads, adj = self.grad, self.grads, self.adjoint
+        grad.fill(0.0)
+        for op, rows in self.blocks:
+            op.adjoint(rows, out=adj)
+            for slot in op.slots:
+                np.add(grads[slot], adj[slot], out=grads[slot])
+        for g, t in zip(grads, self.tau):
+            np.multiply(g, t, out=g)
+        np.subtract(self.u_flat, grad, out=grad)  # the new u, x before its prox
+        if self.primal_prox is not None:
+            self.primal_prox(grads[0], grads[0])
+        if self.nonneg:
+            np.maximum(grads[0], 0.0, out=grads[0])
+        np.multiply(grad, 2.0, out=self.relaxed_flat)
+        np.subtract(self.relaxed_flat, self.u_flat, out=self.relaxed_flat)
+        np.copyto(self.u_flat, grad)
+        for dual_step in self.dual_steps:
+            dual_step()
+        self.iteration += 1
+
+    def view(self) -> SaddleState:
+        """The iterates as views into the plan's buffer."""
+        x, *z = self.u
+        x_relaxed, *z_relaxed = self.relaxed
+        return SaddleState(x, z, x_relaxed, z_relaxed, self.duals, self.iteration)
+
+    def guard(self):
+        """One reduction over every iterate; the per-array scan runs only
+        when it fails, to name the iterate that is not finite."""
+        if not np.isfinite(self.buf, out=self.finite).all():
+            _check_finite(self.view(), self.iteration)
 
 
 # --- the solver ---------------------------------------------------------------
@@ -456,7 +594,8 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
     built for this problem's regularizer and dualized forward map (the
     same objects). metrics_every controls how often objectives are
     evaluated; the final iterate is always recorded. A supplied init state
-    is advanced in place, which is what makes warm restarts cheap.
+    is only read; the returned state owns its arrays, so it can be the init
+    of a later call that continues the run.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -467,7 +606,8 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
         raise CertificationError("step sizes were certified for another regularizer")
     if assembly.forward is not _dualized_forward(problem):
         raise CertificationError("step sizes were certified for another forward operator")
-    state = init if init is not None else initial_state(problem, assembly, init_x)
+    plan = SolvePlan(problem, steps, init if init is not None
+                     else initial_state(problem, assembly, init_x))
     from .tasks import psnr as psnr_fn
 
     metrics = RunMetrics()
@@ -476,43 +616,23 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
     started = time.perf_counter()
 
     def observe(iteration):
-        report = evaluate_objectives(problem, state.x, state.z)
-        pv = psnr_fn(state.x, ground_truth) if ground_truth is not None else None
+        x = plan.u[0]
+        report = evaluate_objectives(problem, x, plan.u[1:])
+        pv = psnr_fn(x, ground_truth) if ground_truth is not None else None
         metrics.record(iteration, report, pv, time.perf_counter() - started)
 
-    _check_finite(state, state.iteration)
-    observe(state.iteration)
-    tau = steps.tau
-    cap = problem.reg_weight * problem.regularizer.readout_weights()
+    plan.guard()
+    observe(plan.iteration)
     for _ in range(budget):
-        k = state.iteration + 1
-        grads = [np.zeros(s) for s in assembly.primal_shapes]
-        for bi, block in enumerate(assembly.blocks):
-            adj = block.operator.adjoint(state.duals[bi])
-            for j in range(len(grads)):
-                grads[j] += adj[j]
-        new_x = state.x - tau[0] * grads[0]
-        if not problem.fidelity.dualize:
-            new_x = problem.fidelity.primal_prox(new_x, tau[0], problem.measurement,
-                                                 problem.forward)
-        if problem.nonneg:
-            new_x = np.maximum(new_x, 0.0)
-        new_z = [zj - tj * gj for zj, tj, gj in zip(state.z, tau[1:], grads[1:])]
-        state.x_relaxed = 2.0 * new_x - state.x
-        state.z_relaxed = [2.0 * nz - oz for nz, oz in zip(new_z, state.z)]
-        state.x, state.z = new_x, new_z
-        relaxed = [state.x_relaxed] + state.z_relaxed
-        for bi, block in enumerate(assembly.blocks):
-            applied = block.operator.apply(relaxed)
-            state.duals[bi] = _dual_update(problem, block, steps.sigma[bi],
-                                           state.duals[bi], applied, cap)
-        state.iteration = k
-        _check_finite(state, k)
-        if metrics_every and k % metrics_every == 0:
-            observe(k)
-    if metrics.iterations[-1] != state.iteration:
-        observe(state.iteration)
-    return state, metrics
+        plan.step()
+        plan.guard()
+        if metrics_every and plan.iteration % metrics_every == 0:
+            observe(plan.iteration)
+    if metrics.iterations[-1] != plan.iteration:
+        observe(plan.iteration)
+    final = plan.view()
+    del plan  # frees the work buffers before the iterates are copied out
+    return copy.deepcopy(final), metrics
 
 
 # --- subgradient baselines ----------------------------------------------------

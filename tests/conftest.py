@@ -9,9 +9,9 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def make_relu_1d():
-    """R(x) = relu(x) on scalars."""
-    layer = er.IcnnLayer(er.Dense([[1.0]]), None, [0.0], er.Activation("relu"))
+def make_relu_1d(weight=1.0):
+    """R(x) = relu(weight * x) on scalars."""
+    layer = er.IcnnLayer(er.Dense([[weight]]), None, [0.0], er.Activation("relu"))
     return er.IcnnSpec((1,), (layer,))
 
 
@@ -21,3 +21,19 @@ def make_two_layer_1d():
     l2 = er.IcnnLayer(er.Dense([[1.0]]), er.Dense([[1.0]]), [0.0],
                       er.Activation("identity"))
     return er.IcnnSpec((1,), (l1, l2))
+
+
+CT12_SCALES = (100.0, 50.0, 5.0)
+
+
+def make_ct12_problem():
+    """Criterion 5's 12x12 CT desk problem (KL dualized through Radon); its
+    dual scales are CT12_SCALES."""
+    spec = er.random_admissible(551, er.ConvPoolDenseTemplate(
+        side=12, filters=2, kernel=3, pool=4, hidden=4))
+    truth = er.make_phantom("smooth_blobs", 12, 6)
+    geom = er.RadonGeometry(image_side=12, n_angles=12, n_bins=18)
+    cfg = er.TaskConfig(kind="ct", image_side=12, poisson_scale=1e4,
+                        background=50.0, geometry=geom, seed=17)
+    problem, _ = er.build_problem(cfg, truth, spec, 20.0)
+    return problem

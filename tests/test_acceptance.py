@@ -19,6 +19,7 @@ from epirecon.verify import (bound_cases, default_operator_set, equivalence_suit
                              golden_section_vec, grid_project_epigraph,
                              jacobi_spectral_norm, kl_conjugate_oracle,
                              preconditioned_norm, _adjoint_gap)
+from conftest import CT12_SCALES, make_ct12_problem
 
 
 def report(name, detail):
@@ -190,14 +191,7 @@ def _desk_instances():
                         gaussian_sigma=0.03, seed=16)
     problem, _ = er.build_problem(cfg, truth8, spec8, 2.0)
     out.append(("inpaint", problem, (5.0, 5.0), 4000))
-    spec12 = er.random_admissible(551, er.ConvPoolDenseTemplate(
-        side=12, filters=2, kernel=3, pool=4, hidden=4))
-    truth12 = er.make_phantom("smooth_blobs", 12, 6)
-    geom = RadonGeometry(image_side=12, n_angles=12, n_bins=18)
-    cfg = er.TaskConfig(kind="ct", image_side=12, poisson_scale=1e4,
-                        background=50.0, geometry=geom, seed=17)
-    problem, _ = er.build_problem(cfg, truth12, spec12, 20.0)
-    out.append(("ct", problem, (100.0, 50.0, 5.0), 4000))
+    out.append(("ct", make_ct12_problem(), CT12_SCALES, 4000))
     return out
 
 

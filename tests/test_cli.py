@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,23 @@ def test_weights_path_input_shape_must_match_image(tmp_path):
     with pytest.raises(ConfigError, match=r"\(16, 16\) does not match .* \(8, 8\)"):
         cmd_solve(path)
     assert main(["solve", str(path)]) == 2
+
+
+def test_step_outside_the_float_range_exits_2_naming_its_scale(tmp_path, capsys):
+    # first-layer filters this small square to 0.0 in floating point, so
+    # sigma_1 = c1 / norm^2 is no float (a ZeroDivisionError traceback before)
+    spec = er.random_admissible(3, er.ConvPoolDenseTemplate(
+        side=8, filters=2, kernel=3, pool=4, hidden=4))
+    first = spec.layers[0]
+    tiny = replace(first, skip=er.Conv2D(first.skip.filters * 1e-170,
+                                         first.skip.input_shape))
+    er.save_weights(replace(spec, layers=(tiny,) + spec.layers[1:]), tmp_path / "w")
+    cfg = denoise_config(tmp_path, "out_tiny", budget=5)
+    cfg["weights"] = {"path": str(tmp_path / "w")}
+    assert main(["solve", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pdhg scales c1: dual block 0 (epigraph)")
+    assert not list(Path(cfg["output_dir"]).glob("*_metrics.csv"))
 
 
 def ct_config(tmp_path, out_name="out_ct", budget=5):

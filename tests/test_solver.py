@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import epirecon as er
+from epirecon import prox
+from epirecon import solver as solver_mod
 from epirecon.blocks import assemble_blocks
 from epirecon.solver import (CertificationError, DivergenceError, RunMetrics,
-                             compute_step_sizes, initial_state)
+                             assemble_problem, compute_step_sizes, initial_state)
 from epirecon.tensor import NonFiniteError
 from epirecon.verify import preconditioned_norm
-from conftest import make_relu_1d
+from conftest import CT12_SCALES, make_ct12_problem, make_relu_1d
 
 
 def scalar_chain_spec(v0=2.0, w1=1.0):
@@ -74,6 +76,19 @@ def test_step_sizes_fail_closed_on_bad_norms():
         with pytest.raises(CertificationError,
                            match=rf"entry \(0, 0, 0\) \({forward.kind}\)"):
             compute_step_sizes(assembly)
+
+
+@pytest.mark.parametrize("weight, scales, where, block", [
+    (1e-170, None, "dual block 0", 0),   # norm^2 underflows to 0.0
+    (1e160, None, "dual block 0", 0),    # norm^2 overflows
+    (1.0, (1e-320,), "primal slot 0", None),  # sigma subnormal, tau = 1/sigma overflows
+], ids=["tiny_norm", "huge_norm", "subnormal_scale"])
+def test_step_sizes_outside_the_float_range_fail_certification(weight, scales, where,
+                                                               block):
+    with pytest.raises(CertificationError, match=rf"{where}\b.* not a float in \(0, inf\)") \
+            as info:
+        compute_step_sizes(assemble_blocks(make_relu_1d(weight)), scales=scales)
+    assert info.value.block == block
 
 
 def test_step_sizes_reject_wrong_scale_count():
@@ -152,6 +167,93 @@ def test_pdhg_guard_catches_relaxed_point_overflow():
     with np.errstate(over="ignore"), \
             pytest.raises(DivergenceError, match=r"relaxed primal image at iteration 1"):
         er.pdhg_solve(problem, budget=5, init=state, metrics_every=0)
+
+
+def count_locating_scans(monkeypatch):
+    """Iterations at which the guard's per-array scan ran."""
+    calls = []
+    real = solver_mod._check_finite
+
+    def counting(state, iteration):
+        calls.append(iteration)
+        return real(state, iteration)
+
+    monkeypatch.setattr(solver_mod, "_check_finite", counting)
+    return calls
+
+
+def test_pdhg_guard_scans_only_after_the_reduction_fails(monkeypatch):
+    calls = count_locating_scans(monkeypatch)
+    spec = make_relu_1d()
+    problem = er.ProblemSpec(er.l2_fidelity(), None, np.array([2.0]), 1.0, spec)
+    er.pdhg_solve(problem, budget=50, init_x=np.array([1.0]), metrics_every=0)
+    assert calls == []
+    assembly = assemble_blocks(spec)
+    nan_image = initial_state(problem, assembly, init_x=np.array([1.0]))
+    nan_image.x[0] = np.nan
+    inf_dual = initial_state(problem, assembly, init_x=np.array([1.0]))
+    inf_dual.duals[0][0][0] = np.inf
+    for state in (nan_image, inf_dual):
+        with pytest.raises(DivergenceError):
+            er.pdhg_solve(problem, budget=5, init=state, metrics_every=0)
+        assert calls == [0]
+        calls.clear()
+    l1_problem = er.ProblemSpec(er.l1_fidelity(0.1), None, np.array([2.0]), 1.0, spec)
+    overflow = initial_state(l1_problem, assembly, init_x=np.array([1.0]))
+    overflow.duals[0][0][0] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+        er.pdhg_solve(l1_problem, budget=5, init=overflow, metrics_every=0)
+    assert calls == [1]
+
+
+def dense_problem():
+    spec = er.random_admissible(5, er.DenseTemplate(input_dim=3, hidden_dims=(4,),
+                                                    readout_dim=2))
+    y = np.random.default_rng(9).uniform(-0.5, 0.5, 3)
+    return er.ProblemSpec(er.l2_fidelity(), None, y, 0.3, spec), None
+
+
+@pytest.mark.parametrize("make", [dense_problem, lambda: (make_ct12_problem(), CT12_SCALES)],
+                         ids=["dense", "ct12"])
+def test_pdhg_warm_restart_continues_the_run_bitwise(make):
+    problem, scales = make()
+    steps = compute_step_sizes(assemble_problem(problem), scales=scales)
+
+    def saddle_bytes(state):
+        arrays = [state.x, *state.z, state.x_relaxed, *state.z_relaxed,
+                  *(d for rows in state.duals for d in rows)]
+        return [a.tobytes() for a in arrays]
+
+    whole, _ = er.pdhg_solve(problem, steps, budget=70, metrics_every=0)
+    first, _ = er.pdhg_solve(problem, steps, budget=30, metrics_every=0)
+    kept = saddle_bytes(first)
+    rest, _ = er.pdhg_solve(problem, steps, budget=40, init=first, metrics_every=0)
+    assert rest.iteration == whole.iteration == 70
+    assert saddle_bytes(rest) == saddle_bytes(whole)
+    assert saddle_bytes(first) == kept  # the init state is only read
+    for state in (whole, rest):
+        for other in [*state.z, *(d for rows in state.duals for d in rows)]:
+            assert not np.shares_memory(state.x, other)
+
+
+def test_pdhg_validates_proxes_per_solve_not_per_iteration(monkeypatch):
+    problem = make_ct12_problem()
+    steps = compute_step_sizes(assemble_problem(problem), scales=CT12_SCALES)
+    calls = []
+    for name in ("_check_step", "_check_nonnegative"):
+        real = getattr(prox, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(prox, name, counting)
+    counts = []
+    for budget in (10, 200):
+        calls.clear()
+        er.pdhg_solve(problem, steps, budget=budget, metrics_every=0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_pdhg_refuses_steps_certified_for_another_network():
