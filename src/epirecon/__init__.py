@@ -11,7 +11,7 @@ from .blocks import BlockAssembly, BlockOperator, BlockRow, assemble_blocks
 from .icnn import (Activation, AdmissibilityError, AdmissibilityReport,
                    ConvPoolDenseTemplate, DenseTemplate, IcnnLayer, IcnnSpec,
                    forward, load_weights, random_admissible,
-                   save_weights, subgradient, validate, value_and_subgradient)
+                   save_weights, validate, value_and_subgradient)
 from .linops import (AvgPool2D, Compose, Conv2D, Dense, DiagonalMask, LinOp,
                      NormEstimate, ScaledIdentity, estimate_norm, materialize)
 from .prox import (kl_conjugate_prox, project_epigraph_leaky_relu,

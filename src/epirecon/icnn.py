@@ -54,14 +54,13 @@ class Activation:
         return 1.0
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        a = self.negative_slope
-        if a == 1.0:
-            return np.asarray(t, dtype=np.float64)
-        return np.maximum(t, a * t)
+        """max(t, a t), as t * derivative(t): the same bits for finite t."""
+        return np.asarray(t, dtype=np.float64) * self.derivative(t)
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
+        """1 where t > 0, else a: branch-free, and exact as a + fl(1 - a) rounds to 1."""
         a = self.negative_slope
-        return np.where(t > 0.0, 1.0, a)
+        return (t > 0.0) * (1.0 - a) + a
 
 
 RELU = Activation("relu")
@@ -89,22 +88,28 @@ class IcnnLayer:
         op = self.skip if self.skip is not None else self.carry
         return tuple(op.output_shape)
 
-    def preactivation(self, x, z_prev):
-        s = np.zeros(self.output_shape)
-        if self.skip is not None:
-            s = s + self.skip.apply(x)
-        if self.carry is not None:
-            s = s + self.carry.apply(z_prev)
-        return s + self.bias
+    def preactivation(self, x, z_prev, skipped=None):
+        """skip(x) + carry(z_prev) + bias in a fresh array; skipped, when given,
+        is skip(x) already applied, and is only read."""
+        if skipped is None and self.skip is not None:
+            skipped = self.skip.apply(x)
+        if self.carry is None:
+            return skipped + self.bias
+        s = self.carry.apply(z_prev)
+        if skipped is not None:
+            s += skipped
+        s += self.bias
+        return s
 
-    def step(self, x, z_prev):
-        """(preactivation, output); z_prev is None on the first layer, where
-        a residual layer adds x instead."""
-        s = self.preactivation(x, z_prev)
-        out = self.activation(s)
+    def step(self, x, z_prev, skipped=None):
+        """(activation slope at the preactivation, output); z_prev is None on
+        the first layer, where a residual layer adds x instead."""
+        out = self.preactivation(x, z_prev, skipped)
+        slope = self.activation.derivative(out)
+        out *= slope  # the activation, as in Activation.__call__
         if self.residual:
-            out = out + (x if z_prev is None else z_prev)
-        return s, out
+            out += x if z_prev is None else z_prev
+        return slope, out
 
 
 @dataclass(frozen=True)
@@ -244,14 +249,16 @@ def require_admissible(spec: IcnnSpec) -> IcnnSpec:
     return spec
 
 
-def forward(spec: IcnnSpec, x: np.ndarray):
-    """Evaluate the regularizer; returns (value, trace of hidden activations)."""
+def forward(spec: IcnnSpec, x: np.ndarray, skips: list = None):
+    """(value, trace of hidden activations); a list skips receives each skip(x) or None."""
     x = as_tensor(x)
     check_shape(x, spec.input_shape, "icnn forward input")
     trace = []
     z = None
     for i, layer in enumerate(spec.layers, start=1):
-        _, z = layer.step(x, z)
+        if skips is not None:
+            skips.append(None if layer.skip is None else layer.skip.apply(x))
+        _, z = layer.step(x, z, skips[-1] if skips else None)
         if i < spec.depth:
             trace.append(z)
     value = float(np.vdot(spec.readout_weights(), z))
@@ -266,34 +273,32 @@ def value_and_subgradient(spec: IcnnSpec, x: np.ndarray):
     """
     x = as_tensor(x)
     check_shape(x, spec.input_shape, "icnn subgradient input")
-    preacts = []
+    slopes = []
     z = None
     for layer in spec.layers:
-        s, z = layer.step(x, z)
-        preacts.append(s)
+        slope, z = layer.step(x, z)
+        slopes.append(slope)
     value = float(np.vdot(spec.readout_weights(), z))
-    grad_x = np.zeros(spec.input_shape)
+    x_terms = []  # summed in order into the first, an array the sweep owns
     cot = spec.readout_weights().copy()
     for i in range(spec.depth, 0, -1):
         layer = spec.layers[i - 1]
-        d_pre = cot * layer.activation.derivative(preacts[i - 1])
-        carry_cot = np.zeros(spec.layers[i - 2].output_shape) if i > 1 else None
-        if layer.residual:
-            if i > 1:
-                carry_cot = carry_cot + cot
-            else:
-                grad_x = grad_x + cot
+        d_pre = slopes[i - 1]
+        d_pre *= cot
+        if layer.residual and i == 1:
+            x_terms.append(cot)
         if layer.skip is not None:
-            grad_x = grad_x + layer.skip.adjoint(d_pre)
-        if layer.carry is not None:
-            carry_cot = carry_cot + layer.carry.adjoint(d_pre)
-        cot = carry_cot
+            x_terms.append(layer.skip.adjoint(d_pre))
+        if i > 1:
+            below = (layer.carry.adjoint(d_pre) if layer.carry is not None
+                     else np.zeros(spec.layers[i - 2].output_shape))
+            if layer.residual:
+                below += cot
+            cot = below
+    grad_x = x_terms[0]
+    for term in x_terms[1:]:
+        grad_x += term
     return value, grad_x
-
-
-def subgradient(spec: IcnnSpec, x: np.ndarray) -> np.ndarray:
-    """Reverse-mode subgradient; kinks take the left-branch slope."""
-    return value_and_subgradient(spec, x)[1]
 
 
 # --- random admissible specs -------------------------------------------------

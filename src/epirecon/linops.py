@@ -3,8 +3,9 @@
 Every operator is immutable after construction, maps a fixed input shape to
 a fixed output shape, and implements the exact algebraic adjoint of its
 apply (matched pairs). Weights are checked finite once, at construction;
-apply and adjoint check only the input shape. `norm_bound` is a certified
-upper bound on the operator norm; estimate_norm is a lower-bound diagnostic.
+apply and adjoint check only the input shape and return fresh arrays, which
+callers may add into. `norm_bound` is a certified upper bound on the
+operator norm; estimate_norm is a lower-bound diagnostic.
 """
 
 import functools
@@ -202,8 +203,10 @@ class AvgPool2D(LinOp):
 
     def _adjoint(self, s):
         ph, pw = self.pool
-        spread = np.repeat(np.repeat(s, ph, axis=-2), pw, axis=-1)
-        return spread / (ph * pw)
+        out = np.empty(self.input_shape)  # each window's value / (ph pw), spread by broadcast
+        np.divide(s[..., None, :, None], ph * pw,
+                  out=out.reshape(s.shape[:-1] + (ph, s.shape[-1], pw)))
+        return out
 
 
 class DiagonalMask(LinOp):

@@ -137,21 +137,25 @@ class KLFidelity(Fidelity):
         prox._check_nonnegative(measurement, "kl counts")
         return replace(self, background=bg)
 
-    def value(self, fwd, y):
+    def _domain(self, fwd, y):
+        """(A x + b, y > 0, out of the domain: A x + b <= 0 where y > 0, < 0 where y = 0)."""
         mean = fwd + self.background
-        bad = ((y > 0.0) & (mean <= 0.0)) | ((y <= 0.0) & (mean < 0.0))
-        if np.any(bad):
+        pos = y > 0.0
+        return mean, pos, np.where(pos, mean <= 0.0, mean < 0.0).any()
+
+    def value(self, fwd, y):
+        mean, pos, bad = self._domain(fwd, y)
+        if bad:
             return float("inf"), True
         val = float(np.sum(fwd - y + self.background))
-        pos = y > 0.0
         val += float(np.sum(y[pos] * np.log(y[pos] / mean[pos])))
         return val, False
 
     def residual_subgradient(self, fwd, y):
-        mean = fwd + self.background
-        if np.any(mean <= 0.0):
-            raise ValueError("kl fidelity domain (forward + background <= 0)")
-        return 1.0 - y / mean
+        mean, pos, bad = self._domain(fwd, y)  # a zero count gives 1, also at A x + b = 0
+        if bad:
+            raise ValueError("kl fidelity domain (forward + background out of range)")
+        return 1.0 - np.divide(y, mean, out=np.zeros(mean.shape), where=pos)
 
     def dual_kernel(self, sigma, y):
         return prox.kl_conjugate_kernel(sigma, y, self.background, y.shape)
@@ -223,7 +227,7 @@ def evaluate_objectives(problem: ProblemSpec, x, z=None) -> ObjectiveReport:
     zero and can only raise the reformulated value.
     """
     spec = problem.regularizer
-    reg_value, _ = icnn_mod.forward(spec, x)
+    reg_value, trace = icnn_mod.forward(spec, x, skips := [])
     data, infeasible = problem.fidelity.value(problem.apply_forward(x),
                                               problem.measurement)
     reg_term = problem.reg_weight * reg_value
@@ -232,16 +236,14 @@ def evaluate_objectives(problem: ProblemSpec, x, z=None) -> ObjectiveReport:
         return ObjectiveReport(primal, primal, 0.0, data, reg_term, infeasible)
     if len(z) != spec.depth - 1:
         raise ValueError(f"expected {spec.depth - 1} auxiliary tensors, got {len(z)}")
+    # layer 1 reads no z: its output is trace[0]; later layers reuse forward's skips
     feas = 0.0
-    prev = None
-    for i, layer in enumerate(spec.layers, start=1):
-        _, implied = layer.step(x, prev)
-        if i < spec.depth:
-            gap = implied - z[i - 1]
-            feas = max(feas, float(np.max(np.maximum(gap, 0.0), initial=0.0)))
-            prev = z[i - 1]
-        else:
-            final_term = float(np.vdot(spec.readout_weights(), implied))
+    for i, layer in enumerate(spec.layers[:-1], start=1):
+        gap = trace[0] if i == 1 else layer.step(x, z[i - 2], skips[i - 1])[1]
+        gap -= z[i - 1]  # in place: the implied output is a fresh array
+        feas = max(feas, float(np.max(gap, initial=0.0)))
+    final_term = reg_value if spec.depth == 1 else float(np.vdot(
+        spec.readout_weights(), spec.layers[-1].step(x, z[-1], skips[-1])[1]))
     reformulated = data + problem.reg_weight * final_term
     return ObjectiveReport(primal, reformulated, feas, data, reg_term, infeasible)
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -33,9 +35,119 @@ def test_forward_residual_first_layer():
 
 def test_subgradient_relu_kink_convention():
     spec = make_relu_1d()
-    assert er.subgradient(spec, [2.0])[0] == 1.0
-    assert er.subgradient(spec, [0.0])[0] == 0.0  # left-branch slope at the kink
-    assert er.subgradient(spec, [-1.0])[0] == 0.0
+    assert er.value_and_subgradient(spec, [2.0])[1][0] == 1.0
+    assert er.value_and_subgradient(spec, [0.0])[1][0] == 0.0  # left-branch slope at the kink
+    assert er.value_and_subgradient(spec, [-1.0])[1][0] == 0.0
+
+
+SLOPES = [0.0, 0.2, 0.7, 1.0 - 2.0 ** -53]
+
+
+@pytest.mark.parametrize("act", [er.Activation("relu"), er.Activation("identity")]
+                         + [er.Activation("leaky_relu", a) for a in SLOPES])
+def test_activation_and_derivative_match_the_select(act):
+    a = act.negative_slope
+    t = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 2.5, -2.5, 1e300, -1e300])
+    assert act.derivative(t).tobytes() == np.where(t > 0.0, 1.0, a).tobytes()
+    assert act(t).tobytes() == np.maximum(t, a * t).tobytes()
+    for zero in (0.0, -0.0):  # the kink takes the left slope, on 0-d input too
+        d = act.derivative(np.array(zero))
+        assert np.shape(d) == () and np.asarray(d).tobytes() == np.float64(a).tobytes()
+    assert np.asarray(act.derivative(np.array(3.0))).tobytes() == np.float64(1.0).tobytes()
+
+
+def test_branch_free_derivative_is_exact_for_sampled_slopes():
+    # (t > 0) * (1 - a) + a is 1 exactly when a + fl(1 - a) rounds to 1
+    a = np.random.default_rng(0).uniform(0.0, 1.0, 200_000)
+    assert np.all(a + (1.0 - a) == 1.0)
+
+
+def _naive_layer(layer, x, z_prev, first):
+    """(preactivation, output) of one layer in plain numpy."""
+    paths = [op.apply(v) for op, v in ((layer.skip, x), (layer.carry, z_prev))
+             if op is not None]
+    s = functools.reduce(np.add, paths) + layer.bias
+    a = layer.activation.negative_slope
+    out = np.maximum(s, a * s)
+    if layer.residual:
+        out = out + (x if first else z_prev)
+    return s, out
+
+
+def _naive_value_and_subgradient(spec, x):
+    """Layer-by-layer reference: value, then the reverse sweep term by term."""
+    pres, z = [], None
+    for i, layer in enumerate(spec.layers, start=1):
+        s, z = _naive_layer(layer, x, z, i == 1)
+        pres.append(s)
+    value = float(np.vdot(spec.readout_weights(), z))
+    grad_terms, cot = [], spec.readout_weights()
+    for i in range(spec.depth, 0, -1):
+        layer = spec.layers[i - 1]
+        d = cot * np.where(pres[i - 1] > 0.0, 1.0, layer.activation.negative_slope)
+        prev_terms = []
+        if layer.residual:
+            (grad_terms if i == 1 else prev_terms).append(cot)
+        if layer.skip is not None:
+            grad_terms.append(layer.skip.adjoint(d))
+        if layer.carry is not None:
+            prev_terms.append(layer.carry.adjoint(d))
+        if i > 1:
+            cot = (functools.reduce(np.add, prev_terms) if prev_terms
+                   else np.zeros(spec.layers[i - 2].output_shape))
+    return value, functools.reduce(np.add, grad_terms)
+
+
+def _naive_record(problem, x, z):
+    """evaluate_objectives recomputed: nested value, then each layer at (x, z)."""
+    spec = problem.regularizer
+    value = _naive_value_and_subgradient(spec, x)[0]
+    data, _ = problem.fidelity.value(problem.apply_forward(x), problem.measurement)
+    feas, prev = 0.0, None
+    for i, layer in enumerate(spec.layers, start=1):
+        _, implied = _naive_layer(layer, x, prev, i == 1)
+        if i < spec.depth:
+            feas = max(feas, float(np.max(np.maximum(implied - z[i - 1], 0.0), initial=0.0)))
+            prev = z[i - 1]
+        else:
+            final = float(np.vdot(spec.readout_weights(), implied))
+    w = problem.reg_weight
+    return data + w * value, data + w * final, feas, data, w * value
+
+
+EQUIVALENCE_TEMPLATES = [
+    er.DenseTemplate(input_dim=4, hidden_dims=(4, 4), readout_dim=2, skip_all=True,
+                     residual_layers=(2,)),
+    er.DenseTemplate(input_dim=3, hidden_dims=(3,), skip_all=True, residual_layers=(1,)),
+    er.DenseTemplate(input_dim=5, hidden_dims=(6, 4), readout_dim=3,
+                     final_activation="identity"),
+    er.DenseTemplate(input_dim=5, hidden_dims=(6,), readout_dim=2, skip_all=True,
+                     final_activation="leaky_relu"),
+    er.ConvPoolDenseTemplate(side=16, filters=2, kernel=3, pool=4, hidden=4),
+]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("tpl", EQUIVALENCE_TEMPLATES)
+def test_sweeps_bitwise_equal_naive_recomputation(tpl, rng):
+    spec = er.random_admissible(7, tpl)
+    for _ in range(5):
+        x = rng.uniform(-1.0, 1.0, spec.input_shape)
+        value, grad = er.value_and_subgradient(spec, x)
+        ref_value, ref_grad = _naive_value_and_subgradient(spec, x)
+        assert _bits(value) == _bits(ref_value)
+        assert grad.shape == ref_grad.shape and _bits(grad) == _bits(ref_grad)
+        y = rng.uniform(-1.0, 1.0, spec.input_shape)
+        problem = er.ProblemSpec(er.l2_fidelity(), None, y, 0.7, spec)
+        _, trace = er.forward(spec, x)
+        z = [t + rng.normal(0.0, 0.3, t.shape) for t in trace]  # on both sides of the trace
+        report = er.evaluate_objectives(problem, x, z)
+        got = (report.primal, report.reformulated, report.feasibility, report.data_term,
+               report.reg_term)
+        assert _bits(got) == _bits(_naive_record(problem, x, z))
 
 
 def _min_preactivation_margin(spec, x):
@@ -57,7 +169,7 @@ def test_subgradient_matches_finite_differences(rng):
     x = rng.uniform(-1.0, 1.0, 4)
     while _min_preactivation_margin(spec, x) < 1e-3:
         x = rng.uniform(-1.0, 1.0, 4)
-    g = er.subgradient(spec, x)
+    g = er.value_and_subgradient(spec, x)[1]
     h = 1e-6
     for i in range(4):
         e = np.zeros(4)
@@ -76,7 +188,7 @@ def test_subgradient_inequality_sampled(rng):
         y = rng.uniform(-2, 2, 3)
         fx, _ = er.forward(spec, x)
         fy, _ = er.forward(spec, y)
-        g = er.subgradient(spec, x)
+        g = er.value_and_subgradient(spec, x)[1]
         assert fy >= fx + np.vdot(g, y - x) - 1e-9
 
 

@@ -113,6 +113,20 @@ def test_apply_adjoint_output_layout(rng):
             assert out.flags.c_contiguous, name
 
 
+def test_apply_adjoint_return_fresh_arrays(rng):
+    # network sweeps add in place into what apply/adjoint return, so a result
+    # may share memory neither with the input nor with the previous result
+    ops = default_operator_set()
+    assert {"compose", "radon"} <= {op.kind for _, op in ops}
+    for name, op in ops:
+        for fn, shape in ((op.apply, op.input_shape), (op.adjoint, op.output_shape)):
+            v = rng.standard_normal(shape)
+            first, second = fn(v), fn(v)
+            assert not np.shares_memory(first, v), name
+            assert not np.shares_memory(second, v), name
+            assert not np.shares_memory(second, first), name
+
+
 def test_linearity_all_kinds(rng):
     from epirecon.blocks import BlockOperator
     for name, op in default_operator_set(4):

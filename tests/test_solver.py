@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,49 @@ def test_subgradient_kl_domain_exit_reports_its_iteration():
         er.subgradient_solve(problem, er.ConstantStep(50.0), budget=5,
                              init_x=np.array([1.0]))
     assert info.value.iteration == 1
+
+
+def test_kl_residual_and_value_share_one_domain():
+    # a zero count allows A x + b = 0 (residual 1, no 0/0); a positive count
+    # needs A x + b > 0; both methods refuse exactly the same points
+    y = np.array([0.0, 0.0, 2.0])
+    fid = er.kl_fidelity(0.0).bind(None, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fwd = np.array([0.0, 3.0, 4.0])
+        assert fid.value(fwd, y)[1] is False
+        assert fid.residual_subgradient(fwd, y).tolist() == [1.0, 1.0, 0.5]
+        for bad in ([-1e-3, 3.0, 4.0], [0.0, 3.0, 0.0]):
+            assert fid.value(np.array(bad), y) == (np.inf, True)
+            with pytest.raises(ValueError, match="kl fidelity domain"):
+                fid.residual_subgradient(np.array(bad), y)
+
+
+def test_subgradient_ct_with_zero_background_and_zero_counts():
+    # at the clipped FBP start some zero counts meet A x0 = 0, which the value
+    # accepts; the subgradient step must accept them too (PDHG always did)
+    problem, init = er.build_problem(
+        er.TaskConfig(kind="ct", image_side=16, background=0.0, seed=3),
+        er.make_phantom("smooth_blobs", 16, 0),
+        er.random_admissible(1, er.ConvPoolDenseTemplate(side=16, filters=2, kernel=3,
+                                                         pool=4, hidden=4)), 1.0)
+    mean = problem.apply_forward(init) + problem.fidelity.background
+    assert np.any((problem.measurement == 0.0) & (mean == 0.0))
+    assert problem.fidelity.value(problem.apply_forward(init), problem.measurement)[1] is False
+    _, metrics = er.subgradient_solve(problem, er.ConstantStep(0.01), budget=5, init_x=init)
+    assert len(metrics.objective) == 6 and np.all(np.isfinite(metrics.objective))
+
+
+def test_subgradient_leaves_init_x_unchanged():
+    # a residual first layer adds x into the sweep's own arrays, never into x
+    spec = er.random_admissible(5, er.DenseTemplate(
+        input_dim=3, hidden_dims=(3,), skip_all=True, residual_layers=(1,)))
+    problem = er.ProblemSpec(er.l2_fidelity(), None, np.array([0.3, -0.2, 0.5]), 0.7,
+                             spec, nonneg=True)
+    init = np.array([0.4, -0.1, 0.2])
+    kept = init.copy()
+    er.subgradient_solve(problem, er.ConstantStep(0.1), budget=3, init_x=init)
+    assert init.tobytes() == kept.tobytes()
 
 
 def test_subgradient_constant_step_halves_error():
