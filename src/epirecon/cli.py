@@ -59,6 +59,12 @@ def _number(convert, mapping, key, where, default=None):
         return convert(value)
 
 
+def _at_least_one(value, where):
+    if value < 1:
+        raise ConfigError(f"{where}: must be at least 1, got {value}")
+    return value
+
+
 def load_config(path):
     path = Path(path)
     if not path.exists():
@@ -102,8 +108,8 @@ class Instance:
     def __init__(self, config, seed_override=None, budget_override=None):
         self.seed = _number(int, config, "seed", "config", 0) \
             if seed_override is None else int(seed_override)
-        self.budget = _number(int, config, "budget", "config") \
-            if budget_override is None else int(budget_override)
+        self.budget = _at_least_one(_number(int, config, "budget", "config"), "config budget") \
+            if budget_override is None else _at_least_one(int(budget_override), "--budget")
         task = _require(config, "task", "config")
         kind = _require(task, "kind", "task")
         side = _number(int, task, "image_side", "task")
@@ -130,7 +136,8 @@ class Instance:
             [f"c{i}" for i in range(1, weights.depth + 1)]
         self.record_timing = bool(config.get("record_timing", False))
         self.rel_error_target = _number(float, config, "rel_error_target", "config", 1e-3)
-        self.reference_multiplier = _number(int, config, "reference_multiplier", "config", 10)
+        self.reference_multiplier = _at_least_one(_number(
+            int, config, "reference_multiplier", "config", 10), "config reference_multiplier")
         with _refused("weights"):
             self.assembly = solver_mod.assemble_problem(self.problem)
 
@@ -260,6 +267,8 @@ def _sweep_combos(instance, sweep_cfg):
     if not keys:
         raise ConfigError(f"sweep: no scale grids given (expected {instance.scale_keys})")
     grids = [_number(lambda grid: [float(v) for v in grid], sweep_cfg, k, "sweep") for k in keys]
+    for key, grid in zip(keys, grids):
+        _at_least_one(len(grid), f"sweep {key} grid size")
     return keys, list(itertools.product(*grids))
 
 
@@ -277,16 +286,18 @@ def _sweep_worker(args):
 
 
 def cmd_sweep(config_path, seed=None, budget=None, jobs=1):
+    _at_least_one(jobs, "--jobs")
     config = load_config(config_path)
     instance = Instance(config, seed_override=seed, budget_override=budget)
+    keys, combos = _sweep_combos(instance, _require(config, "sweep", "config"))
     out_dir = Path(_require(config, "output_dir", "config"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    keys, combos = _sweep_combos(instance, _require(config, "sweep", "config"))
     scale_cfgs = [dict(zip(keys, combo)) for combo in combos]
-    if jobs > 1:
+    workers = min(jobs, len(combos))  # more would sit idle
+    if workers > 1:
         work = [(config, scale_cfg, instance.seed, instance.budget)
                 for scale_cfg in scale_cfgs]
-        with get_context("spawn").Pool(jobs) as pool:
+        with get_context("spawn").Pool(workers) as pool:
             results = pool.map(_sweep_worker, work)
     else:
         results = [_sweep_point(instance, scale_cfg) for scale_cfg in scale_cfgs]

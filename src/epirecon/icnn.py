@@ -458,9 +458,11 @@ def load_weights(path, allow_inadmissible: bool = False) -> IcnnSpec:
         loaded.append(fname)
         return read_tensor(blob)
 
+    entry = "network"  # the manifest entry being built, for error messages
     try:
         layers = []
-        for cfg in manifest["layers"]:
+        for i, cfg in enumerate(manifest["layers"]):
+            entry = f"layers[{i}]"
             act_cfg = cfg["activation"]
             layers.append(IcnnLayer(
                 skip=linops.op_from_config(cfg["skip"], load_blob) if cfg["skip"] else None,
@@ -469,12 +471,17 @@ def load_weights(path, allow_inadmissible: bool = False) -> IcnnSpec:
                 activation=Activation(act_cfg["kind"], act_cfg.get("alpha", 0.0)),
                 residual=bool(cfg.get("residual", False)),
             ))
+        entry = "network"
         head = load_blob(manifest["head"]) if manifest.get("head") else None
         spec = IcnnSpec(tuple(manifest["input_shape"]), layers, head)
     except KeyError as exc:
         raise WeightsFormatError(f"{manifest_path}: missing field {exc}") from exc
     except NonFiniteError as exc:  # objects are built right after their blob is read
         raise WeightsFormatError(f"{path}: blob {loaded[-1]!r} refused: {exc}") from exc
+    except WeightsFormatError:
+        raise
+    except (ValueError, TypeError) as exc:  # a kind, shape or value a constructor refused
+        raise WeightsFormatError(f"{manifest_path}: {entry} refused: {exc}") from exc
     report = validate(spec)
     if not report.ok and not allow_inadmissible:
         raise AdmissibilityError(f"{path}: {report}")

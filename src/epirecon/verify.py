@@ -212,10 +212,19 @@ class SuiteResult:
         return f"{flag:4s}  {self.name:24s} {self.seconds:7.2f}s  {self.detail}"
 
 
+def _require(ok, message):
+    """Fail the running suite with message unless ok; a NaN gap fails `gap <= tol`."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _timed(name, seed, fn):
+    """Run a suite body, which returns its PASS detail or fails through _require."""
     started = time.perf_counter()
     try:
-        passed, detail = fn()
+        passed, detail = True, fn()
+    except AssertionError as exc:  # from _require: its message is the detail
+        passed, detail = False, str(exc)
     except Exception as exc:  # suites report, never crash the runner
         passed, detail = False, f"exception: {exc}"
     return SuiteResult(name, passed, detail, time.perf_counter() - started, seed)
@@ -252,16 +261,6 @@ def default_operator_set(seed=0):
     return ops
 
 
-def _adjoint_gap(op, rng):
-    x = rng.standard_normal(op.input_shape)
-    w = rng.standard_normal(op.output_shape)
-    lhs = float(np.vdot(op.apply(x), w))
-    rhs = float(np.vdot(x, op.adjoint(w)))
-    nx = float(np.sqrt(np.vdot(x, x)))
-    nw = float(np.sqrt(np.vdot(w, w)))
-    return abs(lhs - rhs), 1.0 + nx * nw
-
-
 def adjoint_suite(named_ops=None, pairs=100, seed=0, tol=1e-8):
     """<Kx, w> == <x, K*w> within tol*(1 + |x||w|) on random pairs."""
     def run():
@@ -270,13 +269,15 @@ def adjoint_suite(named_ops=None, pairs=100, seed=0, tol=1e-8):
         worst = (0.0, "")
         for name, op in ops:
             for _ in range(pairs):
-                gap, allowance = _adjoint_gap(op, rng)
-                rel = gap / (tol * allowance)
-                if rel > worst[0]:
-                    worst = (rel, name)
-                if gap > tol * allowance:
-                    return False, f"adjoint identity broken for {name}: gap {gap:.3e}"
-        return True, f"{len(ops)} operators x {pairs} pairs, worst {worst[0]:.3f}*tol ({worst[1]})"
+                x = rng.standard_normal(op.input_shape)
+                w = rng.standard_normal(op.output_shape)
+                gap = abs(float(np.vdot(op.apply(x), w)) - float(np.vdot(x, op.adjoint(w))))
+                allowance = 1.0 + float(np.sqrt(np.vdot(x, x))) * float(np.sqrt(np.vdot(w, w)))
+                _require(gap <= tol * allowance,
+                         f"adjoint identity broken for {name}: gap {gap:.3e}")
+                worst = max(worst, (gap / (tol * allowance), name))
+        return (f"{len(ops)} operators x {pairs} pairs, "
+                f"worst gap {worst[0]:.1e}*tol ({worst[1]})")
     return _timed("adjoint", seed, run)
 
 
@@ -292,22 +293,10 @@ def linearity_suite(named_ops=None, trials=20, seed=0, rel_tol=1e-10):
                 lhs = op.apply(a * x + b * y)
                 rhs = a * op.apply(x) + b * op.apply(y)
                 scale = float(np.max(np.abs(rhs))) + 1.0
-                if float(np.max(np.abs(lhs - rhs))) > rel_tol * scale:
-                    return False, f"linearity broken for {name}"
-        return True, f"{trials} combinations per operator"
+                _require(float(np.max(np.abs(lhs - rhs))) <= rel_tol * scale,
+                         f"linearity broken for {name}")
+        return f"{trials} combinations per operator"
     return _timed("linearity", seed, run)
-
-
-def bound_cases(rng):
-    """Operators with computed norm bounds; 16 of the Radon's 64 pixels meet no ray."""
-    return [
-        ("conv_multi_in_out", linops.Conv2D(rng.standard_normal((3, 2, 3, 3)), (2, 5, 5))),
-        ("conv_single_2d", linops.Conv2D(rng.standard_normal((1, 3, 3)), (6, 6))),
-        ("conv_even_4x2", linops.Conv2D(rng.standard_normal((2, 4, 2)), (6, 5))),
-        ("compose_pool_dense", linops.Compose([linops.AvgPool2D(2, (4, 4)), linops.Dense(
-            rng.standard_normal((3, 4)), input_shape=(2, 2))])),
-        ("radon_unreached", Radon(RadonGeometry(image_side=8, n_angles=2, n_bins=4))),
-    ]
 
 
 def norm_oracle_suite(seed=0, tol=1e-5):
@@ -316,92 +305,126 @@ def norm_oracle_suite(seed=0, tol=1e-5):
         rng = np.random.default_rng(seed + 41)
         cases = [
             ("dense_8x8", linops.Dense(rng.standard_normal((8, 8)))),
+            ("dense_rect", linops.Dense(rng.standard_normal((12, 5)))),
             ("dense_diag", linops.Dense(np.diag([3.0, 1.0]))),
             ("conv_small", linops.Conv2D(rng.standard_normal((2, 3, 3)), (5, 5))),
             ("radon_tiny", Radon(RadonGeometry(image_side=8, n_angles=6, n_bins=13))),
+            ("radon_16", Radon(RadonGeometry(image_side=16, n_angles=12, n_bins=24))),
             ("mask", linops.DiagonalMask(np.array([1.0, 0.0, 1.0]))),
-        ] + bound_cases(rng)
+            ("conv_multi_in_out", linops.Conv2D(rng.standard_normal((3, 2, 3, 3)), (2, 5, 5))),
+            ("conv_single_2d", linops.Conv2D(rng.standard_normal((1, 3, 3)), (6, 6))),
+            ("conv_even_4x2", linops.Conv2D(rng.standard_normal((2, 4, 2)), (6, 5))),
+            ("compose_pool_dense", linops.Compose([linops.AvgPool2D(2, (4, 4)), linops.Dense(
+                rng.standard_normal((3, 4)), input_shape=(2, 2))])),
+            ("radon_unreached", Radon(RadonGeometry(image_side=8, n_angles=2, n_bins=4))),
+        ]
         worst = 0.0
         for name, op in cases:
-            est = linops.estimate_norm(op, tol=1e-10, max_iters=5000, seed=seed)
+            est = linops.estimate_norm(op, tol=1e-11, max_iters=20000, seed=seed)
             oracle = jacobi_spectral_norm(linops.materialize(op))
             gap = abs(est.value - oracle) / max(oracle, 1.0)
+            _require(gap <= tol and oracle <= op.norm_bound,
+                     f"norm mismatch for {name}: estimate {est.value}, "
+                     f"bound {op.norm_bound}, oracle {oracle}")
             worst = max(worst, gap)
-            if gap > tol or not oracle <= op.norm_bound:
-                return False, (f"norm mismatch for {name}: estimate {est.value}, "
-                               f"bound {op.norm_bound}, oracle {oracle}")
-        return True, f"{len(cases)} operators, worst relative gap {worst:.2e}, bounds hold"
+        return f"{len(cases)} operators, worst relative gap {worst:.2e}, bounds hold"
     return _timed("norm-vs-oracle", seed, run)
 
 
+def _require_hits(family, branches):
+    """Fail naming the first branch (name -> hit mask) that no sample reached."""
+    for name, hit in branches.items():
+        _require(np.any(hit), f"{family}: branch {name!r} never hit")
+
+
+def _require_close(gaps, family, gap, tol):
+    """Fail unless every pointwise gap is at most tol; record family's worst in gaps."""
+    gap = float(np.max(gap))
+    _require(gap <= tol, f"{family} off its oracle by {gap:.2e}")
+    gaps[family] = max(gaps.get(family, 0.0), gap)
+
+
 def prox_oracle_suite(instances=300, seed=0, tol=1e-6):
-    """Closed-form scalar proxes against golden-section minimization."""
+    """Closed-form scalar proxes against golden-section minimization; every
+    branch of the shrink, readout and KL forms must be hit."""
     def run():
         rng = np.random.default_rng(seed + 53)
         n = instances
+        gaps = {}
         xb = rng.uniform(-4, 4, n)
         step = rng.uniform(0.05, 3.0, n)
         center = rng.uniform(-2, 2, n)
         weight = rng.uniform(0.1, 2.0, n)
-        got = prox.soft_shrink(xb, step * weight, center)
+        diff, thr = xb - center, step * weight
+        _require_hits("shrink", {"above": diff > thr, "dead zone": np.abs(diff) <= thr,
+                                 "below": diff < -thr})
+        got = prox.soft_shrink(xb, thr, center)
         want = golden_section_vec(
             lambda v: (v - xb) ** 2 / (2 * step) + weight * np.abs(v - center),
-            xb - 5 * step * weight - 1, xb + 5 * step * weight + 1, tol=1e-10)
-        if np.max(np.abs(got - want)) > tol:
-            return False, f"soft_shrink mismatch {np.max(np.abs(got - want)):.2e}"
+            xb - 5 * thr - 1, xb + 5 * thr + 1, tol=1e-10)
+        _require_close(gaps, "shrink", np.abs(got - want), tol)
         cap = rng.uniform(0.0, 2.0, n)
         bias = rng.uniform(-1.5, 1.5, n)
         slope = rng.choice([0.0, 0.2, 1.0], n)
-        got = prox.readout_conjugate_prox(xb, step, cap, bias, 0.0)
-        want = golden_section_vec(
-            lambda v: (v - xb) ** 2 / (2 * step)
-            + np.where((v >= 0.0) & (v <= cap), -bias * v, np.inf),
-            np.zeros(n) - 1e-9, cap + 1e-9, tol=1e-10)
-        if np.max(np.abs(got - want)) > tol:
-            return False, f"readout conjugate mismatch {np.max(np.abs(got - want)):.2e}"
         for s in (0.0, 0.2, 1.0):
             sel = slope == s
-            if not np.any(sel):
-                continue
-            got = prox.readout_conjugate_prox(xb[sel], step[sel], cap[sel], bias[sel], s)
-            lowcap = s * cap[sel]
-            want = golden_section_vec(
-                lambda v: (v - xb[sel]) ** 2 / (2 * step[sel])
-                + np.where((v >= lowcap - 1e-12) & (v <= cap[sel] + 1e-12),
-                           -bias[sel] * v, np.inf),
-                lowcap - 1e-9, cap[sel] + 1e-9, tol=1e-10)
-            if np.max(np.abs(got - want)) > tol:
-                return False, f"readout slope {s} mismatch"
+            wb, sg, hi, b = xb[sel], step[sel], cap[sel], bias[sel]
+            lo, shifted = s * hi, wb + sg * b
+            hits = {"below": shifted < lo, "above": shifted > hi}
+            if s < 1.0:  # the identity readout's box is the single point cap
+                hits["inside"] = (shifted >= lo) & (shifted <= hi)
+            _require_hits(f"readout slope {s}", hits)
+            got = prox.readout_conjugate_prox(wb, sg, hi, b, s)
+            want = golden_section_vec(lambda v: (v - wb) ** 2 / (2 * sg) - b * v, lo, hi,
+                                      tol=1e-10)  # the conjugate's box is the bracket
+            _require_close(gaps, "readout", np.abs(got - want), tol)
         y = rng.uniform(0.0, 5.0, n)
         y[rng.uniform(size=n) < 0.2] = 0.0
+        _require_hits("kl", {"zero count": y == 0.0, "positive count": y > 0.0})
         r = rng.uniform(0.0, 2.0, n)
         sig = rng.uniform(0.1, 2.0, n)
-        got = prox.kl_conjugate_prox(xb, sig, y, r)
-        want = kl_conjugate_oracle(xb, sig, y, r)
-        if np.max(np.abs(got - want)) > tol:
-            return False, f"kl conjugate mismatch {np.max(np.abs(got - want)):.2e}"
-        return True, f"{n} instances per prox family"
+        _require_close(gaps, "kl", np.abs(prox.kl_conjugate_prox(xb, sig, y, r)
+                                          - kl_conjugate_oracle(xb, sig, y, r)), tol)
+        # conjugates of weight*|w - m|_1, <v, m> on |v| <= weight, and of
+        # (weight/2)|w - m|^2, <v, m> + |v|^2 / (2 weight), whose prox is within |xb - sig*m| < 8
+        m = rng.uniform(-2, 2, n)
+        for family, got, conj, lo, hi in (
+                ("l1", prox.l1_conjugate_prox(xb, sig, weight, m),
+                 lambda v: v * m, -weight, weight),
+                ("l2", prox.l2_conjugate_prox(xb, sig, m, weight),
+                 lambda v: v * m + v * v / (2 * weight), -8.0, 8.0)):
+            want = golden_section_vec(lambda v: (v - xb) ** 2 / (2 * sig) + conj(v), lo, hi,
+                                      tol=1e-10)
+            _require_close(gaps, family, np.abs(got - want), tol)
+        worst = ", ".join(f"{family} {gap:.1e}" for family, gap in gaps.items())
+        return f"{n} instances per prox family, all branches hit, worst gaps: {worst}"
     return _timed("prox-vs-oracle", seed, run)
 
 
 def epigraph_suite(instances=200, seed=0, tol=1e-6):
-    """Leaky-relu epigraph projection against the grid-search oracle."""
+    """Leaky-relu epigraph projection against the grid-search oracle; all four
+    branches must be hit for each slope."""
     def run():
         rng = np.random.default_rng(seed + 67)
+        gaps = {}
         for alpha in (0.0, 0.2):
             pb = rng.uniform(-3, 3, instances)
             qb = rng.uniform(-3, 3, instances)
+            inside = np.maximum(pb, alpha * pb) <= qb
+            right = ~inside & (np.abs(qb) <= pb)
+            left = ~inside & (qb <= alpha * pb) & (pb <= -alpha * qb)
+            _require_hits(f"alpha={alpha}", {"inside": inside, "right": right, "left": left,
+                                              "corner": ~(inside | right | left)})
             p, q = prox.project_epigraph_leaky_relu(alpha, pb, qb)
             gp, gq = grid_project_epigraph(alpha, pb, qb)
-            gap = float(np.max(np.hypot(p - gp, q - gq)))
-            if gap > tol:
-                return False, f"alpha={alpha}: projection off oracle by {gap:.2e}"
-            if np.any(np.maximum(p, alpha * p) > q + 1e-12):
-                return False, f"alpha={alpha}: membership violated"
+            _require_close(gaps, "epigraph", np.hypot(p - gp, q - gq), tol)
+            _require(np.all(np.maximum(p, alpha * p) <= q + 1e-12),
+                     f"alpha={alpha}: membership violated")
             p2, q2 = prox.project_epigraph_leaky_relu(alpha, p, q)
-            if not (np.array_equal(p, p2) and np.array_equal(q, q2)):
-                return False, f"alpha={alpha}: projection not bitwise idempotent"
-        return True, f"{instances} points per slope, membership and idempotence ok"
+            _require(np.array_equal(p, p2) and np.array_equal(q, q2),
+                     f"alpha={alpha}: projection not bitwise idempotent")
+        return (f"{instances} points per slope, all four branches hit, worst gap "
+                f"{gaps['epigraph']:.1e}, membership and idempotence ok")
     return _timed("epigraph-projection", seed, run)
 
 
@@ -412,24 +435,25 @@ def convexity_suite(specs=8, triples=400, seed=0, tol=1e-9):
         templates = [
             DenseTemplate(input_dim=4, hidden_dims=(5,), readout_dim=3),
             DenseTemplate(input_dim=3, hidden_dims=(4, 4), skip_all=True),
-            DenseTemplate(input_dim=4, hidden_dims=(4, 4), skip_all=True,
-                          residual_layers=(2,)),
+            DenseTemplate(input_dim=4, hidden_dims=(4, 4), skip_all=True, residual_layers=(2,)),
+            DenseTemplate(input_dim=3, hidden_dims=(3,), skip_all=True, residual_layers=(1,)),
             DenseTemplate(input_dim=2, hidden_dims=(6,), final_activation="identity"),
+            ConvPoolDenseTemplate(side=8, filters=2, kernel=3, pool=4, hidden=4),
         ]
+        worst = -np.inf
         for s in range(specs):
             spec = random_admissible(seed + 100 + s, templates[s % len(templates)])
-            dim = spec.input_shape[0]
             for _ in range(triples):
-                a = rng.uniform(-3, 3, dim)
-                b = rng.uniform(-3, 3, dim)
+                a = rng.uniform(-3, 3, spec.input_shape)
+                b = rng.uniform(-3, 3, spec.input_shape)
                 lam = rng.uniform()
                 fa, _ = icnn_mod.forward(spec, a)
                 fb, _ = icnn_mod.forward(spec, b)
                 fm, _ = icnn_mod.forward(spec, lam * a + (1 - lam) * b)
-                slack = tol * (1.0 + abs(fa) + abs(fb))
-                if fm > lam * fa + (1 - lam) * fb + slack:
-                    return False, f"jensen violated on spec {s}"
-        return True, f"{specs} networks x {triples} triples"
+                excess = (fm - lam * fa - (1 - lam) * fb) / (1.0 + abs(fa) + abs(fb))
+                _require(excess <= tol, f"jensen violated on spec {s}")
+                worst = max(worst, excess)
+        return f"{specs} networks x {triples} triples, worst Jensen excess {worst:.1e}"
     return _timed("convexity", seed, run)
 
 
@@ -459,11 +483,10 @@ def equivalence_suite(instances=5, seed=0, budget=20000,
             f_pd = float(objective(state.x[None, :])[0])
             gap = f_pd - f_star
             arg = float(np.max(np.abs(state.x - x_star)))
+            _require(gap <= gap_tol and arg <= arg_tol,
+                     f"instance {idx} (dim {dim}): gap {gap:.2e}, arg distance {arg:.2e}")
             worst_gap, worst_arg = max(worst_gap, gap), max(worst_arg, arg)
-            if gap > gap_tol or arg > arg_tol:
-                return False, (f"instance {idx} (dim {dim}): gap {gap:.2e}, "
-                               f"arg distance {arg:.2e}")
-        return True, f"{instances} instances, worst gap {worst_gap:.2e}, arg {worst_arg:.2e}"
+        return f"{instances} instances, worst gap {worst_gap:.2e}, arg {worst_arg:.2e}"
     return _timed("equivalence-small", seed, run)
 
 
@@ -486,9 +509,8 @@ def certificate_suite(seed=0, tol=1e-6):
         for forward in (None, Radon(RadonGeometry(image_side=8, n_angles=6, n_bins=13))):
             steps = solver.compute_step_sizes(assemble_blocks(net, forward=forward))
             norm = preconditioned_norm(steps)
-            if norm > 1.0 + tol:
-                return False, f"scaled block norm {norm} exceeds 1"
-        return True, "preconditioned norm <= 1 with and without a fidelity block"
+            _require(norm <= 1.0 + tol, f"scaled block norm {norm} exceeds 1")
+        return "preconditioned norm <= 1 with and without a fidelity block"
     return _timed("step-certificates", seed, run)
 
 

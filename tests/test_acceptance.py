@@ -12,13 +12,12 @@ import numpy as np
 import epirecon as er
 from epirecon import prox
 from epirecon.cli import cmd_solve
-from epirecon.radon import Radon, RadonGeometry
+from epirecon.radon import RadonGeometry
 from epirecon.solver import (assemble_problem, compute_step_sizes,
                              iterations_to_threshold)
-from epirecon.verify import (bound_cases, default_operator_set, equivalence_suite,
-                             golden_section_vec, grid_project_epigraph,
-                             jacobi_spectral_norm, kl_conjugate_oracle,
-                             preconditioned_norm, _adjoint_gap)
+from epirecon.verify import (adjoint_suite, convexity_suite, default_operator_set,
+                             epigraph_suite, equivalence_suite, norm_oracle_suite,
+                             preconditioned_norm, prox_oracle_suite)
 from conftest import CT12_SCALES, make_ct12_problem
 
 
@@ -30,138 +29,39 @@ def report(name, detail):
 
 def test_criterion_1_prox_exactness():
     started = time.perf_counter()
-    rng = np.random.default_rng(101)
-    n = 1000
-
-    xb = rng.uniform(-4, 4, n)
-    step = rng.uniform(0.05, 3.0, n)
-    center = rng.uniform(-2, 2, n)
-    weight = rng.uniform(0.1, 2.0, n)
-    got = prox.soft_shrink(xb, step * weight, center)
-    want = golden_section_vec(
-        lambda v: (v - xb) ** 2 / (2 * step) + weight * np.abs(v - center),
-        xb - 5 * step * weight - 1, xb + 5 * step * weight + 1, tol=1e-10)
-    shrink_gap = float(np.max(np.abs(got - want)))
-    assert shrink_gap < 1e-6
-    diff = xb - center
-    assert np.any(diff > step * weight) and np.any(diff < -step * weight)
-    assert np.any(np.abs(diff) <= step * weight)  # every shrink branch hit
-
-    y = rng.uniform(0.0, 5.0, n)
-    y[rng.uniform(size=n) < 0.15] = 0.0
-    r = rng.uniform(0.0, 2.0, n)
-    sig = rng.uniform(0.1, 2.0, n)
-    got = prox.kl_conjugate_prox(xb, sig, y, r)
-    want = kl_conjugate_oracle(xb, sig, y, r)
-    kl_gap = float(np.max(np.abs(got - want)))
-    assert kl_gap < 1e-6
-    assert np.any(y == 0.0) and np.any(y > 0.0)
-
-    epi_gap = 0.0
-    for alpha in (0.0, 0.2):
-        pb = rng.uniform(-4, 4, n)
-        qb = rng.uniform(-4, 4, n)
-        p, q = prox.project_epigraph_leaky_relu(alpha, pb, qb)
-        gp, gq = grid_project_epigraph(alpha, pb, qb)
-        epi_gap = max(epi_gap, float(np.max(np.hypot(p - gp, q - gq))))
-        assert epi_gap < 1e-6
-        inside = np.maximum(pb, alpha * pb) <= qb
-        right = ~inside & (np.abs(qb) <= pb)
-        left = ~inside & (qb <= alpha * pb) & (pb <= -alpha * qb)
-        corner = ~(inside | right | left)
-        assert inside.any() and right.any() and left.any() and corner.any()
-
-    cap = rng.uniform(0.0, 2.0, n)
-    bias = rng.uniform(-1.5, 1.5, n)
-    got = prox.readout_conjugate_prox(xb, step, cap, bias)
-    want = golden_section_vec(
-        lambda v: (v - xb) ** 2 / (2 * step)
-        + np.where((v >= 0) & (v <= cap), -bias * v, np.inf),
-        np.zeros(n), cap, tol=1e-10)
-    readout_gap = float(np.max(np.abs(got - want)))
-    assert readout_gap < 1e-6
-    shifted = xb + step * bias
-    assert np.any(shifted < 0) and np.any(shifted > cap)
-    assert np.any((shifted >= 0) & (shifted <= cap))
-
+    results = [prox_oracle_suite(instances=1000, seed=101),
+               epigraph_suite(instances=1000, seed=101)]
+    for result in results:
+        assert result.passed, result.detail
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     report("criterion-1 prox exactness",
-           f"1000 instances/family, worst gaps: shrink {shrink_gap:.1e}, "
-           f"kl {kl_gap:.1e}, epigraph {epi_gap:.1e}, readout {readout_gap:.1e} "
-           f"({elapsed:.1f}s)")
+           "; ".join(r.detail for r in results) + f" ({elapsed:.1f}s)")
 
 
 # --- criterion 2: adjoint identities and norm certificates --------------------
 
 def test_criterion_2_adjoints_and_norms():
     started = time.perf_counter()
-    rng = np.random.default_rng(202)
-    ops = default_operator_set(7)
-    assert any(op.kind == "radon" for _, op in ops)
-    worst = 0.0
-    for name, op in ops:
-        for _ in range(100):
-            gap, allowance = _adjoint_gap(op, rng)
-            worst = max(worst, gap / allowance)
-            assert gap <= 1e-8 * allowance, name
-
-    norm_cases = [
-        ("dense_8x8", er.Dense(rng.standard_normal((8, 8)))),
-        ("dense_rect", er.Dense(rng.standard_normal((12, 5)))),
-        ("conv", er.Conv2D(rng.standard_normal((2, 3, 3)), (6, 6))),
-        ("radon_16", Radon(RadonGeometry(image_side=16, n_angles=12, n_bins=24))),
-        ("mask", er.DiagonalMask((rng.uniform(size=9) > 0.3) * 1.0)),
-    ] + bound_cases(rng)
-    worst_norm = 0.0
-    for name, op in norm_cases:
-        est = er.estimate_norm(op, tol=1e-11, max_iters=20000, seed=3)
-        oracle = jacobi_spectral_norm(er.materialize(op))
-        gap = abs(est.value - oracle) / max(oracle, 1.0)
-        worst_norm = max(worst_norm, gap)
-        assert gap < 1e-5, name
-        assert oracle <= op.norm_bound, name
+    assert any(op.kind == "radon" for _, op in default_operator_set(7))
+    results = [adjoint_suite(pairs=100, seed=7), norm_oracle_suite(seed=202, tol=1e-5)]
+    for result in results:
+        assert result.passed, result.detail
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     report("criterion-2 adjoints+norms",
-           f"{len(ops)} operators x 100 pairs, worst adjoint gap "
-           f"{worst:.1e} of 1e-8 budget; norm-vs-Jacobi {worst_norm:.1e}, "
-           f"{len(norm_cases)} bounds above Jacobi ({elapsed:.1f}s)")
+           "; ".join(r.detail for r in results) + f" ({elapsed:.1f}s)")
 
 
 # --- criterion 3: convexity sampling ------------------------------------------
 
 def test_criterion_3_convexity():
     started = time.perf_counter()
-    rng = np.random.default_rng(303)
-    templates = [
-        er.DenseTemplate(input_dim=4, hidden_dims=(5,), readout_dim=3),
-        er.DenseTemplate(input_dim=3, hidden_dims=(4, 4), skip_all=True),
-        er.DenseTemplate(input_dim=4, hidden_dims=(4, 4), skip_all=True,
-                         residual_layers=(2,)),
-        er.DenseTemplate(input_dim=3, hidden_dims=(3,), skip_all=True,
-                         residual_layers=(1,)),
-        er.DenseTemplate(input_dim=2, hidden_dims=(6,), final_activation="identity"),
-        er.ConvPoolDenseTemplate(side=8, filters=2, kernel=3, pool=4, hidden=4),
-    ]
-    checked = 0
-    for s in range(20):
-        spec = er.random_admissible(1000 + s, templates[s % len(templates)])
-        shape = spec.input_shape
-        for _ in range(1000):
-            a = rng.uniform(-2, 2, shape)
-            b = rng.uniform(-2, 2, shape)
-            lam = rng.uniform()
-            fa, _ = er.forward(spec, a)
-            fb, _ = er.forward(spec, b)
-            fm, _ = er.forward(spec, lam * a + (1 - lam) * b)
-            assert fm <= lam * fa + (1 - lam) * fb + 1e-9 * (1 + abs(fa) + abs(fb))
-            checked += 1
+    result = convexity_suite(specs=20, triples=1000, seed=303)
+    assert result.passed, result.detail
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
-    report("criterion-3 convexity",
-           f"{checked} Jensen triples over 20 networks incl. residual variants, "
-           f"zero violations ({elapsed:.1f}s)")
+    report("criterion-3 convexity", f"{result.detail} ({elapsed:.1f}s)")
 
 
 # --- criterion 4: equivalence with the nested problem -------------------------

@@ -65,21 +65,6 @@ def test_blockwise_apply_matches_dense_materialization(rng):
                                atol=1e-12)
 
 
-def test_block_adjoint_identity(rng):
-    spec = er.random_admissible(15, er.ConvPoolDenseTemplate(
-        side=8, filters=2, kernel=3, pool=4, hidden=4))
-    assembly = assemble_blocks(spec)
-    for block in assembly.blocks:
-        op = block.operator.flat()
-        for _ in range(50):
-            u = rng.standard_normal(op.input_shape)
-            w = rng.standard_normal(op.output_shape)
-            lhs = np.vdot(op.apply(u), w)
-            rhs = np.vdot(u, op.adjoint(w))
-            allowance = 1.0 + np.sqrt(np.vdot(u, u) * np.vdot(w, w))
-            assert abs(lhs - rhs) <= 1e-8 * allowance
-
-
 def test_residual_layer_difference_row(rng):
     spec = er.random_admissible(17, er.DenseTemplate(
         input_dim=4, hidden_dims=(4, 4), skip_all=True, residual_layers=(2,)))

@@ -1,17 +1,20 @@
+import contextlib
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import epirecon as er
-from epirecon import linops
+from epirecon import cli, linops, prox
 from epirecon import solver as solver_mod
 from epirecon.cli import (SEEDS, ConfigError, Instance, cmd_solve, cmd_sweep,
                           load_config, main)
 from epirecon.tensor import write_tensor
-from epirecon.verify import adjoint_suite
+from epirecon.verify import adjoint_suite, epigraph_suite, prox_oracle_suite
 
 
 def denoise_config(tmp_path, out_name="out", budget=40):
@@ -209,15 +212,30 @@ def test_verify_command_passes():
     assert main(["verify", "--seed", "1"]) == 0
 
 
-def test_adjoint_suite_catches_injected_sign_flip():
-    class BrokenAdjoint(er.Dense):
-        def _adjoint(self, w):
-            return -super()._adjoint(w)
-
-    bad = BrokenAdjoint(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    result = adjoint_suite([("sabotaged_dense", bad)], pairs=10, seed=0)
+def test_suites_fail_on_a_branch_never_hit_or_a_nan_result(monkeypatch):
+    # one instance misses a shrink branch, three points an epigraph branch
+    result = prox_oracle_suite(instances=1)
     assert not result.passed
-    assert "sabotaged_dense" in result.detail
+    assert re.fullmatch(r"shrink: branch '(above|dead zone|below)' never hit", result.detail)
+    result = epigraph_suite(instances=3)
+    assert not result.passed
+    assert re.fullmatch(r"alpha=0\.0: branch '(inside|right|left|corner)' never hit",
+                        result.detail)
+    monkeypatch.setattr(prox, "soft_shrink", lambda x, thr, center: np.full_like(x, np.nan))
+    result = prox_oracle_suite()
+    assert (result.passed, result.detail) == (False, "shrink off its oracle by nan")
+
+
+def test_adjoint_suite_catches_injected_sign_flip():
+    for broken in (np.negative, lambda w: np.full_like(w, np.nan)):  # a NaN gap fails too
+        class BrokenAdjoint(er.Dense):
+            def _adjoint(self, w):
+                return broken(super()._adjoint(w))
+
+        bad = BrokenAdjoint(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        result = adjoint_suite([("sabotaged_dense", bad)], pairs=10, seed=0)
+        assert not result.passed
+        assert "sabotaged_dense" in result.detail
 
 
 def test_norm_and_adjoint_test_commands(tmp_path, capsys):
@@ -251,6 +269,36 @@ def test_non_finite_head_blob_is_a_weights_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "blob 'head.tnsb' refused" in err and "icnn head" in err
     assert not list(Path(cfg["output_dir"]).glob("*_metrics.csv"))
+
+
+# manifest edit, entry named and message of each malformed weights manifest
+MALFORMED = {
+    "operator_kind": (lambda m: m["layers"][0]["skip"].update(kind="conv3d"),
+                      "layers[0]", "unknown operator kind 'conv3d'"),
+    "activation_kind": (lambda m: m["layers"][0]["activation"].update(kind="tanh"),
+                        "layers[0]", "unknown activation kind 'tanh'"),
+    "compose_chain": (lambda m: m["layers"][1]["carry"]["parts"].reverse(),
+                      "layers[1]", "compose dense -> avgpool2d"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_weights_manifest_exits_2_naming_the_entry(tmp_path, capsys, case):
+    edit, entry, message = MALFORMED[case]
+    spec = er.random_admissible(3, er.ConvPoolDenseTemplate(
+        side=8, filters=2, kernel=3, pool=4, hidden=4))
+    er.save_weights(spec, tmp_path / "w")
+    manifest_path = tmp_path / "w" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    cfg = denoise_config(tmp_path, "out_malformed", budget=5)
+    cfg["weights"] = {"path": str(tmp_path / "w")}
+    for argv in (["norm", str(tmp_path / "w")], ["solve", str(write_config(tmp_path, cfg))]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"manifest.json: {entry} refused" in err and message in err
+    assert not Path(cfg["output_dir"]).exists()
 
 
 def test_missing_weights_dir_is_config_error(tmp_path):
@@ -355,13 +403,17 @@ def test_ct_instance_problem_is_build_problem(tmp_path):
 
 
 NAN = float("nan")
+# a path under "sweep" runs the sweep command, every other path solve
 REFUSED = [(ct_config, ("task", "background"), -5.0),
            (ct_config, ("task", "poisson_scale"), NAN),
            (denoise_config, ("task", "gamma"), NAN),
            (denoise_config, ("task", "lam"), NAN),
            (denoise_config, ("solvers", 0, "scales", "c1"), NAN),
            (denoise_config, ("solvers", 1, "step"), NAN),
-           (denoise_config, ("solvers", 2, "step0"), NAN)]
+           (denoise_config, ("solvers", 2, "step0"), NAN),
+           (denoise_config, ("budget",), 0),
+           (denoise_config, ("reference_multiplier",), 0),
+           (denoise_config, ("sweep", "c2"), [])]
 
 
 @pytest.mark.parametrize("make_config, path, value", REFUSED,
@@ -369,14 +421,38 @@ REFUSED = [(ct_config, ("task", "background"), -5.0),
 def test_refused_value_exits_2_naming_its_field(tmp_path, capsys, make_config, path,
                                                 value):
     cfg = make_config(tmp_path, "out_refused")
+    cfg["sweep"] = {"c1": [1.0], "c2": [0.01]}
     target = cfg
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    assert main(["solve", str(write_config(tmp_path, cfg))]) == 2
+    command = "sweep" if path[0] == "sweep" else "solve"
+    assert main([command, str(write_config(tmp_path, cfg))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path[-1] in err
-    assert not list(Path(cfg["output_dir"]).glob("*_metrics.csv"))
+    assert not list(Path(cfg["output_dir"]).glob("*.csv"))
+
+
+def test_budget_and_jobs_flags_are_bounded(tmp_path, capsys, monkeypatch):
+    sizes = []
+
+    def pool(workers):  # records its worker count and maps serially: starts no process
+        sizes.append(workers)
+        return contextlib.nullcontext(SimpleNamespace(map=lambda fn, work: list(map(fn, work))))
+
+    monkeypatch.setattr(cli, "get_context", lambda method: SimpleNamespace(Pool=pool))
+    cfg = denoise_config(tmp_path, "out_flags", budget=3)
+    cfg["sweep"] = {"c1": [0.5, 1.0, 2.0]}
+    path = str(write_config(tmp_path, cfg))
+    for argv in (["solve", path, "--budget"], ["sweep", path, "--budget"],
+                 ["sweep", path, "--jobs"]):
+        for value in ("0", "-3"):
+            assert main(argv + [value]) == 2
+            assert f"{argv[-1]}: must be at least 1" in capsys.readouterr().err
+    assert not Path(cfg["output_dir"]).exists()
+    for jobs in ("1", "2", "64"):
+        assert main(["sweep", path, "--jobs", jobs]) == 0
+    assert sizes == [2, 3]  # 1 runs serially; 64 starts one worker per combination
 
 
 NOT_NUMBERS = [("solve", ("task", "gamma"), "abc"),

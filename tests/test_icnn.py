@@ -250,21 +250,6 @@ def test_random_admissible_always_validates():
         assert er.validate(spec).ok
 
 
-def test_convexity_jensen_sampling(rng):
-    for seed in range(5):
-        spec = er.random_admissible(seed + 50, er.DenseTemplate(
-            input_dim=3, hidden_dims=(3,), skip_all=True,
-            residual_layers=(1,) if seed % 2 else ()))
-        for _ in range(200):
-            a = rng.uniform(-3, 3, 3)
-            b = rng.uniform(-3, 3, 3)
-            lam = rng.uniform()
-            fa, _ = er.forward(spec, a)
-            fb, _ = er.forward(spec, b)
-            fm, _ = er.forward(spec, lam * a + (1 - lam) * b)
-            assert fm <= lam * fa + (1 - lam) * fb + 1e-9 * (1 + abs(fa) + abs(fb))
-
-
 def test_trace_is_minimal_over_feasible_auxiliaries(rng):
     # every feasible auxiliary stack built above the trace can only raise the
     # final-layer value (the trace is the least element of the feasible set)

@@ -10,7 +10,7 @@ from epirecon.blocks import assemble_blocks
 from epirecon.solver import (CertificationError, DivergenceError, RunMetrics,
                              assemble_problem, compute_step_sizes, initial_state)
 from epirecon.tensor import NonFiniteError
-from epirecon.verify import preconditioned_norm
+from epirecon.verify import icnn_batch_values, preconditioned_norm, refine_grid_minimize
 from conftest import CT12_SCALES, make_ct12_problem, make_relu_1d
 
 
@@ -277,6 +277,27 @@ def test_pdhg_refuses_steps_certified_for_another_forward():
         steps = compute_step_sizes(assemble_blocks(spec, forward=forward))
         with pytest.raises(CertificationError, match="another forward operator"):
             er.pdhg_solve(problem, steps, budget=1)
+
+
+@pytest.mark.parametrize("fidelity, data_term", [
+    (er.l1_fidelity(0.05, dualize=True), lambda r: 0.05 * np.sum(np.abs(r), axis=1)),
+    (er.l2_fidelity(1.5, dualize=True), lambda r: 0.75 * np.sum(r * r, axis=1)),
+], ids=["l1", "l2"])
+def test_pdhg_dualized_fidelity_matches_grid_minimizer(fidelity, data_term):
+    # the conjugate prox runs in its own dual block; grid search as in equivalence_suite
+    spec = er.random_admissible(305, er.DenseTemplate(
+        input_dim=2, hidden_dims=(3,), readout_dim=2))
+    forward = er.Dense([[1.0, 0.5], [-0.3, 1.2], [0.4, -0.7]])
+    y = np.array([0.3, -0.2, 0.5])
+    problem = er.ProblemSpec(fidelity, forward, y, 1.0, spec)
+
+    def objective(points):
+        return data_term(points @ forward.matrix.T - y) + icnn_batch_values(spec, points)
+
+    x_star, f_star = refine_grid_minimize(objective, np.full(2, -3.0), np.full(2, 3.0))
+    state, _ = er.pdhg_solve(problem, budget=5000, metrics_every=0, init_x=np.zeros(2))
+    assert float(objective(state.x[None, :])[0]) - f_star <= 1e-4
+    assert np.max(np.abs(state.x - x_star)) <= 1e-3
 
 
 def test_evaluate_objectives_trace_relations(rng):
