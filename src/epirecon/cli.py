@@ -42,12 +42,12 @@ def _require(mapping, key, where):
 
 @contextlib.contextmanager
 def _refused(where):
-    """Report a plain ValueError or TypeError, a value a builder or conversion
-    refused, as a ConfigError naming `where`; subclasses pass unchanged."""
+    """Report a plain ValueError, TypeError or OverflowError (int of inf), a value
+    a builder or conversion refused, as a ConfigError naming `where`; subclasses pass."""
     try:
         yield
-    except (ValueError, TypeError) as exc:
-        if type(exc) not in (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError) as exc:
+        if type(exc) not in (ValueError, TypeError, OverflowError):
             raise
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -112,8 +112,10 @@ class Instance:
             if budget_override is None else _at_least_one(int(budget_override), "--budget")
         task = _require(config, "task", "config")
         kind = _require(task, "kind", "task")
+        if not isinstance(kind, str) or kind not in TASK_FIELDS:
+            raise ConfigError(f"task: unknown task kind {kind!r}")
         side = _number(int, task, "image_side", "task")
-        fields = {k: _number(float, task, k, "task") for k in TASK_FIELDS.get(kind, ())}
+        fields = {k: _number(float, task, k, "task") for k in TASK_FIELDS[kind]}
         lam = fields.pop("lam", None)
         gamma = _number(float, task, "gamma", "task")
         shape = {k: _number(int, task, k, "task") for k in ("n_angles", "n_bins") if k in task}
@@ -178,7 +180,7 @@ def _method(instance, entry):
     kind = entry.get("kind")
     if kind == "pdhg":
         return instance.steps(entry.get("scales", {}))
-    if kind not in STEP_RULES:
+    if not isinstance(kind, str) or kind not in STEP_RULES:
         raise ConfigError(f"unknown solver kind {kind!r}")
     rule, key = STEP_RULES[kind]
     value = _number(float, entry, key, f"solver entry {kind}")

@@ -373,6 +373,9 @@ def _random_dense(rng, tpl: DenseTemplate) -> IcnnSpec:
 
 
 def _random_conv(rng, tpl: ConvPoolDenseTemplate) -> IcnnSpec:
+    for name, value in (("kernel", tpl.kernel), ("pool", tpl.pool)):
+        if value < 1:  # refused before the filter means and side % pool
+            raise ValueError(f"{name} must be at least 1, got {value}")
     if tpl.side % tpl.pool:
         raise ValueError(f"pool {tpl.pool} does not divide side {tpl.side}")
     filters = rng.normal(0.0, 1.0, (tpl.filters, tpl.kernel, tpl.kernel))

@@ -85,10 +85,11 @@ class Conv2D(LinOp):
     is treated as a single channel; a single-output-channel result is
     squeezed back to 2-d so one-filter convolutions preserve the image shape.
 
-    The window copy and tap planes (0.85 MB each at 64x64, 8 filters 5x5)
-    live in buffers shared by the operators of one geometry: made per call,
-    malloc can unmap them and fault them in again (2.5x a power step). Each
-    call overwrites what it reads; no two threads may share a geometry.
+    The zero-bordered input, window copy and tap planes (0.85 MB each at
+    64x64, 8 filters 5x5) live in buffers shared by the operators of one
+    geometry: made per call, malloc can unmap them and fault them in again
+    (2.5x a power step). Each call overwrites what it reads and never the
+    border; no two threads may share a geometry.
     """
 
     kind = "conv2d"
@@ -112,20 +113,17 @@ class Conv2D(LinOp):
         out_channels = filters.shape[0]
         h, w = input_shape[-2:]
         kh, kw = filters.shape[2:]
-        if kh > h + (kh - 1) // 2 or kw > w + (kw - 1) // 2:
-            raise ValueError(f"kernel {kh}x{kw} too large for input {h}x{w}")
+        if not (1 <= kh <= h + (kh - 1) // 2 and 1 <= kw <= w + (kw - 1) // 2):
+            raise ValueError(f"conv2d kernel must be at least 1x1 and fit input {h}x{w}, "
+                             f"got {kh}x{kw}")
         self.output_shape = (h, w) if out_channels == 1 else (out_channels, h, w)
-        self._cols, self._wide, self._taps = _conv_work(in_channels, out_channels,
-                                                        h, w, kh, kw)
+        self._cols, self._wide, self._taps, self._interior, self._window = _conv_work(
+            in_channels, out_channels, h, w, kh, kw)
 
     def _apply(self, x):
-        kh, kw = self.filters.shape[2:]
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        x = x.reshape((-1,) + x.shape[-2:])  # a 2-d input is one channel
-        padded = np.pad(x, ((0, 0), (ph, kh - 1 - ph), (pw, kw - 1 - pw)))
-        win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-        # tensordot(filters, win, axes=([1, 2, 3], [0, 3, 4])) with a kept window copy
-        np.copyto(self._cols, win.transpose(0, 3, 4, 1, 2))
+        self._interior[...] = x  # a 2-d x broadcasts over the one channel
+        # tensordot(filters, window, axes=([1, 2, 3], [0, 3, 4])) with a kept window copy
+        np.copyto(self._cols, self._window)
         out = np.dot(self.filters.reshape(len(self.filters), -1),
                      self._cols.reshape(self.filters[0].size, -1))
         return out.reshape(self.output_shape)
@@ -165,9 +163,15 @@ class Conv2D(LinOp):
 
 @functools.lru_cache(maxsize=8)
 def _conv_work(c_in, c_out, h, w, kh, kw):
-    """Conv2D work buffers for one geometry; wide's columns past w stay 0."""
+    """Conv2D work buffers for one geometry: window copy, widened output (its
+    columns past w stay 0), tap planes, and the interior and transposed window
+    view of a zero-bordered input (its border stays 0)."""
+    padded = np.zeros((c_in, h + kh - 1, w + kw - 1))
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    window = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
     return (np.zeros((c_in, kh, kw, h, w)), np.zeros((c_out, h, w + kw - 1)),
-            np.zeros((c_in * kh * kw, h * (w + kw - 1))))
+            np.zeros((c_in * kh * kw, h * (w + kw - 1))),
+            padded[:, ph:ph + h, pw:pw + w], window.transpose(0, 3, 4, 1, 2))
 
 
 class AvgPool2D(LinOp):
@@ -196,17 +200,40 @@ class AvgPool2D(LinOp):
         self.norm_bound = 1.0 / np.sqrt(ph * pw)
 
     def _apply(self, x):
+        """mean over the window axes in numpy's order for a C-contiguous x: each
+        run of contiguous entries (a window row, or when pw == w the whole
+        window) summed pairwise, then the runs added in order into zeros."""
         ph, pw = self.pool
         h, w = self.input_shape[-2:]
-        shaped = x.reshape(self.input_shape[:-2] + (h // ph, ph, w // pw, pw))
-        return shaped.mean(axis=(-3, -1))
+        rows, run = (1, ph * pw) if pw == w else (ph, pw)
+        runs = _pairwise_sum(x.reshape(self.input_shape[:-2] + (h // ph, rows, w // pw, run)))
+        return np.add.reduce(runs, axis=-2) / (ph * pw)  # inner loop on w/pw: rows in order
 
     def _adjoint(self, s):
         ph, pw = self.pool
-        out = np.empty(self.input_shape)  # each window's value / (ph pw), spread by broadcast
-        np.divide(s[..., None, :, None], ph * pw,
-                  out=out.reshape(s.shape[:-1] + (ph, s.shape[-1], pw)))
+        out = np.empty(self.input_shape)  # each window's value / (ph pw), one row per band
+        out.reshape(s.shape[:-1] + (ph, out.shape[-1]))[...] = \
+            np.repeat(s / (ph * pw), pw, axis=-1)[..., None, :]
         return out
+
+
+def _pairwise_sum(a):
+    """Sum over the last axis in numpy's pairwise order (its pairwise_sum) as
+    whole-array adds of strided views: below 8 terms in order, up to 128 in 8
+    interleaved partial sums, above split at half rounded down to 8's multiple."""
+    n = a.shape[-1]
+    if n < 8:
+        return sum(a[..., i] for i in range(n))  # from 0, as numpy reduces: -0.0 sums to 0.0
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[..., :half]) + _pairwise_sum(a[..., half:])
+    r = [a[..., j] for j in range(8)]
+    for i in range(8, n - n % 8, 8):
+        r = [r[j] + a[..., i + j] for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(n - n % 8, n):
+        total += a[..., i]
+    return total
 
 
 class DiagonalMask(LinOp):

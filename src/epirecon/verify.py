@@ -51,34 +51,42 @@ def moreau_conjugate_prox(prox_fn, step, xbar):
 
 
 def jacobi_spectral_norm(mat, max_sweeps=100, tol=1e-13):
-    """Largest singular value via cyclic Jacobi on the Gram matrix."""
-    mat = np.asarray(mat, dtype=np.float64)
-    s = mat.T @ mat
-    n = s.shape[0]
+    """Largest singular value by one-sided cyclic Jacobi: rows p, q of B = matᵀ
+    turn by the angle that zeroes entry (p, q) of the Gram matrix B Bᵀ. A sweep
+    meets every pair once in round-robin order (row 0 stays, the rest move one
+    seat per round; an odd n gets a zero row), each round's pairs in adjacent
+    rows, so its disjoint rotations are whole-array updates of two row views."""
+    b = np.asarray(mat, dtype=np.float64).T
+    n = b.shape[0]
     if n == 0:
         return 0.0
-    scale = max(float(np.abs(np.diag(s)).max(initial=0.0)), 1.0)
+    half = (n + 1) // 2
+    b = np.concatenate([b, np.zeros((2 * half - n, b.shape[1]))])
+    scale = max(float(np.einsum("ij,ij->i", b, b).max()), 1.0)
+    def seating(r):  # round r's pairs (ring[k], ring[-1-k]) in rows 2k, 2k+1
+        ring = np.concatenate(([0], np.roll(np.arange(1, 2 * half), r)))
+        return np.stack([ring[:half], ring[::-1][:half]], axis=1).ravel()
+    move = np.argsort(seating(0))[seating(1)]  # the same for every round
+    b = b[seating(0)]
     for _ in range(max_sweeps):
         off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = s[p, q]
-                off = max(off, abs(apq))
-                if abs(apq) <= tol * scale:
-                    continue
-                theta = (s[q, q] - s[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                sn = t * c
-                rot_p = c * s[:, p] - sn * s[:, q]
-                rot_q = sn * s[:, p] + c * s[:, q]
-                s[:, p], s[:, q] = rot_p, rot_q
-                rot_p = c * s[p, :] - sn * s[q, :]
-                rot_q = sn * s[p, :] + c * s[q, :]
-                s[p, :], s[q, :] = rot_p, rot_q
+        for _ in range(2 * half - 1):
+            pairs = b.reshape(half, 2, -1)
+            gpq = np.einsum("ij,ij->i", pairs[:, 0], pairs[:, 1])
+            off = max(off, float(np.abs(gpq).max()))
+            turn = np.flatnonzero(np.abs(gpq) > tol * scale)
+            if turn.size:
+                bp, bq, gpq = pairs[turn, 0], pairs[turn, 1], gpq[turn]
+                theta = (np.einsum("ij,ij->i", bq, bq)
+                         - np.einsum("ij,ij->i", bp, bp)) / (2.0 * gpq)
+                t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(1.0, theta))
+                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                sn = t[:, None] * c
+                pairs[turn, 0], pairs[turn, 1] = c * bp - sn * bq, sn * bp + c * bq
+            b = b[move]
         if off <= tol * scale:
             break
-    return math.sqrt(max(float(np.diag(s).max()), 0.0))
+    return math.sqrt(float(np.einsum("ij,ij->i", b, b).max()))
 
 
 def grid_project_epigraph(alpha, pbar, qbar, rounds=12, pts=41):

@@ -420,6 +420,30 @@ REFUSED = [(ct_config, ("task", "background"), -5.0),
                          ids=[path[-1] for _, path, _ in REFUSED])
 def test_refused_value_exits_2_naming_its_field(tmp_path, capsys, make_config, path,
                                                 value):
+    _assert_refused(tmp_path, capsys, make_config, path, value)
+
+
+# values that ended in a traceback before: int() of a JSON Infinity (an
+# OverflowError), an unhashable kind, a pool that int() turns into 0 (a
+# ZeroDivisionError) and a kernel with a zero side
+TRACEBACKS = {"seed=Infinity": (denoise_config, ("seed",), float("inf")),
+              "hidden=-Infinity": (denoise_config, ("weights", "random", "hidden"),
+                                   -float("inf")),
+              "task kind=[]": (denoise_config, ("task", "kind"), []),
+              "solver kind={}": (denoise_config, ("solvers", 0, "kind"), {}),
+              "pool=0": (denoise_config, ("weights", "random", "pool"), 0),
+              "pool=-0.0": (denoise_config, ("weights", "random", "pool"), -0.0),
+              "pool=1e-300": (denoise_config, ("weights", "random", "pool"), 1e-300),
+              "denoise kernel=0": (denoise_config, ("weights", "random", "kernel"), 0),
+              "ct kernel=0": (ct_config, ("weights", "random", "kernel"), 0)}
+
+
+@pytest.mark.parametrize("case", TRACEBACKS)
+def test_former_traceback_exits_2_naming_its_field(tmp_path, capsys, case):
+    _assert_refused(tmp_path, capsys, *TRACEBACKS[case])
+
+
+def _assert_refused(tmp_path, capsys, make_config, path, value):
     cfg = make_config(tmp_path, "out_refused")
     cfg["sweep"] = {"c1": [1.0], "c2": [0.01]}
     target = cfg

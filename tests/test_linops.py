@@ -62,6 +62,49 @@ def test_conv2d_results_survive_later_calls(rng):
         assert np.array_equal(fx, fresh.apply(x)) and np.array_equal(aw, fresh.adjoint(w))
 
 
+def _pool_cases():
+    """(pool, input shape): square pools 1-17 on 2-d inputs of several windows
+    per row and on 3-d inputs of one window per row (pw == w, where numpy sums
+    each band of rows as one run), non-square pools, a row run above 128."""
+    for p in range(1, 18):
+        yield (p, p), (2 * p, 3 * p)
+        yield (p, p), (3, 2 * p, p)
+    yield from (((5, 6), (2, 10, 24)), ((6, 5), (12, 15)), ((2, 12), (3, 12, 12)),
+                ((12, 2), (24, 6)), ((2, 136), (4, 272)))
+
+
+@pytest.mark.parametrize("pool, shape", list(_pool_cases()))
+def test_avgpool_is_bytewise_mean_and_broadcast_divide(rng, pool, shape):
+    # apply reproduces mean's summation order and the adjoint spreads the same
+    # quotient, so both match the numpy forms byte for byte
+    op = er.AvgPool2D(pool, shape)
+    (ph, pw), (h, w) = pool, shape[-2:]
+    s = rng.standard_normal(op.output_shape)
+    for x in (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4), np.full(shape, -0.0)):
+        mean = x.reshape(shape[:-2] + (h // ph, ph, w // pw, pw)).mean(axis=(-3, -1))
+        assert op.apply(x).tobytes() == mean.tobytes()
+    spread = np.empty(shape)
+    np.divide(s[..., None, :, None], ph * pw,
+              out=spread.reshape(s.shape[:-1] + (ph, s.shape[-1], pw)))
+    assert op.adjoint(s).tobytes() == spread.tobytes()
+
+
+def test_conv2d_of_one_geometry_applied_in_turn_match_their_matrices(rng):
+    # operators of one geometry share the padded window; each call must
+    # rewrite all of it that it reads
+    ops = [er.Conv2D(rng.standard_normal((2, 3, 3)), (5, 6)) for _ in range(2)]
+    mats = [er.materialize(op) for op in ops]
+    for x in rng.standard_normal((3, 5, 6)):
+        for op, mat in zip(ops, mats):
+            assert np.allclose(op.apply(x).ravel(), mat @ x.ravel(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("filters_shape", [(2, 0, 3), (2, 3, 0), (1, 1, 0, 0)])
+def test_conv2d_refuses_a_kernel_with_a_zero_side(filters_shape):
+    with pytest.raises(ValueError, match="kernel must be at least 1x1 and fit"):
+        er.Conv2D(np.zeros(filters_shape), (4, 4))
+
+
 def test_avgpool_rejects_non_divisible():
     with pytest.raises(ValueError, match="does not divide"):
         er.AvgPool2D(3, (8, 8))
