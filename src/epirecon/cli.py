@@ -59,6 +59,13 @@ def _number(convert, mapping, key, where, default=None):
         return convert(value)
 
 
+def _count(value):
+    """int(value) for a count, refusing a bool or a fraction, which int() truncates."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _at_least_one(value, where):
     if value < 1:
         raise ConfigError(f"{where}: must be at least 1, got {value}")
@@ -89,7 +96,8 @@ def _build_weights(cfg, side, seed):
     if arch != "conv_pool_dense":
         raise ConfigError(f"weights: unknown arch {arch!r}")
     defaults = {"filters": 8, "kernel": 5, "pool": 8, "hidden": 16, "alpha": 0.2, "seed_offset": 0}
-    fields = {k: _number(type(d), rnd, k, "weights", d) for k, d in defaults.items()}
+    fields = {k: _number(_count if type(d) is int else float, rnd, k, "weights", d)
+              for k, d in defaults.items()}
     offset = fields.pop("seed_offset")
     with _refused("weights"):
         template = icnn_mod.ConvPoolDenseTemplate(side=side, **fields)
@@ -106,19 +114,19 @@ class Instance:
     """One fully built reconstruction problem plus its provenance."""
 
     def __init__(self, config, seed_override=None, budget_override=None):
-        self.seed = _number(int, config, "seed", "config", 0) \
+        self.seed = _number(_count, config, "seed", "config", 0) \
             if seed_override is None else int(seed_override)
-        self.budget = _at_least_one(_number(int, config, "budget", "config"), "config budget") \
+        self.budget = _at_least_one(_number(_count, config, "budget", "config"), "config budget") \
             if budget_override is None else _at_least_one(int(budget_override), "--budget")
         task = _require(config, "task", "config")
         kind = _require(task, "kind", "task")
         if not isinstance(kind, str) or kind not in TASK_FIELDS:
             raise ConfigError(f"task: unknown task kind {kind!r}")
-        side = _number(int, task, "image_side", "task")
+        side = _number(_count, task, "image_side", "task")
         fields = {k: _number(float, task, k, "task") for k in TASK_FIELDS[kind]}
         lam = fields.pop("lam", None)
         gamma = _number(float, task, "gamma", "task")
-        shape = {k: _number(int, task, k, "task") for k in ("n_angles", "n_bins") if k in task}
+        shape = {k: _number(_count, task, k, "task") for k in ("n_angles", "n_bins") if k in task}
         weights = _build_weights(_require(config, "weights", "config"), side,
                                  self.seed + SEEDS["weights"])
         with _refused("task"):
@@ -139,7 +147,7 @@ class Instance:
         self.record_timing = bool(config.get("record_timing", False))
         self.rel_error_target = _number(float, config, "rel_error_target", "config", 1e-3)
         self.reference_multiplier = _at_least_one(_number(
-            int, config, "reference_multiplier", "config", 10), "config reference_multiplier")
+            _count, config, "reference_multiplier", "config", 10), "config reference_multiplier")
         with _refused("weights"):
             self.assembly = solver_mod.assemble_problem(self.problem)
 

@@ -169,8 +169,8 @@ def l2_fidelity(weight=1.0, dualize=False):
     return L2Fidelity(weight, dualize)
 
 
-def kl_fidelity(background, dualize=True):
-    return KLFidelity(dualize=dualize, background=background)
+def kl_fidelity(background):
+    return KLFidelity(dualize=True, background=background)
 
 
 @dataclass(frozen=True)
@@ -355,8 +355,6 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norm_seed=None) -> 
 class SaddleState:
     x: np.ndarray
     z: list
-    x_relaxed: np.ndarray
-    z_relaxed: list
     duals: list  # one list of row arrays per dual block
     iteration: int = 0
 
@@ -366,44 +364,40 @@ CSV_HEADER = "iter,objective_P,objective_P1,data_term,reg_term,feasibility,psnr,
 
 @dataclass
 class RunMetrics:
-    """Per-iteration records of one solver run."""
+    """Per-iteration records of one solver run, one row per recorded
+    iteration in CSV column order; psnr is NaN without a ground truth, and
+    seconds count from `started`."""
 
-    iterations: list = field(default_factory=list)
-    objective: list = field(default_factory=list)
-    reformulated: list = field(default_factory=list)
-    data_term: list = field(default_factory=list)
-    reg_term: list = field(default_factory=list)
-    feasibility: list = field(default_factory=list)
-    psnr: list = field(default_factory=list)
-    seconds: list = field(default_factory=list)
+    ground_truth: np.ndarray = None
+    started: float = field(default_factory=time.perf_counter)
+    rows: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
 
-    def record(self, iteration, report: ObjectiveReport, psnr_value, elapsed):
-        self.iterations.append(int(iteration))
-        self.objective.append(report.primal)
-        self.reformulated.append(report.reformulated)
-        self.data_term.append(report.data_term)
-        self.reg_term.append(report.reg_term)
-        self.feasibility.append(report.feasibility)
-        self.psnr.append(float("nan") if psnr_value is None else psnr_value)
-        self.seconds.append(elapsed)
+    def record(self, iteration, report: ObjectiveReport, x):
+        value = float("nan")
+        if self.ground_truth is not None:
+            from .tasks import psnr  # tasks imports this module
+            value = psnr(x, self.ground_truth)
+        self.rows.append((int(iteration), report.primal, report.reformulated,
+                          report.data_term, report.reg_term, report.feasibility,
+                          value, time.perf_counter() - self.started))
+
+    # read-only columns: tuples, so that an append fails loudly
+    iterations = property(lambda self: tuple(row[0] for row in self.rows))
+    objective = property(lambda self: tuple(row[1] for row in self.rows))
+    feasibility = property(lambda self: tuple(row[5] for row in self.rows))
+    psnr = property(lambda self: tuple(row[6] for row in self.rows))
 
     def running_min_objective(self):
-        return list(np.minimum.accumulate(self.objective)) if self.objective else []
-
-    def rows(self, timing=False):
-        for k in range(len(self.iterations)):
-            secs = self.seconds[k] if timing else 0.0
-            yield (self.iterations[k], self.objective[k], self.reformulated[k],
-                   self.data_term[k], self.reg_term[k], self.feasibility[k],
-                   self.psnr[k], secs)
+        return list(np.minimum.accumulate(self.objective)) if self.rows else []
 
     def write_csv(self, path, timing=False):
         """Deterministic CSV: 17 significant digits, timing zeroed unless asked."""
         with open(path, "w") as fh:
             fh.write(CSV_HEADER + "\n")
-            for row in self.rows(timing=timing):
-                fh.write(f"{row[0]}," + ",".join(f"{v:.17g}" for v in row[1:]) + "\n")
+            for iteration, *values, seconds in self.rows:
+                values.append(seconds if timing else 0.0)
+                fh.write(f"{iteration}," + ",".join(f"{v:.17g}" for v in values) + "\n")
 
 
 # --- initialization -----------------------------------------------------------
@@ -432,26 +426,7 @@ def initial_state(problem: ProblemSpec, assembly: BlockAssembly,
     x0 = as_tensor(init_x) if init_x is not None else default_initial_image(problem)
     _, trace = icnn_mod.forward(problem.regularizer, x0)  # checks x0's shape
     duals = [[np.zeros(s) for s in block.operator.output_shapes] for block in assembly.blocks]
-    return SaddleState(x=x0, z=[t.copy() for t in trace],
-                       x_relaxed=x0.copy(), z_relaxed=[t.copy() for t in trace],
-                       duals=duals)
-
-
-def _check_finite(state: SaddleState, iteration):
-    """Names the first iterate the state holds that is not finite. K u is
-    not scanned: a clipping dual prox can map its overflow back to finite
-    duals, which is why the relaxed points are checked here."""
-    for prefix, x, z in (("", state.x, state.z),
-                         ("relaxed ", state.x_relaxed, state.z_relaxed)):
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(iteration, f"{prefix}primal image")
-        for j, zj in enumerate(z, start=1):
-            if not np.all(np.isfinite(zj)):
-                raise DivergenceError(iteration, f"{prefix}auxiliary block {j}")
-    for bi, rows in enumerate(state.duals):
-        for arr in rows:
-            if not np.all(np.isfinite(arr)):
-                raise DivergenceError(iteration, f"dual block {bi}")
+    return SaddleState(x=x0, z=[t.copy() for t in trace], duals=duals)
 
 
 # --- the solve plan -----------------------------------------------------------
@@ -461,11 +436,13 @@ class SolvePlan:
 
     One private flat buffer holds the primal slots u = (x, z_1, ...), their
     relaxed points and the duals, so that the divergence guard is one
-    reduction. step() only does arithmetic, written through out= into
-    buffers the plan owns, in the floating-point order of the three-phase
-    update: each block's adjoint is summed into a zeroed buffer and then
-    added to the gradient, and each dual prox gets c + sigma * (K u_bar).
-    The blocks run one after another, so they share their work buffers.
+    reduction that names a failed iterate from its offset. The relaxed
+    points start at zero: step() writes them before it reads them. step()
+    only does arithmetic, written through out= into buffers the plan owns,
+    in the floating-point order of the three-phase update: each block's
+    adjoint is summed into a zeroed buffer and then added to the gradient,
+    and each dual prox gets c + sigma * (K u_bar). The blocks run one after
+    another, so they share their work buffers.
     Nothing is checked per iteration: the steps were certified, the
     fidelity's data were checked when its ProblemSpec was built, and the
     readout cap is checked here.
@@ -474,10 +451,11 @@ class SolvePlan:
     def __init__(self, problem: ProblemSpec, steps: StepSizes, state: SaddleState):
         assembly = steps.assembly
         shapes = assembly.primal_shapes
-        n = sum(math.prod(s) for s in shapes)
+        sizes = [math.prod(s) for s in shapes]
+        n = sum(sizes)
         dual_sizes = [sum(math.prod(s) for s in block.operator.output_shapes)
                       for block in assembly.blocks]
-        self.buf = np.empty(2 * n + sum(dual_sizes))
+        self.buf = np.zeros(2 * n + sum(dual_sizes))
         self.finite = np.empty(self.buf.shape, dtype=bool)
         self.u_flat, self.relaxed_flat, *dual_flats = split(
             self.buf, [(n,), (n,)] + [(d,) for d in dual_sizes])
@@ -485,13 +463,15 @@ class SolvePlan:
         self.relaxed = split(self.relaxed_flat, shapes)
         self.duals = [split(flat, block.operator.output_shapes)
                       for flat, block in zip(dual_flats, assembly.blocks)]
-        for dst, src in zip(self.u + self.relaxed,
-                            [state.x, *state.z, state.x_relaxed, *state.z_relaxed]):
+        for dst, src in zip(self.u + [d for rows in self.duals for d in rows],
+                            [state.x, *state.z, *(d for rows in state.duals for d in rows)]):
             np.copyto(dst, src)
-        for dst_rows, src_rows in zip(self.duals, state.duals):
-            for dst, src in zip(dst_rows, src_rows):
-                np.copyto(dst, src)
         self.iteration = state.iteration
+        # the iterate each stretch of the buffer belongs to, in buffer order
+        slots = ["primal image"] + [f"auxiliary block {j}" for j in range(1, len(shapes))]
+        self.names = slots + [f"relaxed {name}" for name in slots] + \
+            [f"dual block {bi}" for bi in range(len(dual_sizes))]
+        self.ends = np.cumsum(sizes + sizes + dual_sizes)
 
         # the primal phase (gradient, adjoint sums) and the dual phase (tilde,
         # scaled) of an iteration never overlap, so they share one buffer
@@ -573,14 +553,16 @@ class SolvePlan:
     def view(self) -> SaddleState:
         """The iterates as views into the plan's buffer."""
         x, *z = self.u
-        x_relaxed, *z_relaxed = self.relaxed
-        return SaddleState(x, z, x_relaxed, z_relaxed, self.duals, self.iteration)
+        return SaddleState(x, z, self.duals, self.iteration)
 
     def guard(self):
-        """One reduction over every iterate; the per-array scan runs only
-        when it fails, to name the iterate that is not finite."""
+        """One reduction over every iterate; when it fails, the first entry
+        that is not finite names its iterate. K u is not checked: a clipping
+        dual prox can map its overflow back to finite duals, which is why the
+        relaxed points are."""
         if not np.isfinite(self.buf, out=self.finite).all():
-            _check_finite(self.view(), self.iteration)
+            where = np.searchsorted(self.ends, np.argmin(self.finite), side="right")
+            raise DivergenceError(self.iteration, self.names[where])
 
 
 # --- the solver ---------------------------------------------------------------
@@ -610,28 +592,21 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
         raise CertificationError("step sizes were certified for another forward operator")
     plan = SolvePlan(problem, steps, init if init is not None
                      else initial_state(problem, assembly, init_x))
-    from .tasks import psnr as psnr_fn
+    metrics = RunMetrics(ground_truth, notes={"solver": "pdhg", "step_sizes": steps})
 
-    metrics = RunMetrics()
-    metrics.notes["solver"] = "pdhg"
-    metrics.notes["step_sizes"] = steps
-    started = time.perf_counter()
-
-    def observe(iteration):
-        x = plan.u[0]
-        report = evaluate_objectives(problem, x, plan.u[1:])
-        pv = psnr_fn(x, ground_truth) if ground_truth is not None else None
-        metrics.record(iteration, report, pv, time.perf_counter() - started)
+    def observe():
+        x, *z = plan.u
+        metrics.record(plan.iteration, evaluate_objectives(problem, x, z), x)
 
     plan.guard()
-    observe(plan.iteration)
+    observe()
     for _ in range(budget):
         plan.step()
         plan.guard()
         if metrics_every and plan.iteration % metrics_every == 0:
-            observe(plan.iteration)
-    if metrics.iterations[-1] != plan.iteration:
-        observe(plan.iteration)
+            observe()
+    if metrics.rows[-1][0] != plan.iteration:
+        observe()
     final = plan.view()
     del plan  # frees the work buffers before the iterates are copied out
     return copy.deepcopy(final), metrics
@@ -683,26 +658,16 @@ def subgradient_solve(problem: ProblemSpec, mode, *, budget: int, init_x=None,
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     x = as_tensor(init_x) if init_x is not None else default_initial_image(problem)
-    from .tasks import psnr as psnr_fn
-
-    metrics = RunMetrics()
-    metrics.notes["solver"] = mode.label()
-    started = time.perf_counter()
-
-    def observe(iteration, current, data_value, reg_value):
-        reg_term = problem.reg_weight * reg_value
-        total = data_value + reg_term
-        report = ObjectiveReport(total, total, 0.0, data_value, reg_term,
-                                 not np.isfinite(data_value))
-        pv = psnr_fn(current, ground_truth) if ground_truth is not None else None
-        metrics.record(iteration, report, pv, time.perf_counter() - started)
-
+    metrics = RunMetrics(ground_truth, notes={"solver": mode.label()})
     for k in range(budget + 1):
         fwd = problem.apply_forward(x)
         reg_value, reg_grad = icnn_mod.value_and_subgradient(problem.regularizer, x)
         if (metrics_every and k % metrics_every == 0) or k in (0, budget):
             data_value, _ = problem.fidelity.value(fwd, problem.measurement)
-            observe(k, x, data_value, reg_value)
+            reg_term = problem.reg_weight * reg_value
+            total = data_value + reg_term
+            metrics.record(k, ObjectiveReport(total, total, 0.0, data_value, reg_term,
+                                              not np.isfinite(data_value)), x)
         if k == budget:
             break
         try:
@@ -730,7 +695,7 @@ def iterations_to_threshold(metrics: RunMetrics, reference_value: float,
     """First recorded iteration whose objective crosses the relative-error
     threshold, or None; returns (iteration, used_absolute_fallback)."""
     absolute = abs(reference_value) <= _REFERENCE_FLOOR
-    for it, value in zip(metrics.iterations, metrics.objective):
+    for it, value, *_ in metrics.rows:
         if absolute:
             hit = abs(value - reference_value) < target_rel_error
         else:

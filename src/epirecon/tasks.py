@@ -171,16 +171,18 @@ def build_problem(task: TaskConfig, truth, regularizer, reg_weight, lam=None,
 
 
 def psnr(x: np.ndarray, reference: np.ndarray, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / MSE); +inf sentinel for an exact match."""
+    """10 log10(peak^2 / MSE); +inf for an exact match, -inf past the float range."""
     x = np.asarray(x, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     check_shape(x, reference.shape, "psnr")
     if peak <= 0.0:
         raise ValueError(f"peak must be positive, got {peak}")
-    mse = float(np.mean((x - reference) ** 2))
+    with np.errstate(over="ignore"):
+        mse = float(np.mean((x - reference) ** 2))
     if mse == 0.0:
         return float("inf")
-    return 10.0 * math.log10(peak * peak / mse)
+    ratio = peak * peak / mse  # 0 when the MSE overflowed or dwarfs peak^2
+    return 10.0 * math.log10(ratio) if ratio != 0.0 else -float("inf")
 
 
 def fbp(geometry: RadonGeometry, sinogram: np.ndarray) -> np.ndarray:

@@ -425,7 +425,8 @@ def test_refused_value_exits_2_naming_its_field(tmp_path, capsys, make_config, p
 
 # values that ended in a traceback before: int() of a JSON Infinity (an
 # OverflowError), an unhashable kind, a pool that int() turns into 0 (a
-# ZeroDivisionError) and a kernel with a zero side
+# ZeroDivisionError) and a kernel with a zero side; and counts that int()
+# truncated into another network, which exited 0
 TRACEBACKS = {"seed=Infinity": (denoise_config, ("seed",), float("inf")),
               "hidden=-Infinity": (denoise_config, ("weights", "random", "hidden"),
                                    -float("inf")),
@@ -435,12 +436,25 @@ TRACEBACKS = {"seed=Infinity": (denoise_config, ("seed",), float("inf")),
               "pool=-0.0": (denoise_config, ("weights", "random", "pool"), -0.0),
               "pool=1e-300": (denoise_config, ("weights", "random", "pool"), 1e-300),
               "denoise kernel=0": (denoise_config, ("weights", "random", "kernel"), 0),
-              "ct kernel=0": (ct_config, ("weights", "random", "kernel"), 0)}
+              "ct kernel=0": (ct_config, ("weights", "random", "kernel"), 0),
+              "filters=2.5": (denoise_config, ("weights", "random", "filters"), 2.5),
+              "hidden=true": (denoise_config, ("weights", "random", "hidden"), True)}
 
 
 @pytest.mark.parametrize("case", TRACEBACKS)
 def test_former_traceback_exits_2_naming_its_field(tmp_path, capsys, case):
     _assert_refused(tmp_path, capsys, *TRACEBACKS[case])
+
+
+def test_ct_at_a_vanishing_count_scale_reports_minus_inf_psnr(tmp_path):
+    # the normalized problem is O(1e300): the squared error of the image
+    # overflows, which psnr reports as -inf; a small c0 keeps the KL dual in range
+    cfg = ct_config(tmp_path)
+    cfg["task"]["poisson_scale"] = 1e-300
+    cfg["solvers"][0]["scales"]["c0"] = 1e-200
+    assert main(["solve", str(write_config(tmp_path, cfg))]) == 0
+    summary = json.loads((Path(cfg["output_dir"]) / "summary.json").read_text())
+    assert summary["solvers"]["pdhg0"]["final_psnr"] == "-inf"
 
 
 def _assert_refused(tmp_path, capsys, make_config, path, value):

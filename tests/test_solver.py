@@ -5,9 +5,8 @@ import pytest
 
 import epirecon as er
 from epirecon import prox
-from epirecon import solver as solver_mod
 from epirecon.blocks import assemble_blocks
-from epirecon.solver import (CertificationError, DivergenceError, RunMetrics,
+from epirecon.solver import (CertificationError, DivergenceError, KLFidelity, RunMetrics,
                              assemble_problem, compute_step_sizes, initial_state)
 from epirecon.tensor import NonFiniteError
 from epirecon.verify import icnn_batch_values, preconditioned_norm, refine_grid_minimize
@@ -171,41 +170,32 @@ def test_pdhg_guard_catches_relaxed_point_overflow():
         er.pdhg_solve(problem, budget=5, init=state, metrics_every=0)
 
 
-def count_locating_scans(monkeypatch):
-    """Iterations at which the guard's per-array scan ran."""
-    calls = []
-    real = solver_mod._check_finite
-
-    def counting(state, iteration):
-        calls.append(iteration)
-        return real(state, iteration)
-
-    monkeypatch.setattr(solver_mod, "_check_finite", counting)
-    return calls
+def depth3_dualized_problem():
+    spec = er.random_admissible(3, er.DenseTemplate(input_dim=3, hidden_dims=(4, 5),
+                                                    readout_dim=2))
+    forward = er.Dense(np.random.default_rng(4).uniform(-1.0, 1.0, (2, 3)))
+    return er.ProblemSpec(er.l2_fidelity(dualize=True), forward, np.zeros(2), 0.3, spec)
 
 
-def test_pdhg_guard_scans_only_after_the_reduction_fails(monkeypatch):
-    calls = count_locating_scans(monkeypatch)
-    spec = make_relu_1d()
-    problem = er.ProblemSpec(er.l2_fidelity(), None, np.array([2.0]), 1.0, spec)
-    er.pdhg_solve(problem, budget=50, init_x=np.array([1.0]), metrics_every=0)
-    assert calls == []
-    assembly = assemble_blocks(spec)
-    nan_image = initial_state(problem, assembly, init_x=np.array([1.0]))
-    nan_image.x[0] = np.nan
-    inf_dual = initial_state(problem, assembly, init_x=np.array([1.0]))
-    inf_dual.duals[0][0][0] = np.inf
-    for state in (nan_image, inf_dual):
-        with pytest.raises(DivergenceError):
-            er.pdhg_solve(problem, budget=5, init=state, metrics_every=0)
-        assert calls == [0]
-        calls.clear()
-    l1_problem = er.ProblemSpec(er.l1_fidelity(0.1), None, np.array([2.0]), 1.0, spec)
-    overflow = initial_state(l1_problem, assembly, init_x=np.array([1.0]))
-    overflow.duals[0][0][0] = 1e308
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError):
-        er.pdhg_solve(l1_problem, budget=5, init=overflow, metrics_every=0)
-    assert calls == [1]
+# the arrays of each iterate in the init state, under the name the guard
+# gives it: the image, both auxiliaries, the fidelity block and the layer blocks
+POISONED = {"primal image": lambda state: [state.x],
+            "auxiliary block 1": lambda state: [state.z[0]],
+            "auxiliary block 2": lambda state: [state.z[1]],
+            **{f"dual block {b}": (lambda state, b=b: state.duals[b]) for b in range(4)}}
+
+
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("name", POISONED)
+def test_pdhg_guard_names_a_poisoned_iterate_from_its_offset(name, position):
+    problem = depth3_dualized_problem()
+    assembly = assemble_problem(problem)
+    assert len(assembly.blocks) == 4 and len(assembly.primal_shapes) == 3
+    state = initial_state(problem, assembly)
+    POISONED[name](state)[position].flat[position] = np.nan  # first or last entry
+    with pytest.raises(DivergenceError) as info:
+        er.pdhg_solve(problem, budget=3, init=state, metrics_every=0)
+    assert (info.value.where, info.value.iteration) == (name, 0)
 
 
 def dense_problem():
@@ -222,8 +212,7 @@ def test_pdhg_warm_restart_continues_the_run_bitwise(make):
     steps = compute_step_sizes(assemble_problem(problem), scales=scales)
 
     def saddle_bytes(state):
-        arrays = [state.x, *state.z, state.x_relaxed, *state.z_relaxed,
-                  *(d for rows in state.duals for d in rows)]
+        arrays = [state.x, *state.z, *(d for rows in state.duals for d in rows)]
         return [a.tobytes() for a in arrays]
 
     whole, _ = er.pdhg_solve(problem, steps, budget=70, metrics_every=0)
@@ -416,22 +405,24 @@ def test_smd_running_min_settles_on_desk_instance():
     assert max(tail) - min(tail) <= 1e-4 * (1.0 + abs(tail[-1]))
 
 
+def objective_record(values):
+    """RunMetrics with the given objectives at iterations 0, 1, ..."""
+    return RunMetrics(rows=[(k, v, v, v, 0.0, 0.0, float("nan"), 0.0)
+                            for k, v in enumerate(values)])
+
+
 def test_running_min_non_increasing(rng):
-    metrics = RunMetrics()
     values = rng.uniform(0, 1, 50)
-    for k, v in enumerate(values):
-        metrics.iterations.append(k)
-        metrics.objective.append(float(v))
+    metrics = objective_record([float(v) for v in values])
     rm = metrics.running_min_objective()
     assert np.all(np.diff(rm) <= 0.0 + 1e-15)
     assert rm == list(np.minimum.accumulate(values))
+    with pytest.raises(AttributeError):  # columns are read-only tuples
+        metrics.objective.append(0.0)
 
 
 def test_iterations_to_threshold_first_crossing():
-    metrics = RunMetrics()
-    for k, v in enumerate([2.0, 1.5, 1.0009, 1.0005, 1.0001, 1.00005]):
-        metrics.iterations.append(k)
-        metrics.objective.append(v)
+    metrics = objective_record([2.0, 1.5, 1.0009, 1.0005, 1.0001, 1.00005])
     hit, used_abs = er.iterations_to_threshold(metrics, 1.0, 1e-3)
     assert hit == 2 and not used_abs  # fires at the first crossing only
     miss, _ = er.iterations_to_threshold(metrics, 1.0, 1e-6)
@@ -440,10 +431,7 @@ def test_iterations_to_threshold_first_crossing():
 
 def test_stop_rule_absolute_fallback_flagged():
     # a numerically zero reference falls back to an absolute test, flagged
-    metrics = RunMetrics()
-    for k, v in enumerate([2e-3, 5e-4]):
-        metrics.iterations.append(k)
-        metrics.objective.append(v)
+    metrics = objective_record([2e-3, 5e-4])
     hit, used_abs = er.iterations_to_threshold(metrics, 0.0, 1e-3)
     assert hit == 1 and used_abs
 
@@ -470,7 +458,7 @@ def test_pdhg_bitwise_deterministic():
 def test_problem_spec_validation():
     spec = make_relu_1d()
     with pytest.raises(ValueError, match="kl fidelity has no primal prox"):
-        er.kl_fidelity(np.array([1.0]), dualize=False)
+        KLFidelity(dualize=False, background=np.array([1.0]))
     with pytest.raises(ValueError, match="identity forward"):
         er.ProblemSpec(er.l1_fidelity(0.1), er.Dense([[2.0]]), np.array([1.0]),
                        1.0, spec)

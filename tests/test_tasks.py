@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,18 @@ def test_psnr_formulas():
     assert abs(er.psnr((x + 0.1) * 255.0, x * 255.0, peak=255.0) - offset) < 1e-9
     with pytest.raises(Exception):
         er.psnr(x, x[:8])
+
+
+def test_psnr_is_minus_inf_past_the_float_range():
+    zero = np.zeros(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        assert er.psnr(np.full(4, 1e200), zero) == -float("inf")  # the MSE overflows
+        assert er.psnr(np.full(4, 1e-3), zero, peak=1e-200) == -float("inf")  # peak^2 is 0
+        # the same formula just inside the range
+        assert er.psnr(np.full(4, 1e150), zero) == 10.0 * math.log10(1.0 / 1e300)
+        assert er.psnr(np.full(4, 1e-3), zero, peak=1e-160) == \
+            10.0 * math.log10(1e-160 * 1e-160 / 1e-6)
 
 
 def test_ct_counts_nonnegative_and_deterministic():
