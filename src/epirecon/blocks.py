@@ -34,7 +34,6 @@ class BlockOperator:
         self.rows = tuple(rows)
         self.input_shapes = tuple(tuple(s) for s in input_shapes)
         self.output_shapes = tuple(row.output_shape for row in self.rows)
-        self.slots = tuple(sorted({slot for row in self.rows for slot, _ in row.entries}))
         for row in self.rows:
             for slot, op in row.entries:
                 if tuple(op.input_shape) != self.input_shapes[slot]:
@@ -60,16 +59,12 @@ class BlockOperator:
         return out
 
     def adjoint(self, ws, out=None):
-        """One array per primal slot, zero where no row touches it. Written
-        into out when given; there only the touched slots (self.slots) are
-        written, and the others keep what they hold."""
+        """One array per primal slot, zero where no row touches it; when out
+        (one array per slot) is given, the adjoint is added into it."""
         if len(ws) != len(self.rows):
             raise ValueError(f"expected {len(self.rows)} dual rows, got {len(ws)}")
         if out is None:
             out = [np.zeros(shape) for shape in self.input_shapes]
-        else:
-            for slot in self.slots:
-                out[slot].fill(0.0)
         for row, w in zip(self.rows, ws):
             for slot, op in row.entries:  # each entry's adjoint checks w's shape
                 out[slot] += op.adjoint(w)
@@ -110,16 +105,17 @@ class FlatBlockOperator(LinOp):
 
 @dataclass(frozen=True)
 class ConstraintBlock:
-    """One dual block: its operator, bias shift and prox family.
+    """One dual block: its operator, layer bias and prox family.
 
     kind is "fidelity" (measurement operator row), "epigraph" (activation
     epigraph constraint of a hidden layer) or "readout" (final-layer term).
-    shift holds the layer bias per row (zero on identity rows).
+    bias is the layer bias, which shifts the preactivation row; the
+    fidelity block has none.
     """
 
     kind: str
     operator: BlockOperator
-    shift: tuple
+    bias: np.ndarray = None
     negative_slope: float = 0.0
 
 
@@ -134,7 +130,7 @@ class BlockAssembly:
 
 
 def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
-    """Build the dual blocks (and bias shifts) for the stacked primal.
+    """Build the dual blocks for the stacked primal.
 
     forward, when given, contributes the leading measurement block for a
     dualized data term. Residual layers turn the identity row into a
@@ -153,8 +149,7 @@ def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
         row = BlockRow(((0, forward),), tuple(forward.output_shape))
         blocks.append(ConstraintBlock(
             kind="fidelity",
-            operator=BlockOperator([row], primal_shapes),
-            shift=(np.zeros(forward.output_shape),)))
+            operator=BlockOperator([row], primal_shapes)))
     depth = spec.depth
     for i, layer in enumerate(spec.layers, start=1):
         entries = []
@@ -172,7 +167,7 @@ def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
             blocks.append(ConstraintBlock(
                 kind="epigraph",
                 operator=BlockOperator([pre_row, aux_row], primal_shapes),
-                shift=(layer.bias, np.zeros(layer.output_shape)),
+                bias=layer.bias,
                 negative_slope=layer.activation.negative_slope))
         else:
             if layer.residual:
@@ -182,6 +177,6 @@ def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
             blocks.append(ConstraintBlock(
                 kind="readout",
                 operator=BlockOperator([pre_row], primal_shapes),
-                shift=(layer.bias,),
+                bias=layer.bias,
                 negative_slope=layer.activation.negative_slope))
     return BlockAssembly(tuple(blocks), tuple(primal_shapes), spec, forward)

@@ -440,9 +440,9 @@ class SolvePlan:
     points start at zero: step() writes them before it reads them. step()
     only does arithmetic, written through out= into buffers the plan owns,
     in the floating-point order of the three-phase update: each block's
-    adjoint is summed into a zeroed buffer and then added to the gradient,
-    and each dual prox gets c + sigma * (K u_bar). The blocks run one after
-    another, so they share their work buffers.
+    adjoint is added into the zeroed gradient, and each dual prox gets
+    c + sigma * (K u_bar). The blocks run one after another, so they share
+    their work buffers.
     Nothing is checked per iteration: the steps were certified, the
     fidelity's data were checked when its ProblemSpec was built, and the
     readout cap is checked here.
@@ -473,13 +473,12 @@ class SolvePlan:
             [f"dual block {bi}" for bi in range(len(dual_sizes))]
         self.ends = np.cumsum(sizes + sizes + dual_sizes)
 
-        # the primal phase (gradient, adjoint sums) and the dual phase (tilde,
-        # scaled) of an iteration never overlap, so they share one buffer
+        # the primal phase (gradient) and the dual phase (tilde, scaled) of
+        # an iteration never overlap, so they share one buffer
         most = max(dual_sizes)
-        work = np.empty(max(2 * n, 2 * most))
+        work = np.empty(max(n, 2 * most))
         self.grad = work[:n]
         self.grads = split(self.grad, shapes)
-        self.adjoint = split(work[n:2 * n], shapes)  # each block writes its slots
         self.tau = steps.tau
         self.blocks = [(block.operator, rows) for block, rows in zip(assembly.blocks,
                                                                      self.duals)]
@@ -502,7 +501,7 @@ class SolvePlan:
         tilde_rows = split(tilde, op.output_shapes)
         if block.kind == "epigraph":
             # rows = tilde - sigma * (P(tilde / sigma + bias) - bias), P the projection
-            bias = block.shift[0]
+            bias = block.bias
             pbar, qbar = split(scaled, op.output_shapes)
             project = prox.epigraph_kernel(block.negative_slope, pbar.shape)
 
@@ -516,7 +515,7 @@ class SolvePlan:
         else:
             kernel = (problem.fidelity.dual_kernel(sigma, problem.measurement)
                       if block.kind == "fidelity" else
-                      prox.readout_kernel(sigma, cap, block.shift[0], block.negative_slope))
+                      prox.readout_kernel(sigma, cap, block.bias, block.negative_slope))
 
             def dual_prox():
                 kernel(tilde_rows[0], rows[0])
@@ -530,12 +529,10 @@ class SolvePlan:
 
     def step(self):
         """One iteration: primal step, extrapolation by 1, dual proxes."""
-        grad, grads, adj = self.grad, self.grads, self.adjoint
+        grad, grads = self.grad, self.grads
         grad.fill(0.0)
         for op, rows in self.blocks:
-            op.adjoint(rows, out=adj)
-            for slot in op.slots:
-                np.add(grads[slot], adj[slot], out=grads[slot])
+            op.adjoint(rows, out=grads)
         for g, t in zip(grads, self.tau):
             np.multiply(g, t, out=g)
         np.subtract(self.u_flat, grad, out=grad)  # the new u, x before its prox

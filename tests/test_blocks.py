@@ -27,13 +27,12 @@ def test_two_layer_block_structure(rng):
     out, = k2.operator.apply([x, z1])
     expected = spec.layers[1].skip.apply(x) + spec.layers[1].carry.apply(z1)
     assert np.allclose(out, expected)
-    # bias shifts carry (b0, 0) and b1
-    assert np.array_equal(k1.shift[0], spec.layers[0].bias)
-    assert not np.any(k1.shift[1])
-    assert np.array_equal(k2.shift[0], spec.layers[1].bias)
-    # shifted block rows reproduce the layerwise constraint left-hand sides
-    assert np.allclose(p + k1.shift[0], spec.layers[0].preactivation(x, None))
-    assert np.allclose(out + k2.shift[0], spec.layers[1].preactivation(x, z1))
+    # each block keeps its layer's bias
+    assert np.array_equal(k1.bias, spec.layers[0].bias)
+    assert np.array_equal(k2.bias, spec.layers[1].bias)
+    # bias-shifted preactivation rows reproduce the layerwise constraint left-hand sides
+    assert np.allclose(p + k1.bias, spec.layers[0].preactivation(x, None))
+    assert np.allclose(out + k2.bias, spec.layers[1].preactivation(x, z1))
 
 
 def test_fidelity_block_prepended(rng):
@@ -41,6 +40,7 @@ def test_fidelity_block_prepended(rng):
     fwd = er.Dense(rng.standard_normal((5, 3)))
     assembly = assemble_blocks(spec, forward=fwd)
     assert assembly.blocks[0].kind == "fidelity"
+    assert assembly.blocks[0].bias is None
     x = rng.standard_normal(3)
     out, = assembly.blocks[0].operator.apply([x, np.zeros(4)])
     assert np.allclose(out, fwd.apply(x))
@@ -63,6 +63,11 @@ def test_blockwise_apply_matches_dense_materialization(rng):
             adj = np.concatenate([a.ravel() for a in block.operator.adjoint(ws)])
             assert np.allclose(adj, mat.T @ np.concatenate([w.ravel() for w in ws]),
                                atol=1e-12)
+            # given out, the adjoint is added into what out holds
+            filled = [rng.standard_normal(s) for s in block.operator.input_shapes]
+            out = block.operator.adjoint(ws, out=[f.copy() for f in filled])
+            assert np.allclose(np.concatenate([o.ravel() for o in out]),
+                               np.concatenate([f.ravel() for f in filled]) + adj, atol=1e-12)
 
 
 def test_residual_layer_difference_row(rng):
