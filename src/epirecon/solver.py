@@ -473,10 +473,10 @@ class SolvePlan:
             [f"dual block {bi}" for bi in range(len(dual_sizes))]
         self.ends = np.cumsum(sizes + sizes + dual_sizes)
 
-        # the primal phase (gradient) and the dual phase (tilde, scaled) of
-        # an iteration never overlap, so they share one buffer
+        # the primal phase (gradient) and the dual phase (tilde) of an
+        # iteration never overlap, so they share one buffer
         most = max(dual_sizes)
-        work = np.empty(max(n, 2 * most))
+        work = np.empty(max(n, most))
         self.grad = work[:n]
         self.grads = split(self.grad, shapes)
         self.tau = steps.tau
@@ -488,29 +488,25 @@ class SolvePlan:
         self.nonneg = problem.nonneg
         cap = prox._check_nonnegative(
             problem.reg_weight * problem.regularizer.readout_weights(), "readout weights")
-        tilde, scaled = work[:most], work[most:2 * most]
         self.dual_steps = [self._dual_step(problem, block, sigma, flat, rows, cap,
-                                           tilde[:flat.size], scaled[:flat.size])
+                                           work[:flat.size])
                            for block, sigma, flat, rows
                            in zip(assembly.blocks, steps.sigma, dual_flats, self.duals)]
 
-    def _dual_step(self, problem, block, sigma, dual, rows, cap, tilde, scaled):
-        """The block's dual update from the relaxed point; tilde and scaled
-        are work buffers of the block's dual size."""
+    def _dual_step(self, problem, block, sigma, dual, rows, cap, tilde):
+        """The block's dual update from the relaxed point; tilde is a work
+        buffer of the block's dual size."""
         op, relaxed = block.operator, self.relaxed
         tilde_rows = split(tilde, op.output_shapes)
         if block.kind == "epigraph":
-            # rows = tilde - sigma * (P(tilde / sigma + bias) - bias), P the projection
-            bias = block.bias
-            pbar, qbar = split(scaled, op.output_shapes)
-            project = prox.epigraph_kernel(block.negative_slope, pbar.shape)
+            # the epigraph E is a cone, so sigma * P(v / sigma) = P(v) and the
+            # conjugate prox (Moreau) is v - P(v) at v = tilde + sigma * (bias, 0)
+            shift = sigma * block.bias
+            project = prox.epigraph_kernel(block.negative_slope, op.output_shapes[0])
 
             def dual_prox():
-                np.divide(tilde, sigma, out=scaled)
-                np.add(pbar, bias, out=pbar)
-                project(pbar, qbar, rows[0], rows[1])
-                np.subtract(rows[0], bias, out=rows[0])
-                np.multiply(dual, sigma, out=dual)
+                np.add(tilde_rows[0], shift, out=tilde_rows[0])
+                project(*tilde_rows, *rows)
                 np.subtract(tilde, dual, out=dual)
         else:
             kernel = (problem.fidelity.dual_kernel(sigma, problem.measurement)

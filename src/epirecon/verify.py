@@ -431,8 +431,19 @@ def epigraph_suite(instances=200, seed=0, tol=1e-6):
             p2, q2 = prox.project_epigraph_leaky_relu(alpha, p, q)
             _require(np.array_equal(p, p2) and np.array_equal(q, q2),
                      f"alpha={alpha}: projection not bitwise idempotent")
+            # the PDHG dual step relies on E being a cone: P(t v) = t P(v),
+            # bitwise for powers of two, and P(v) orthogonal to v - P(v)
+            for t, scale_tol in ((2.0 ** -20, 0.0), (2.0 ** 20, 0.0), (0.37, 1e-12), (3e3, 1e-12)):
+                pt, qt = prox.project_epigraph_leaky_relu(alpha, t * pb, t * qb)
+                gap = np.max(np.hypot(pt - t * p, qt - t * q) / (t * np.hypot(pb, qb)))
+                _require(gap <= scale_tol, f"alpha={alpha}: P({t:g} v) off {t:g} P(v) "
+                                           f"by {gap:.1e} relative")
+            inner = np.abs(p * (pb - p) + q * (qb - q)) / (pb * pb + qb * qb)
+            _require(np.max(inner) <= 1e-12,
+                     f"alpha={alpha}: P(v) not orthogonal to v - P(v): {np.max(inner):.1e}")
         return (f"{instances} points per slope, all four branches hit, worst gap "
-                f"{gaps['epigraph']:.1e}, membership and idempotence ok")
+                f"{gaps['epigraph']:.1e}, membership, idempotence, homogeneity "
+                f"and orthogonality ok")
     return _timed("epigraph-projection", seed, run)
 
 
