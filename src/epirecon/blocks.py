@@ -147,9 +147,7 @@ def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
                 f"forward operator expects {tuple(forward.input_shape)}, "
                 f"network input is {tuple(spec.input_shape)}")
         row = BlockRow(((0, forward),), tuple(forward.output_shape))
-        blocks.append(ConstraintBlock(
-            kind="fidelity",
-            operator=BlockOperator([row], primal_shapes)))
+        blocks.append(ConstraintBlock("fidelity", BlockOperator([row], primal_shapes)))
     depth = spec.depth
     for i, layer in enumerate(spec.layers, start=1):
         entries = []
@@ -157,26 +155,18 @@ def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
             entries.append((0, layer.skip))
         if layer.carry is not None:
             entries.append((i - 1, layer.carry))
-        pre_row = BlockRow(tuple(entries), tuple(layer.output_shape))
+        rows = [BlockRow(tuple(entries), tuple(layer.output_shape))]
         if i < depth:
             ident = [(i, ScaledIdentity(layer.output_shape, 1.0))]
             if layer.residual:
                 prev_slot = i - 1 if i > 1 else 0
                 ident.append((prev_slot, ScaledIdentity(primal_shapes[prev_slot], -1.0)))
-            aux_row = BlockRow(tuple(ident), tuple(layer.output_shape))
-            blocks.append(ConstraintBlock(
-                kind="epigraph",
-                operator=BlockOperator([pre_row, aux_row], primal_shapes),
-                bias=layer.bias,
-                negative_slope=layer.activation.negative_slope))
-        else:
-            if layer.residual:
-                raise ValueError(
-                    "residual final layer is not supported by the block solver; "
-                    "evaluation and subgradients still handle it")
-            blocks.append(ConstraintBlock(
-                kind="readout",
-                operator=BlockOperator([pre_row], primal_shapes),
-                bias=layer.bias,
-                negative_slope=layer.activation.negative_slope))
+            rows.append(BlockRow(tuple(ident), tuple(layer.output_shape)))
+        elif layer.residual:
+            raise ValueError(
+                "residual final layer is not supported by the block solver; "
+                "evaluation and subgradients still handle it")
+        blocks.append(ConstraintBlock("epigraph" if i < depth else "readout",
+                                      BlockOperator(rows, primal_shapes), layer.bias,
+                                      layer.activation.negative_slope))
     return BlockAssembly(tuple(blocks), tuple(primal_shapes), spec, forward)

@@ -174,7 +174,12 @@ class Instance:
         """(final image, metrics) of PDHG on certified steps or of a subgradient rule."""
         kwargs = dict(budget=budget, init_x=self.init_x, ground_truth=self.ground_truth)
         if isinstance(method, solver_mod.StepSizes):
-            state, metrics = solver_mod.pdhg_solve(self.problem, method, **kwargs)
+            try:
+                state, metrics = solver_mod.pdhg_solve(self.problem, method, **kwargs)
+            except solver_mod.DivergenceError as exc:
+                if exc.block is None:
+                    raise
+                raise ConfigError(f"pdhg scales {self.scale_keys[exc.block]}: {exc}") from exc
             return state.x, metrics
         return solver_mod.subgradient_solve(self.problem, method, **kwargs)
 
@@ -263,8 +268,8 @@ def cmd_solve(config_path, seed=None, budget=None):
             "iterations_to_threshold": hit,
             "threshold_used_absolute_fallback": used_abs,
         }
-        if "step_sizes" in metrics.notes:
-            entry_summary["step_sizes"] = _steps_summary(metrics.notes["step_sizes"])
+        if isinstance(method, solver_mod.StepSizes):
+            entry_summary["step_sizes"] = _steps_summary(method)
         summary["solvers"][name] = entry_summary
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(_json_safe(summary), fh, indent=2, sort_keys=True)

@@ -35,11 +35,13 @@ class CertificationError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterate stops being finite."""
+    """Raised when an iterate stops being finite; block is the index of the
+    dual block whose iterate failed, when it is a dual one."""
 
-    def __init__(self, iteration, where):
+    def __init__(self, iteration, where, block=None):
         self.iteration = iteration
         self.where = where
+        self.block = block
         super().__init__(f"non-finite iterate in {where} at iteration {iteration}")
 
 
@@ -49,7 +51,7 @@ class DivergenceError(RuntimeError):
 class Fidelity:
     """Data term f(A x; y); `dualize` moves it to a dual block.
 
-    Each subclass gives value(fwd, y) -> (value, left the domain),
+    Each subclass gives value(fwd, y) (+inf where A x left the domain),
     residual_subgradient(fwd, y) in measurement space, dual_kernel(sigma, y),
     the prox kernel (see prox) of its conjugate at step sigma, and, where
     one exists, primal_kernel(tau, y, forward), that of the term itself.
@@ -77,7 +79,7 @@ class L1Fidelity(Fidelity):
         return self
 
     def value(self, fwd, y):
-        return self.weight * float(np.sum(np.abs(fwd - y))), False
+        return self.weight * float(np.sum(np.abs(fwd - y)))
 
     def residual_subgradient(self, fwd, y):
         return self.weight * np.sign(fwd - y)
@@ -102,7 +104,7 @@ class L2Fidelity(Fidelity):
 
     def value(self, fwd, y):
         diff = fwd - y
-        return 0.5 * self.weight * float(np.vdot(diff, diff)), False
+        return 0.5 * self.weight * float(np.vdot(diff, diff))
 
     def residual_subgradient(self, fwd, y):
         return self.weight * (fwd - y)
@@ -146,10 +148,9 @@ class KLFidelity(Fidelity):
     def value(self, fwd, y):
         mean, pos, bad = self._domain(fwd, y)
         if bad:
-            return float("inf"), True
+            return float("inf")
         val = float(np.sum(fwd - y + self.background))
-        val += float(np.sum(y[pos] * np.log(y[pos] / mean[pos])))
-        return val, False
+        return val + float(np.sum(y[pos] * np.log(y[pos] / mean[pos])))
 
     def residual_subgradient(self, fwd, y):
         mean, pos, bad = self._domain(fwd, y)  # a zero count gives 1, also at A x + b = 0
@@ -216,7 +217,6 @@ class ObjectiveReport:
     feasibility: float     # largest positive epigraph-constraint violation
     data_term: float
     reg_term: float
-    infeasible_data: bool = False
 
 
 def evaluate_objectives(problem: ProblemSpec, x, z=None) -> ObjectiveReport:
@@ -228,12 +228,11 @@ def evaluate_objectives(problem: ProblemSpec, x, z=None) -> ObjectiveReport:
     """
     spec = problem.regularizer
     reg_value, trace = icnn_mod.forward(spec, x, skips := [])
-    data, infeasible = problem.fidelity.value(problem.apply_forward(x),
-                                              problem.measurement)
+    data = problem.fidelity.value(problem.apply_forward(x), problem.measurement)
     reg_term = problem.reg_weight * reg_value
     primal = data + reg_term
     if z is None:
-        return ObjectiveReport(primal, primal, 0.0, data, reg_term, infeasible)
+        return ObjectiveReport(primal, primal, 0.0, data, reg_term)
     if len(z) != spec.depth - 1:
         raise ValueError(f"expected {spec.depth - 1} auxiliary tensors, got {len(z)}")
     # layer 1 reads no z: its output is trace[0]; later layers reuse forward's skips
@@ -245,7 +244,7 @@ def evaluate_objectives(problem: ProblemSpec, x, z=None) -> ObjectiveReport:
     final_term = reg_value if spec.depth == 1 else float(np.vdot(
         spec.readout_weights(), spec.layers[-1].step(x, z[-1], skips[-1])[1]))
     reformulated = data + problem.reg_weight * final_term
-    return ObjectiveReport(primal, reformulated, feas, data, reg_term, infeasible)
+    return ObjectiveReport(primal, reformulated, feas, data, reg_term)
 
 
 # --- step sizes ---------------------------------------------------------------
@@ -371,7 +370,6 @@ class RunMetrics:
     ground_truth: np.ndarray = None
     started: float = field(default_factory=time.perf_counter)
     rows: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
 
     def record(self, iteration, report: ObjectiveReport, x):
         value = float("nan")
@@ -555,7 +553,9 @@ class SolvePlan:
         relaxed points are."""
         if not np.isfinite(self.buf, out=self.finite).all():
             where = np.searchsorted(self.ends, np.argmin(self.finite), side="right")
-            raise DivergenceError(self.iteration, self.names[where])
+            block = where - 2 * len(self.u)  # the duals follow u and the relaxed point
+            raise DivergenceError(self.iteration, self.names[where],
+                                  block if block >= 0 else None)
 
 
 # --- the solver ---------------------------------------------------------------
@@ -585,7 +585,7 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
         raise CertificationError("step sizes were certified for another forward operator")
     plan = SolvePlan(problem, steps, init if init is not None
                      else initial_state(problem, assembly, init_x))
-    metrics = RunMetrics(ground_truth, notes={"solver": "pdhg", "step_sizes": steps})
+    metrics = RunMetrics(ground_truth)
 
     def observe():
         x, *z = plan.u
@@ -618,9 +618,6 @@ class ConstantStep:
     def at(self, k):
         return self.step
 
-    def label(self):
-        return f"sm_c({self.step:g})"
-
 
 @dataclass(frozen=True)
 class DiminishingStep:
@@ -635,9 +632,6 @@ class DiminishingStep:
     def at(self, k):
         return self.initial / k
 
-    def label(self):
-        return f"sm_d({self.initial:g})"
-
 
 def subgradient_solve(problem: ProblemSpec, mode, *, budget: int, init_x=None,
                       ground_truth=None, metrics_every: int = 1):
@@ -651,16 +645,15 @@ def subgradient_solve(problem: ProblemSpec, mode, *, budget: int, init_x=None,
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     x = as_tensor(init_x) if init_x is not None else default_initial_image(problem)
-    metrics = RunMetrics(ground_truth, notes={"solver": mode.label()})
+    metrics = RunMetrics(ground_truth)
     for k in range(budget + 1):
         fwd = problem.apply_forward(x)
         reg_value, reg_grad = icnn_mod.value_and_subgradient(problem.regularizer, x)
         if (metrics_every and k % metrics_every == 0) or k in (0, budget):
-            data_value, _ = problem.fidelity.value(fwd, problem.measurement)
+            data_value = problem.fidelity.value(fwd, problem.measurement)
             reg_term = problem.reg_weight * reg_value
             total = data_value + reg_term
-            metrics.record(k, ObjectiveReport(total, total, 0.0, data_value, reg_term,
-                                              not np.isfinite(data_value)), x)
+            metrics.record(k, ObjectiveReport(total, total, 0.0, data_value, reg_term), x)
         if k == budget:
             break
         try:

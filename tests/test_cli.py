@@ -457,6 +457,18 @@ def test_ct_at_a_vanishing_count_scale_reports_minus_inf_psnr(tmp_path):
     assert summary["solvers"]["pdhg0"]["final_psnr"] == "-inf"
 
 
+def test_diverging_dual_block_names_its_scale_key(tmp_path, capsys):
+    # at unit c0 the KL conjugate kernel squares a shift of about 1e300 and
+    # the fidelity dual overflows at iteration 1; the refusal names c0
+    cfg = ct_config(tmp_path)
+    cfg["task"]["poisson_scale"] = 1e-300
+    with np.errstate(over="ignore"):
+        assert main(["solve", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pdhg scales c0: ") and "dual block 0 at iteration 1" in err
+    assert not list(Path(cfg["output_dir"]).glob("*.csv"))
+
+
 def _assert_refused(tmp_path, capsys, make_config, path, value):
     cfg = make_config(tmp_path, "out_refused")
     cfg["sweep"] = {"c1": [1.0], "c2": [0.01]}

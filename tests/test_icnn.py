@@ -102,7 +102,7 @@ def _naive_record(problem, x, z):
     """evaluate_objectives recomputed: nested value, then each layer at (x, z)."""
     spec = problem.regularizer
     value = _naive_value_and_subgradient(spec, x)[0]
-    data, _ = problem.fidelity.value(problem.apply_forward(x), problem.measurement)
+    data = problem.fidelity.value(problem.apply_forward(x), problem.measurement)
     feas, prev = 0.0, None
     for i, layer in enumerate(spec.layers, start=1):
         _, implied = _naive_layer(layer, x, prev, i == 1)

@@ -195,7 +195,8 @@ def test_pdhg_guard_names_a_poisoned_iterate_from_its_offset(name, position):
     POISONED[name](state)[position].flat[position] = np.nan  # first or last entry
     with pytest.raises(DivergenceError) as info:
         er.pdhg_solve(problem, budget=3, init=state, metrics_every=0)
-    assert (info.value.where, info.value.iteration) == (name, 0)
+    block = int(name.split()[-1]) if name.startswith("dual") else None
+    assert (info.value.where, info.value.iteration, info.value.block) == (name, 0, block)
 
 
 def dense_problem():
@@ -311,7 +312,7 @@ def test_evaluate_objectives_kl_domain_flag():
     fid = er.kl_fidelity(np.array([0.0]))
     problem = er.ProblemSpec(fid, er.Dense([[1.0]]), np.array([2.0]), 1.0, spec)
     report = er.evaluate_objectives(problem, np.array([-1.0]))
-    assert report.infeasible_data and report.primal == np.inf
+    assert report.data_term == np.inf and report.primal == np.inf
     ok = er.evaluate_objectives(problem, np.array([1.0]))
     assert np.isfinite(ok.primal)
 
@@ -334,10 +335,10 @@ def test_kl_residual_and_value_share_one_domain():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fwd = np.array([0.0, 3.0, 4.0])
-        assert fid.value(fwd, y)[1] is False
+        assert np.isfinite(fid.value(fwd, y))
         assert fid.residual_subgradient(fwd, y).tolist() == [1.0, 1.0, 0.5]
         for bad in ([-1e-3, 3.0, 4.0], [0.0, 3.0, 0.0]):
-            assert fid.value(np.array(bad), y) == (np.inf, True)
+            assert fid.value(np.array(bad), y) == np.inf
             with pytest.raises(ValueError, match="kl fidelity domain"):
                 fid.residual_subgradient(np.array(bad), y)
 
@@ -352,7 +353,7 @@ def test_subgradient_ct_with_zero_background_and_zero_counts():
                                                          pool=4, hidden=4)), 1.0)
     mean = problem.apply_forward(init) + problem.fidelity.background
     assert np.any((problem.measurement == 0.0) & (mean == 0.0))
-    assert problem.fidelity.value(problem.apply_forward(init), problem.measurement)[1] is False
+    assert np.isfinite(problem.fidelity.value(problem.apply_forward(init), problem.measurement))
     _, metrics = er.subgradient_solve(problem, er.ConstantStep(0.01), budget=5, init_x=init)
     assert len(metrics.objective) == 6 and np.all(np.isfinite(metrics.objective))
 
@@ -383,11 +384,9 @@ def test_subgradient_constant_step_halves_error():
 def test_subgradient_diminishing_reaches_1d_minimizer():
     spec = make_relu_1d()
     problem = er.ProblemSpec(er.l2_fidelity(), None, np.array([2.0]), 1.0, spec)
-    x, metrics = er.subgradient_solve(problem, er.DiminishingStep(1.0),
-                                      budget=10000, init_x=np.array([5.0]),
-                                      metrics_every=0)
+    x, _ = er.subgradient_solve(problem, er.DiminishingStep(1.0),
+                                budget=10000, init_x=np.array([5.0]), metrics_every=0)
     assert abs(x[0] - 1.0) <= 1e-2
-    assert metrics.notes["solver"] == "sm_d(1)"
 
 
 def test_smd_running_min_settles_on_desk_instance():
