@@ -410,8 +410,8 @@ def prox_oracle_suite(instances=300, seed=0, tol=1e-6):
 
 
 def epigraph_suite(instances=200, seed=0, tol=1e-6):
-    """Leaky-relu epigraph projection against the grid-search oracle; all four
-    branches must be hit for each slope."""
+    """Leaky-relu epigraph projection against the grid-search oracle, and the
+    cone properties the PDHG dual step uses; all four branches must be hit."""
     def run():
         rng = np.random.default_rng(seed + 67)
         gaps = {}
