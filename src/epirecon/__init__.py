@@ -7,7 +7,7 @@ A diagonal-preconditioned block primal-dual solver runs the reformulation;
 projected subgradient descent on the nested form is included as a baseline.
 """
 
-from .blocks import BlockAssembly, BlockOperator, BlockRow, assemble_blocks
+from .blocks import BlockAssembly, BlockOperator, assemble_blocks
 from .icnn import (Activation, AdmissibilityError, AdmissibilityReport,
                    ConvPoolDenseTemplate, DenseTemplate, IcnnLayer, IcnnSpec,
                    forward, load_weights, random_admissible,

@@ -17,33 +17,25 @@ from .icnn import IcnnSpec
 from .linops import LinOp, ScaledIdentity
 
 
-@dataclass(frozen=True)
-class BlockRow:
-    """One output component: sum of sub-operators applied to primal slots."""
-
-    entries: tuple  # ((slot, LinOp), ...)
-    output_shape: tuple
-
-
 class BlockOperator:
-    """Stacked linear map from a list of primal tensors to a list of rows."""
+    """Stacked linear map from a list of primal tensors to a list of rows; a
+    row is a nonempty tuple of (slot, LinOp) entries, shaped as its first."""
 
     kind = "block_row"
 
     def __init__(self, rows, input_shapes):
-        self.rows = tuple(rows)
+        self.rows = tuple(tuple(row) for row in rows)
         self.input_shapes = tuple(tuple(s) for s in input_shapes)
-        self.output_shapes = tuple(row.output_shape for row in self.rows)
-        for row in self.rows:
-            for slot, op in row.entries:
+        self.output_shapes = tuple(tuple(row[0][1].output_shape) for row in self.rows)
+        for row, shape in zip(self.rows, self.output_shapes):
+            for slot, op in row:
                 if tuple(op.input_shape) != self.input_shapes[slot]:
                     raise ValueError(
                         f"block entry at slot {slot} expects {tuple(op.input_shape)}, "
                         f"primal slot holds {self.input_shapes[slot]}")
-                if tuple(op.output_shape) != row.output_shape:
-                    raise ValueError(
-                        f"block entry emits {tuple(op.output_shape)}, "
-                        f"row is {row.output_shape}")
+                if tuple(op.output_shape) != shape:
+                    raise ValueError(f"block entry emits {tuple(op.output_shape)}, "
+                                     f"row is {shape}")
 
     def apply(self, us, out=None):
         """One array per row, each the sum of its entries in order; written
@@ -54,7 +46,7 @@ class BlockOperator:
             out = [np.empty(shape) for shape in self.output_shapes]
         for row, acc in zip(self.rows, out):
             acc.fill(0.0)
-            for slot, op in row.entries:
+            for slot, op in row:
                 acc += op.apply(us[slot])
         return out
 
@@ -66,7 +58,7 @@ class BlockOperator:
         if out is None:
             out = [np.zeros(shape) for shape in self.input_shapes]
         for row, w in zip(self.rows, ws):
-            for slot, op in row.entries:  # each entry's adjoint checks w's shape
+            for slot, op in row:  # each entry's adjoint checks w's shape
                 out[slot] += op.adjoint(w)
         return out
 
@@ -146,8 +138,7 @@ def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
             raise ValueError(
                 f"forward operator expects {tuple(forward.input_shape)}, "
                 f"network input is {tuple(spec.input_shape)}")
-        row = BlockRow(((0, forward),), tuple(forward.output_shape))
-        blocks.append(ConstraintBlock("fidelity", BlockOperator([row], primal_shapes)))
+        blocks.append(ConstraintBlock("fidelity", BlockOperator([[(0, forward)]], primal_shapes)))
     depth = spec.depth
     for i, layer in enumerate(spec.layers, start=1):
         entries = []
@@ -155,13 +146,13 @@ def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
             entries.append((0, layer.skip))
         if layer.carry is not None:
             entries.append((i - 1, layer.carry))
-        rows = [BlockRow(tuple(entries), tuple(layer.output_shape))]
+        rows = [entries]
         if i < depth:
             ident = [(i, ScaledIdentity(layer.output_shape, 1.0))]
             if layer.residual:
                 prev_slot = i - 1 if i > 1 else 0
                 ident.append((prev_slot, ScaledIdentity(primal_shapes[prev_slot], -1.0)))
-            rows.append(BlockRow(tuple(ident), tuple(layer.output_shape)))
+            rows.append(ident)
         elif layer.residual:
             raise ValueError(
                 "residual final layer is not supported by the block solver; "

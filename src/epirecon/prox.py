@@ -91,6 +91,22 @@ def epigraph_kernel(alpha, shape):
     return kernel
 
 
+def epigraph_conjugate_kernel(sigma, bias, alpha, shape):
+    """kernel(pbar, qbar, p, q): into p and q, the prox at step sigma of the conjugate
+    of the indicator of {max(p + bias, alpha*(p + bias)) <= q}. The epigraph E is a
+    cone, so sigma * P(v / sigma) = P(v), and by Moreau the prox is v - P(v) at
+    v = (pbar + sigma*bias, qbar), which the call leaves in pbar."""
+    shift = sigma * bias
+    project = epigraph_kernel(alpha, shape)
+
+    def kernel(pbar, qbar, p, q):
+        np.add(pbar, shift, out=pbar)
+        project(pbar, qbar, p, q)
+        np.subtract(pbar, p, out=p)
+        return p, np.subtract(qbar, q, out=q)
+    return kernel
+
+
 def readout_kernel(sigma, cap, bias=0.0, negative_slope=0.0):
     """kernel(wbar, out) of readout_conjugate_prox at step sigma."""
     return clip_kernel(sigma * bias, negative_slope * cap, cap)
@@ -117,12 +133,12 @@ def kl_conjugate_kernel(sigma, counts, background, shape):
 
 
 def l1_conjugate_kernel(sigma, weight, measurement):
-    """kernel(wbar, out) of l1_conjugate_prox at step sigma."""
+    """kernel(wbar, out): prox at step sigma of the conjugate of weight*|w - measurement|_1."""
     return clip_kernel(-(sigma * measurement), -weight, weight)
 
 
 def l2_conjugate_kernel(sigma, measurement, weight=1.0):
-    """kernel(wbar, out) of l2_conjugate_prox at step sigma."""
+    """kernel(wbar, out): prox at step sigma of the conjugate of (weight/2)*|w - measurement|^2."""
     return ratio_kernel(-(sigma * measurement), 1.0 + sigma / weight)
 
 
@@ -196,16 +212,3 @@ def kl_conjugate_prox(wbar, sigma, counts, background):
     out = _out(wbar, sigma, counts, background)
     return kl_conjugate_kernel(sigma, counts, background, out.shape)(wbar, out)
 
-
-def l1_conjugate_prox(wbar, sigma, weight, measurement):
-    """Prox of the conjugate of w -> weight*|w - measurement|_1: a shifted box clip."""
-    sigma = _check_step(sigma)
-    return l1_conjugate_kernel(sigma, weight, measurement)(
-        wbar, _out(wbar, sigma, weight, measurement))
-
-
-def l2_conjugate_prox(wbar, sigma, measurement, weight=1.0):
-    """Prox of the conjugate of w -> (weight/2)*|w - measurement|^2."""
-    sigma = _check_step(sigma)
-    return l2_conjugate_kernel(sigma, measurement, weight)(
-        wbar, _out(wbar, sigma, measurement, weight))

@@ -269,7 +269,7 @@ def certify_norms(assembly: BlockAssembly) -> dict:
     norms = {}
     for bi, block in enumerate(assembly.blocks):
         for ri, row in enumerate(block.operator.rows):
-            for ei, (_, op) in enumerate(row.entries):
+            for ei, (_, op) in enumerate(row):
                 bound = op.norm_bound
                 if bound is None or not 0.0 <= bound < np.inf:
                     raise CertificationError(f"no finite norm bound for entry "
@@ -314,8 +314,7 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norm_seed=None) -> 
 
     sigma = []
     for bi, block in enumerate(assembly.blocks):
-        row_norms = [norms[(bi, 0, ei)] for ei in range(len(block.operator.rows[0].entries))]
-        peak = max(row_norms) if row_norms else 0.0
+        peak = max(norms[(bi, 0, ei)] for ei in range(len(block.operator.rows[0])))
         try:
             step = scales[bi] / peak ** 2 if peak > 0.0 else scales[bi]
         except (OverflowError, ZeroDivisionError):  # peak ** 2 left the float range
@@ -328,8 +327,8 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norm_seed=None) -> 
     terms = [[] for _ in assembly.primal_shapes]  # (row-width * sigma, norm) per slot
     for bi, block in enumerate(assembly.blocks):
         for ri, row in enumerate(block.operator.rows):
-            for ei, (slot, _) in enumerate(row.entries):
-                terms[slot].append((len(row.entries) * sigma[bi], norms[(bi, ri, ei)]))
+            for ei, (slot, _) in enumerate(row):
+                terms[slot].append((len(row) * sigma[bi], norms[(bi, ri, ei)]))
     tau = []
     certificates = {}
     for slot, slot_terms in enumerate(terms):
@@ -492,33 +491,23 @@ class SolvePlan:
                            in zip(assembly.blocks, steps.sigma, dual_flats, self.duals)]
 
     def _dual_step(self, problem, block, sigma, dual, rows, cap, tilde):
-        """The block's dual update from the relaxed point; tilde is a work
-        buffer of the block's dual size."""
+        """The block's dual update: its conjugate prox kernel at c + sigma * (K u_bar);
+        tilde is a work buffer of the block's dual size."""
         op, relaxed = block.operator, self.relaxed
         tilde_rows = split(tilde, op.output_shapes)
         if block.kind == "epigraph":
-            # the epigraph E is a cone, so sigma * P(v / sigma) = P(v) and the
-            # conjugate prox (Moreau) is v - P(v) at v = tilde + sigma * (bias, 0)
-            shift = sigma * block.bias
-            project = prox.epigraph_kernel(block.negative_slope, op.output_shapes[0])
-
-            def dual_prox():
-                np.add(tilde_rows[0], shift, out=tilde_rows[0])
-                project(*tilde_rows, *rows)
-                np.subtract(tilde, dual, out=dual)
+            kernel = prox.epigraph_conjugate_kernel(sigma, block.bias, block.negative_slope,
+                                                    op.output_shapes[0])
+        elif block.kind == "readout":
+            kernel = prox.readout_kernel(sigma, cap, block.bias, block.negative_slope)
         else:
-            kernel = (problem.fidelity.dual_kernel(sigma, problem.measurement)
-                      if block.kind == "fidelity" else
-                      prox.readout_kernel(sigma, cap, block.bias, block.negative_slope))
-
-            def dual_prox():
-                kernel(tilde_rows[0], rows[0])
+            kernel = problem.fidelity.dual_kernel(sigma, problem.measurement)
 
         def dual_step():
             op.apply(relaxed, out=tilde_rows)
             np.multiply(tilde, sigma, out=tilde)
             np.add(dual, tilde, out=tilde)  # c + sigma * (K u_bar)
-            dual_prox()
+            kernel(*tilde_rows, *rows)
         return dual_step
 
     def step(self):

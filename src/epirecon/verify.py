@@ -397,9 +397,9 @@ def prox_oracle_suite(instances=300, seed=0, tol=1e-6):
         # (weight/2)|w - m|^2, <v, m> + |v|^2 / (2 weight), whose prox is within |xb - sig*m| < 8
         m = rng.uniform(-2, 2, n)
         for family, got, conj, lo, hi in (
-                ("l1", prox.l1_conjugate_prox(xb, sig, weight, m),
+                ("l1", prox.l1_conjugate_kernel(sig, weight, m)(xb, np.empty(n)),
                  lambda v: v * m, -weight, weight),
-                ("l2", prox.l2_conjugate_prox(xb, sig, m, weight),
+                ("l2", prox.l2_conjugate_kernel(sig, m, weight)(xb, np.empty(n)),
                  lambda v: v * m + v * v / (2 * weight), -8.0, 8.0)):
             want = golden_section_vec(lambda v: (v - xb) ** 2 / (2 * sig) + conj(v), lo, hi,
                                       tol=1e-10)
