@@ -123,6 +123,8 @@ class Instance:
         if not isinstance(kind, str) or kind not in TASK_FIELDS:
             raise ConfigError(f"task: unknown task kind {kind!r}")
         side = _number(_count, task, "image_side", "task")
+        if side < 8:  # the phantoms' minimum, refused before the network is built
+            raise ConfigError(f"task image_side: must be at least 8, got {side}")
         fields = {k: _number(float, task, k, "task") for k in TASK_FIELDS[kind]}
         lam = fields.pop("lam", None)
         gamma = _number(float, task, "gamma", "task")

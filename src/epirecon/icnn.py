@@ -43,7 +43,7 @@ class Activation:
         if self.kind not in ("relu", "leaky_relu", "identity"):
             raise ValueError(f"unknown activation kind {self.kind!r}")
         if self.kind == "leaky_relu" and not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"leaky_relu slope must lie in [0, 1), got {self.alpha}")
+            raise ValueError(f"leaky_relu alpha must lie in [0, 1), got {self.alpha}")
 
     @property
     def negative_slope(self) -> float:
@@ -373,9 +373,9 @@ def _random_dense(rng, tpl: DenseTemplate) -> IcnnSpec:
 
 
 def _random_conv(rng, tpl: ConvPoolDenseTemplate) -> IcnnSpec:
-    for name, value in (("kernel", tpl.kernel), ("pool", tpl.pool)):
-        if value < 1:  # refused before the filter means and side % pool
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    for name in ("filters", "kernel", "pool", "hidden"):
+        if getattr(tpl, name) < 1:  # refused before the draws and side % pool
+            raise ValueError(f"{name} must be at least 1, got {getattr(tpl, name)}")
     if tpl.side % tpl.pool:
         raise ValueError(f"pool {tpl.pool} does not divide side {tpl.side}")
     filters = rng.normal(0.0, 1.0, (tpl.filters, tpl.kernel, tpl.kernel))

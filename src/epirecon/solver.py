@@ -580,15 +580,16 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
         x, *z = plan.u
         metrics.record(plan.iteration, evaluate_objectives(problem, x, z), x)
 
-    plan.guard()
-    observe()
-    for _ in range(budget):
-        plan.step()
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a non-finite iterate
         plan.guard()
-        if metrics_every and plan.iteration % metrics_every == 0:
-            observe()
-    if metrics.rows[-1][0] != plan.iteration:
         observe()
+        for _ in range(budget):
+            plan.step()
+            plan.guard()
+            if metrics_every and plan.iteration % metrics_every == 0:
+                observe()
+        if metrics.rows[-1][0] != plan.iteration:
+            observe()
     final = plan.view()
     del plan  # frees the work buffers before the iterates are copied out
     return copy.deepcopy(final), metrics
@@ -635,28 +636,29 @@ def subgradient_solve(problem: ProblemSpec, mode, *, budget: int, init_x=None,
         raise ValueError(f"budget must be >= 1, got {budget}")
     x = as_tensor(init_x) if init_x is not None else default_initial_image(problem)
     metrics = RunMetrics(ground_truth)
-    for k in range(budget + 1):
-        fwd = problem.apply_forward(x)
-        reg_value, reg_grad = icnn_mod.value_and_subgradient(problem.regularizer, x)
-        if (metrics_every and k % metrics_every == 0) or k in (0, budget):
-            data_value = problem.fidelity.value(fwd, problem.measurement)
-            reg_term = problem.reg_weight * reg_value
-            total = data_value + reg_term
-            metrics.record(k, ObjectiveReport(total, total, 0.0, data_value, reg_term), x)
-        if k == budget:
-            break
-        try:
-            residual = problem.fidelity.residual_subgradient(fwd, problem.measurement)
-        except ValueError as exc:  # iterate k left the data term's domain
-            raise DivergenceError(k, str(exc)) from exc
-        g = problem.adjoint_forward(residual)
-        if problem.reg_weight > 0.0:
-            g = g + problem.reg_weight * reg_grad
-        x = x - mode.at(k + 1) * g
-        if problem.nonneg:
-            x = np.maximum(x, 0.0)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(k + 1, "subgradient iterate")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing objective records inf
+        for k in range(budget + 1):
+            fwd = problem.apply_forward(x)
+            reg_value, reg_grad = icnn_mod.value_and_subgradient(problem.regularizer, x)
+            if (metrics_every and k % metrics_every == 0) or k in (0, budget):
+                data_value = problem.fidelity.value(fwd, problem.measurement)
+                reg_term = problem.reg_weight * reg_value
+                total = data_value + reg_term
+                metrics.record(k, ObjectiveReport(total, total, 0.0, data_value, reg_term), x)
+            if k == budget:
+                break
+            try:
+                residual = problem.fidelity.residual_subgradient(fwd, problem.measurement)
+            except ValueError as exc:  # iterate k left the data term's domain
+                raise DivergenceError(k, str(exc)) from exc
+            g = problem.adjoint_forward(residual)
+            if problem.reg_weight > 0.0:
+                g = g + problem.reg_weight * reg_grad
+            x = x - mode.at(k + 1) * g
+            if problem.nonneg:
+                x = np.maximum(x, 0.0)
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(k + 1, "subgradient iterate")
     return x, metrics
 
 

@@ -410,8 +410,9 @@ def prox_oracle_suite(instances=300, seed=0, tol=1e-6):
 
 
 def epigraph_suite(instances=200, seed=0, tol=1e-6):
-    """Leaky-relu epigraph projection against the grid-search oracle, and the
-    cone properties the PDHG dual step uses; all four branches must be hit."""
+    """Leaky-relu epigraph projection and the PDHG plan's conjugate kernel
+    against the grid-search oracle, and the cone properties that kernel
+    uses; all four branches must be hit."""
     def run():
         rng = np.random.default_rng(seed + 67)
         gaps = {}
@@ -426,6 +427,12 @@ def epigraph_suite(instances=200, seed=0, tol=1e-6):
             p, q = prox.project_epigraph_leaky_relu(alpha, pb, qb)
             gp, gq = grid_project_epigraph(alpha, pb, qb)
             _require_close(gaps, "epigraph", np.hypot(p - gp, q - gq), tol)
+            # the conjugate kernel the PDHG plan runs is v - P(v), here at v = (pb, qb)
+            sigma, bias = 0.5, np.linspace(-1.0, 1.0, instances)
+            cp, cq = prox.epigraph_conjugate_kernel(sigma, bias, alpha, pb.shape)(
+                pb - sigma * bias, qb, np.empty(pb.shape), np.empty(pb.shape))
+            _require_close(gaps, "epigraph conjugate",
+                           np.hypot(cp - (pb - gp), cq - (qb - gq)), tol)
             _require(np.all(np.maximum(p, alpha * p) <= q + 1e-12),
                      f"alpha={alpha}: membership violated")
             p2, q2 = prox.project_epigraph_leaky_relu(alpha, p, q)
@@ -441,9 +448,9 @@ def epigraph_suite(instances=200, seed=0, tol=1e-6):
             inner = np.abs(p * (pb - p) + q * (qb - q)) / (pb * pb + qb * qb)
             _require(np.max(inner) <= 1e-12,
                      f"alpha={alpha}: P(v) not orthogonal to v - P(v): {np.max(inner):.1e}")
-        return (f"{instances} points per slope, all four branches hit, worst gap "
-                f"{gaps['epigraph']:.1e}, membership, idempotence, homogeneity "
-                f"and orthogonality ok")
+        return (f"{instances} points per slope, all four branches hit, worst gaps "
+                f"{gaps['epigraph']:.1e}, conjugate kernel {gaps['epigraph conjugate']:.1e}, "
+                f"membership, idempotence, homogeneity and orthogonality ok")
     return _timed("epigraph-projection", seed, run)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -462,11 +463,65 @@ def test_diverging_dual_block_names_its_scale_key(tmp_path, capsys):
     # the fidelity dual overflows at iteration 1; the refusal names c0
     cfg = ct_config(tmp_path)
     cfg["task"]["poisson_scale"] = 1e-300
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():  # the overflow is the guard's to report
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["solve", str(write_config(tmp_path, cfg))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: pdhg scales c0: ") and "dual block 0 at iteration 1" in err
     assert not list(Path(cfg["output_dir"]).glob("*.csv"))
+
+
+def full_config(tmp_path, kind):
+    """The 8x8 test config of a task kind at budget 2 with a unit reference
+    multiplier, every optional field written out."""
+    cfg = (ct_config if kind == "ct" else denoise_config)(tmp_path, "out_full", budget=2)
+    if kind == "inpaint":
+        cfg["task"] = {"kind": "inpaint", "image_side": 8, "phantom": "smooth_blobs",
+                       "mask_fraction": 0.3, "gaussian_sigma": 0.03, "gamma": 10.0}
+    if kind == "ct":
+        cfg["task"]["n_bins"] = 13
+        cfg["solvers"] += [{"kind": "sm_c", "step": 0.05}, {"kind": "sm_d", "step0": 0.5}]
+    cfg["task"].update(nonneg=False, fbp_init=True)
+    cfg["weights"]["random"].update(alpha=0.2, seed_offset=0)
+    cfg.update(reference_multiplier=1, record_timing=False, rel_error_target=1e-3)
+    return cfg
+
+
+def leaf_paths(node, path=()):
+    """The key path of every scalar in a config, output_dir aside."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, (dict, list)):
+            yield from leaf_paths(value, path + (key,))
+        elif key != "output_dir":
+            yield path + (key,)
+
+
+MUTANTS = [None, "x", -1, 0, 0.0, -0.0, NAN, float("inf"), -float("inf"), [], {}, True,
+           2.5, 1e-300]
+
+
+@pytest.mark.parametrize("kind", ["denoise", "inpaint", "ct"])
+def test_every_field_mutation_exits_0_or_2_naming_its_field(tmp_path, capsys, kind):
+    # one field at a time takes each mutant value; a refusal names the field,
+    # except a vanishing CT count scale, refused by the dual block it overflows
+    base = full_config(tmp_path, kind)
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for path in leaf_paths(base):
+            for value in MUTANTS:
+                cfg = json.loads(json.dumps(base))
+                target = cfg
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = value
+                code = main(["solve", str(write_config(tmp_path, cfg))])
+                err = capsys.readouterr().err
+                name = "pdhg scales c0" if (path[-1], value) == ("poisson_scale", 1e-300) \
+                    else path[-1]
+                if code != 0 and (code != 2 or name not in err):
+                    failures.append(f"{path}={value!r}: exit {code}: {err.strip()}")
+    assert not failures, "\n".join(failures)
 
 
 def _assert_refused(tmp_path, capsys, make_config, path, value):

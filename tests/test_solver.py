@@ -165,9 +165,26 @@ def test_pdhg_guard_catches_relaxed_point_overflow():
     problem = er.ProblemSpec(er.l1_fidelity(0.1), None, np.array([2.0]), 1.0, spec)
     state = initial_state(problem, assemble_blocks(spec), init_x=np.array([1.0]))
     state.duals[0][0][0] = 1e308
-    with np.errstate(over="ignore"), \
+    with warnings.catch_warnings(), \
             pytest.raises(DivergenceError, match=r"relaxed primal image at iteration 1"):
+        warnings.simplefilter("error", RuntimeWarning)  # the overflow is the guard's to report
         er.pdhg_solve(problem, budget=5, init=state, metrics_every=0)
+
+
+def test_subgradient_objective_overflow_records_inf():
+    # a step of 1e308 keeps the iterates finite (about 8e306) but overflows
+    # the L1 data term's sum: the run records inf instead of raising
+    spec = er.random_admissible(44, er.ConvPoolDenseTemplate(side=8, filters=2, kernel=3,
+                                                             pool=4, hidden=4))
+    truth = er.make_phantom("smooth_blobs", 8, 18)
+    task = er.TaskConfig(kind="denoise_salt_pepper", image_side=8, seed=30)
+    problem, init = er.build_problem(task, truth, spec, 10.0, lam=0.02)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x, metrics = er.subgradient_solve(problem, er.ConstantStep(1e308), budget=3,
+                                          init_x=init)
+    assert np.all(np.isfinite(x))
+    assert np.isfinite(metrics.objective[0]) and metrics.objective[-1] == np.inf
 
 
 def depth3_dualized_problem():
