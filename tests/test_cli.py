@@ -36,6 +36,15 @@ def denoise_config(tmp_path, out_name="out", budget=40):
     }
 
 
+def set_field(cfg, path, value):
+    """cfg with the field at a key path set to value, in place."""
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return cfg
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -510,11 +519,7 @@ def test_every_field_mutation_exits_0_or_2_naming_its_field(tmp_path, capsys, ki
         warnings.simplefilter("error", RuntimeWarning)
         for path in leaf_paths(base):
             for value in MUTANTS:
-                cfg = json.loads(json.dumps(base))
-                target = cfg
-                for key in path[:-1]:
-                    target = target[key]
-                target[path[-1]] = value
+                cfg = set_field(json.loads(json.dumps(base)), path, value)
                 code = main(["solve", str(write_config(tmp_path, cfg))])
                 err = capsys.readouterr().err
                 name = "pdhg scales c0" if (path[-1], value) == ("poisson_scale", 1e-300) \
@@ -527,10 +532,7 @@ def test_every_field_mutation_exits_0_or_2_naming_its_field(tmp_path, capsys, ki
 def _assert_refused(tmp_path, capsys, make_config, path, value):
     cfg = make_config(tmp_path, "out_refused")
     cfg["sweep"] = {"c1": [1.0], "c2": [0.01]}
-    target = cfg
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    set_field(cfg, path, value)
     command = "sweep" if path[0] == "sweep" else "solve"
     assert main([command, str(write_config(tmp_path, cfg))]) == 2
     err = capsys.readouterr().err
@@ -575,10 +577,7 @@ def test_non_numeric_value_exits_2_naming_its_field(tmp_path, capsys, command, p
                                                     value):
     cfg = denoise_config(tmp_path, "out_not_number")
     cfg["sweep"] = {"c1": [1.0]}
-    target = cfg
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    set_field(cfg, path, value)
     assert main([command, str(write_config(tmp_path, cfg))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path[-1] in err
