@@ -1,16 +1,17 @@
 """Command-line workflow: build a task, run solvers, emit reproducible artifacts.
 
-Subcommands (the COMMANDS table): `solve` and `sweep` run a JSON config,
-`verify` runs the property suites, `norm` and `adjoint-test` check stored weights.
+Subcommands (the COMMANDS table): `solve` and `sweep` run a JSON config, read
+through one schema (CONFIG) that gives each field's type and default; `verify`
+runs the property suites, `norm` and `adjoint-test` check stored weights.
 
 One global seed fans out to the components at fixed offsets (phantom +11,
 noise +23, weights +37), so every artifact is a pure function of (config,
-seed). Timing columns are zeroed in CSV output unless `record_timing` is
-set, keeping reruns bitwise identical.
+seed). Timing columns are zeroed in CSV output unless `record_timing` is set.
 """
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -34,12 +35,6 @@ class ConfigError(ValueError):
     """Raised for malformed or incomplete run configurations."""
 
 
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return mapping[key]
-
-
 @contextlib.contextmanager
 def _refused(where):
     """Report a plain ValueError, TypeError or OverflowError (int of inf), a value
@@ -52,122 +47,168 @@ def _refused(where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _number(convert, mapping, key, where, default=None):
-    """convert(mapping[key]) or, when the key is absent, the default or a missing field."""
-    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
-    with _refused(f"{where} {key}"):
-        return convert(value)
+# --- the config schema ------------------------------------------------------
+# Every config field: (type, default or REQUIRED[, domain]). A type is a JSON
+# type (float: a finite number, int: an integral number, bool, str, dict), a
+# nested table, or [type] for a list of that type. A domain is given only where
+# no builder checks one. A field given as a dict of tables is a kind: its value
+# picks the table whose fields join the mapping's. The dual-scale keys of a pdhg
+# entry's scales read as SCALE, the sweep's as GRID (absent: not swept).
+REQUIRED = object()
+AT_LEAST_0, AT_LEAST_1 = ("at least 0", lambda v: v >= 0), ("at least 1", lambda v: v >= 1)
+POSITIVE, NON_EMPTY = ("positive", lambda v: v > 0), ("non-empty", len)
+SOLVER = {"kind": {"pdhg": {"scales": (dict, {})}, "sm_c": {"step": (float, REQUIRED)},
+                   "sm_d": {"step0": (float, REQUIRED)}}}
+TASK = {"kind": {"denoise_salt_pepper": {"sp_density": (float, REQUIRED),
+                                         "lam": (float, REQUIRED)},
+                 "inpaint": {"mask_fraction": (float, REQUIRED),
+                             "gaussian_sigma": (float, REQUIRED)},
+                 "ct": {"poisson_scale": (float, REQUIRED), "background": (float, REQUIRED),
+                        "n_angles": (int, None), "n_bins": (int, None)}},
+        "image_side": (int, REQUIRED), "phantom": (str, REQUIRED), "gamma": (float, REQUIRED),
+        "nonneg": (bool, False), "fbp_init": (bool, True)}
+RANDOM = {"arch": {"conv_pool_dense": {"filters": (int, 8), "kernel": (int, 5), "pool": (int, 8),
+                                       "hidden": (int, 16), "alpha": (float, 0.2)}},
+          "seed_offset": (int, 0)}
+CONFIG = {"seed": (int, 0, AT_LEAST_0), "budget": (int, REQUIRED, AT_LEAST_1),
+          "task": (TASK, REQUIRED),
+          "weights": ({"path": (str, None), "random": (RANDOM, None)}, REQUIRED),
+          "solvers": ([SOLVER], ()), "sweep": (dict, {}), "output_dir": (str, REQUIRED),
+          "reference_multiplier": (int, 10, AT_LEAST_1),
+          "rel_error_target": (float, 1e-3, POSITIVE), "record_timing": (bool, False)}
+SCALE, GRID = (float, 1.0), ([float], None, NON_EMPTY)
+NAMES = {float: "number", int: "integer", bool: "flag", str: "string", dict: "mapping",
+         list: "list"}
 
 
-def _count(value):
-    """int(value) for a count, refusing a bool or a fraction, which int() truncates."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _at_least_one(value, where):
-    if value < 1:
-        raise ConfigError(f"{where}: must be at least 1, got {value}")
+def _value(value, spec, where):
+    """value converted through its field's (type, default[, domain])."""
+    kind, _, *domain = spec
+    if isinstance(kind, dict):
+        return _read(value, kind, where)
+    python = list if isinstance(kind, list) else kind
+    with _refused(where):
+        if python is int:  # int() would truncate a bool or a fraction
+            value = solver_mod.as_count(value)
+        elif python is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+            if not math.isfinite(value):  # json reads NaN and Infinity
+                raise ValueError(f"expected a finite number, got {value!r}")
+            value = float(value)
+        elif python is float or not isinstance(value, python):
+            raise TypeError(f"expected a {NAMES[python]}, got {value!r}")
+    if python is list:
+        value = [_value(item, (kind[0], None), f"{where}[{i}]") for i, item in enumerate(value)]
+    for text, holds in domain:
+        if not holds(value):
+            raise ConfigError(f"{where}: must be {text}, got {value}")
     return value
 
 
+def _field(mapping, key, spec, where):
+    """mapping[key] converted through its spec, or the default of a field left out."""
+    if key in mapping:
+        return _value(mapping[key], spec, f"{where} {key}")
+    if spec[1] is REQUIRED:
+        raise ConfigError(f"{where}: missing required field {key!r}")
+    return spec[1]
+
+
+def _read(mapping, table, where):
+    """The fields of a config mapping converted through its table, defaults
+    filled in; an unknown, missing or mistyped field is a ConfigError naming it."""
+    _value(mapping, (dict, None), where)
+    for key, spec in table.items():
+        if isinstance(spec, dict):  # a kind
+            kind = _field(mapping, key, (str, REQUIRED), where)
+            if kind not in spec:
+                raise ConfigError(f"{where} {key}: unknown {key} {kind!r}")
+            table = {**table, key: (str, REQUIRED), **spec[kind]}
+            break
+    unknown = [key for key in mapping if key not in table]
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
+    return {key: _field(mapping, key, spec, where) for key, spec in table.items()}
+
+
 def load_config(path):
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
     try:
         with open(path) as fh:
             return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file {path} does not exist")
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
 def _build_weights(cfg, side, seed):
-    if "path" in cfg:
+    """The network of a read weights mapping: stored at its path, or random."""
+    if (cfg["path"] is None) == (cfg["random"] is None):
+        raise ConfigError("config weights: give one of 'path' and 'random'")
+    if cfg["path"] is not None:
         spec = icnn_mod.load_weights(cfg["path"])
         if tuple(spec.input_shape) != (side, side):
             raise ConfigError(f"weights: network input shape {tuple(spec.input_shape)} "
                               f"does not match the task image shape {(side, side)}")
         return spec
-    rnd = _require(cfg, "random", "weights")
-    arch = _require(rnd, "arch", "weights")
-    if arch != "conv_pool_dense":
-        raise ConfigError(f"weights: unknown arch {arch!r}")
-    defaults = {"filters": 8, "kernel": 5, "pool": 8, "hidden": 16, "alpha": 0.2, "seed_offset": 0}
-    fields = {k: _number(_count if type(d) is int else float, rnd, k, "weights", d)
-              for k, d in defaults.items()}
-    offset = fields.pop("seed_offset")
+    sizes = {k: v for k, v in cfg["random"].items() if k not in ("arch", "seed_offset")}
     with _refused("weights"):
-        template = icnn_mod.ConvPoolDenseTemplate(side=side, **fields)
-        return icnn_mod.random_admissible(seed + offset, template)
-
-
-# the task fields each kind requires, beside image_side, phantom and gamma
-TASK_FIELDS = {"denoise_salt_pepper": ("sp_density", "lam"),
-               "inpaint": ("mask_fraction", "gaussian_sigma"),
-               "ct": ("poisson_scale", "background")}
+        template = icnn_mod.ConvPoolDenseTemplate(side=side, **sizes)
+        return icnn_mod.random_admissible(seed + cfg["random"]["seed_offset"], template)
 
 
 class Instance:
-    """One fully built reconstruction problem plus its provenance."""
+    """One fully built reconstruction problem plus its provenance; `config`
+    holds the config's fields as read through CONFIG."""
 
     def __init__(self, config, seed_override=None, budget_override=None):
-        self.seed = _number(_count, config, "seed", "config", 0) \
-            if seed_override is None else int(seed_override)
-        self.budget = _at_least_one(_number(_count, config, "budget", "config"), "config budget") \
-            if budget_override is None else _at_least_one(int(budget_override), "--budget")
-        task = _require(config, "task", "config")
-        kind = _require(task, "kind", "task")
-        if not isinstance(kind, str) or kind not in TASK_FIELDS:
-            raise ConfigError(f"task: unknown task kind {kind!r}")
-        side = _number(_count, task, "image_side", "task")
+        self.config = _read(config, CONFIG, "config")
+        self.seed = self.config["seed"] if seed_override is None \
+            else _value(seed_override, CONFIG["seed"], "--seed")
+        self.budget = self.config["budget"] if budget_override is None \
+            else _value(budget_override, CONFIG["budget"], "--budget")
+        task = self.config["task"]
+        kind, side = task["kind"], task["image_side"]
         if side < 8:  # the phantoms' minimum, refused before the network is built
             raise ConfigError(f"task image_side: must be at least 8, got {side}")
-        fields = {k: _number(float, task, k, "task") for k in TASK_FIELDS[kind]}
-        lam = fields.pop("lam", None)
-        gamma = _number(float, task, "gamma", "task")
-        shape = {k: _number(_count, task, k, "task") for k in ("n_angles", "n_bins") if k in task}
-        weights = _build_weights(_require(config, "weights", "config"), side,
-                                 self.seed + SEEDS["weights"])
+        weights = _build_weights(self.config["weights"], side, self.seed + SEEDS["weights"])
+        measured = {f.name: task[f.name] for f in dataclasses.fields(tasks_mod.TaskConfig)
+                    if f.name in task}  # kind, image_side and the kind's own fields
         with _refused("task"):
-            self.ground_truth = tasks_mod.make_phantom(_require(task, "phantom", "task"),
-                                                       side, self.seed + SEEDS["phantom"])
-            geometry = tasks_mod.ct_geometry(side, **shape) if kind == "ct" else None
-            task_config = tasks_mod.TaskConfig(kind=kind, image_side=side, geometry=geometry,
-                                               seed=self.seed + SEEDS["noise"], **fields)
+            self.ground_truth = tasks_mod.make_phantom(task["phantom"], side,
+                                                       self.seed + SEEDS["phantom"])
+            geometry = tasks_mod.ct_geometry(side, task["n_angles"], task["n_bins"]) \
+                if kind == "ct" else None
+            task_config = tasks_mod.TaskConfig(geometry=geometry,
+                                               seed=self.seed + SEEDS["noise"], **measured)
+        lam = task["lam"] if kind == "denoise_salt_pepper" else None
         with _refused("task gamma" if lam is None else "task gamma or lam"):
             self.problem, self.init_x = tasks_mod.build_problem(
-                task_config, self.ground_truth, weights, gamma, lam=lam,
-                nonneg=bool(task.get("nonneg", False)))
-        if not task.get("fbp_init", True):
-            self.init_x = None
+                task_config, self.ground_truth, weights, task["gamma"], lam=lam,
+                nonneg=task["nonneg"])
+        self.init_x = self.init_x if task["fbp_init"] else None
         # dual-scale keys in block order; c0 only when the fidelity is dualized
         self.scale_keys = (["c0"] if self.problem.fidelity.dualize else []) + \
             [f"c{i}" for i in range(1, weights.depth + 1)]
-        self.record_timing = bool(config.get("record_timing", False))
-        self.rel_error_target = _number(float, config, "rel_error_target", "config", 1e-3)
-        self.reference_multiplier = _at_least_one(_number(
-            _count, config, "reference_multiplier", "config", 10), "config reference_multiplier")
         with _refused("weights"):
             self.assembly = solver_mod.assemble_problem(self.problem)
 
-    def check_scale_keys(self, scale_cfg, where):
+    def read_scales(self, scale_cfg, spec, where):
+        """A mapping keyed by dual scale read with one spec for each key."""
         unknown = sorted(set(scale_cfg) - set(self.scale_keys))
         if unknown:
             raise ConfigError(f"{where}: unknown dual-scale key {unknown[0]!r}; this "
                               f"instance has {', '.join(self.scale_keys)}")
+        return _read(scale_cfg, dict.fromkeys(self.scale_keys, spec), where)
 
     def steps(self, scale_cfg):
         """PDHG steps certified for these dual scales; scale_cfg maps
         {"c0": ..., "c1": ..., ...} onto the ordered dual blocks."""
-        self.check_scale_keys(scale_cfg, "pdhg scales")
-        scales = tuple(_number(float, scale_cfg, k, "pdhg scales", 1.0)
-                       for k in self.scale_keys)
+        scales = self.read_scales(scale_cfg, SCALE, "pdhg scales")
         with _refused(f"pdhg scales {scale_cfg}"):
             try:
-                return solver_mod.compute_step_sizes(self.assembly, scales=scales)
+                return solver_mod.compute_step_sizes(self.assembly,
+                                                     scales=tuple(scales.values()))
             except solver_mod.CertificationError as exc:
                 field = scale_cfg if exc.block is None else self.scale_keys[exc.block]
                 raise ConfigError(f"pdhg scales {field}: {exc}") from exc
@@ -186,21 +227,14 @@ class Instance:
         return solver_mod.subgradient_solve(self.problem, method, **kwargs)
 
 
-STEP_RULES = {"sm_c": (solver_mod.ConstantStep, "step"),
-              "sm_d": (solver_mod.DiminishingStep, "step0")}
-
-
 def _method(instance, entry):
-    """Certified PDHG steps or the subgradient step rule of one solver entry."""
-    kind = entry.get("kind")
-    if kind == "pdhg":
-        return instance.steps(entry.get("scales", {}))
-    if not isinstance(kind, str) or kind not in STEP_RULES:
-        raise ConfigError(f"unknown solver kind {kind!r}")
-    rule, key = STEP_RULES[kind]
-    value = _number(float, entry, key, f"solver entry {kind}")
-    with _refused(f"solver entry {kind} {key}"):
-        return rule(value)
+    """Certified PDHG steps or the subgradient step rule of one read solver entry."""
+    if entry["kind"] == "pdhg":
+        return instance.steps(entry["scales"])
+    key, rule = ("step", solver_mod.ConstantStep) if entry["kind"] == "sm_c" \
+        else ("step0", solver_mod.DiminishingStep)
+    with _refused(f"solver entry {entry['kind']} {key}"):
+        return rule(entry[key])
 
 
 def _json_safe(value):
@@ -215,161 +249,119 @@ def _json_safe(value):
     return value
 
 
-def _steps_summary(steps):
-    return {
-        "tau": [float(t) for t in steps.tau],
-        "sigma": [float(s) for s in steps.sigma],
-        "scales": [float(c) for c in steps.scales],
-        "norms": {f"block{b}_row{r}_entry{e}": value
-                  for (b, r, e), value in sorted(steps.norms.items())},
-        "certificates": {f"slot{slot}": value
-                         for slot, (value, _) in sorted(steps.certificates.items())},
-    }
-
-
 def cmd_solve(config_path, seed=None, budget=None):
-    config = load_config(config_path)
-    instance = Instance(config, seed_override=seed, budget_override=budget)
-    out_dir = Path(_require(config, "output_dir", "config"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = _require(config, "solvers", "config")
+    instance = Instance(load_config(config_path), seed_override=seed, budget_override=budget)
+    entries = instance.config["solvers"]
     if not entries:
-        raise ConfigError("config: at least one solver entry is required")
-
+        raise ConfigError("config solvers: at least one solver entry is required")
     methods = [_method(instance, e) for e in entries]  # refuse bad entries before any solve
-    ref_entry = next((e for e in entries if e.get("kind") == "pdhg"),
+    out_dir = Path(instance.config["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ref_entry = next((e for e in entries if e["kind"] == "pdhg"),
                      {"kind": "pdhg", "scales": {}})
-    ref_budget = instance.budget * instance.reference_multiplier
+    ref_budget = instance.budget * instance.config["reference_multiplier"]
     _, ref_metrics = instance.run(_method(instance, ref_entry), ref_budget)
     reference = float(np.min(ref_metrics.objective))
-
-    summary = {
-        "seed": instance.seed,
-        "seeds": {k: instance.seed + offset for k, offset in SEEDS.items()},
-        "budget": instance.budget,
-        "reference": {"objective": reference,
-                      "rule": "min objective of the long reference run",
-                      "budget": ref_budget,
-                      "solver": "pdhg",
-                      "scales": ref_entry.get("scales", {})},
-        "rel_error_target": instance.rel_error_target,
-        "solvers": {},
-    }
-    for idx, (entry, method) in enumerate(zip(entries, methods)):
+    summary = {"seed": instance.seed, "budget": instance.budget, "solvers": {},
+               "seeds": {k: instance.seed + offset for k, offset in SEEDS.items()},
+               "reference": {"objective": reference, "budget": ref_budget, "solver": "pdhg",
+                             "rule": "min objective of the long reference run",
+                             "scales": ref_entry["scales"]},
+               "rel_error_target": instance.config["rel_error_target"]}
+    runs = [instance.run(method, instance.budget) for method in methods]  # then write
+    for idx, (entry, method, (final_x, metrics)) in enumerate(zip(entries, methods, runs)):
         name = f"{entry['kind']}{idx}"
-        final_x, metrics = instance.run(method, instance.budget)
-        metrics.write_csv(out_dir / f"{name}_metrics.csv", timing=instance.record_timing)
+        metrics.write_csv(out_dir / f"{name}_metrics.csv",
+                          timing=instance.config["record_timing"])
         write_tensor(out_dir / f"{name}_final.tnsb", final_x)
         tasks_mod.write_pgm(out_dir / f"{name}_final.pgm", final_x)
         hit, used_abs = solver_mod.iterations_to_threshold(
-            metrics, reference, instance.rel_error_target)
-        entry_summary = {
-            "kind": entry.get("kind"),
-            "final_objective": metrics.objective[-1],
-            "final_psnr": metrics.psnr[-1],
-            "iterations_to_threshold": hit,
-            "threshold_used_absolute_fallback": used_abs,
-        }
+            metrics, reference, instance.config["rel_error_target"])
+        summary["solvers"][name] = {
+            "kind": entry["kind"], "final_objective": metrics.objective[-1],
+            "final_psnr": metrics.psnr[-1], "iterations_to_threshold": hit,
+            "threshold_used_absolute_fallback": used_abs}
         if isinstance(method, solver_mod.StepSizes):
-            entry_summary["step_sizes"] = _steps_summary(method)
-        summary["solvers"][name] = entry_summary
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(_json_safe(summary), fh, indent=2, sort_keys=True)
+            summary["solvers"][name]["step_sizes"] = {
+                "tau": list(method.tau), "sigma": list(method.sigma),
+                "scales": list(method.scales),
+                "norms": {f"block{b}_row{r}_entry{e}": value
+                          for (b, r, e), value in sorted(method.norms.items())},
+                "certificates": {f"slot{slot}": value
+                                 for slot, (value, _) in sorted(method.certificates.items())}}
+    _write_summary(out_dir, summary)
     return 0
 
 
-def _sweep_combos(instance, sweep_cfg):
-    instance.check_scale_keys(sweep_cfg, "sweep")
-    keys = [k for k in instance.scale_keys if k in sweep_cfg]
-    if not keys:
-        raise ConfigError(f"sweep: no scale grids given (expected {instance.scale_keys})")
-    grids = [_number(lambda grid: [float(v) for v in grid], sweep_cfg, k, "sweep") for k in keys]
-    for key, grid in zip(keys, grids):
-        _at_least_one(len(grid), f"sweep {key} grid size")
-    return keys, list(itertools.product(*grids))
+def _write_summary(out_dir, summary):
+    with open(out_dir / "summary.json", "w") as fh:
+        json.dump(_json_safe(summary), fh, indent=2, sort_keys=True)
 
 
 def _sweep_point(instance, scale_cfg):
+    """(mean objective over iterations 1..budget, final objective) at these scales."""
     _, metrics = instance.run(instance.steps(scale_cfg), instance.budget)
-    trailing = metrics.objective[1:]  # rows for iterations 1..budget
-    return {"avg_objective": float(np.mean(trailing)),
-            "final_objective": float(metrics.objective[-1])}
+    return float(np.mean(metrics.objective[1:])), float(metrics.objective[-1])
 
 
 def _sweep_worker(args):
     config, scale_cfg, seed, budget = args
-    instance = Instance(config, seed_override=seed, budget_override=budget)
-    return _sweep_point(instance, scale_cfg)
+    return _sweep_point(Instance(config, seed_override=seed, budget_override=budget), scale_cfg)
 
 
 def cmd_sweep(config_path, seed=None, budget=None, jobs=1):
-    _at_least_one(jobs, "--jobs")
+    jobs = _value(jobs, (int, 1, AT_LEAST_1), "--jobs")
     config = load_config(config_path)
     instance = Instance(config, seed_override=seed, budget_override=budget)
-    keys, combos = _sweep_combos(instance, _require(config, "sweep", "config"))
-    out_dir = Path(_require(config, "output_dir", "config"))
+    grids = {k: grid for k, grid in instance.read_scales(
+        instance.config["sweep"], GRID, "sweep").items() if grid is not None}
+    if not grids:
+        raise ConfigError(f"sweep: no scale grids given (expected {instance.scale_keys})")
+    keys, combos = list(grids), list(itertools.product(*grids.values()))
+    out_dir = Path(instance.config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     scale_cfgs = [dict(zip(keys, combo)) for combo in combos]
     workers = min(jobs, len(combos))  # more would sit idle
     if workers > 1:
-        work = [(config, scale_cfg, instance.seed, instance.budget)
-                for scale_cfg in scale_cfgs]
         with get_context("spawn").Pool(workers) as pool:
-            results = pool.map(_sweep_worker, work)
+            results = pool.map(_sweep_worker, [(config, scale_cfg, instance.seed, instance.budget)
+                                               for scale_cfg in scale_cfgs])
     else:
         results = [_sweep_point(instance, scale_cfg) for scale_cfg in scale_cfgs]
-    rows = [tuple(combo) + (res["avg_objective"], res["final_objective"])
-            for combo, res in zip(combos, results)]
+    rows = [combo + result for combo, result in zip(combos, results)]
     with open(out_dir / "sweep.csv", "w") as fh:
         fh.write(",".join(keys + ["avg_objective", "final_objective"]) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    best_idx = int(np.argmin([r[-2] for r in rows]))
-    summary = {
-        "seed": instance.seed,
-        "budget": instance.budget,
-        "grid_keys": keys,
-        "combinations": len(rows),
-        "best": {"scales": dict(zip(keys, combos[best_idx])),
-                 "avg_objective": rows[best_idx][-2],
-                 "final_objective": rows[best_idx][-1]},
-    }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(_json_safe(summary), fh, indent=2, sort_keys=True)
+        fh.writelines(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    best = rows[int(np.argmin([r[-2] for r in rows]))]
+    _write_summary(out_dir, {"seed": instance.seed, "budget": instance.budget,
+                             "grid_keys": keys, "combinations": len(rows),
+                             "best": {"scales": dict(zip(keys, best)), "avg_objective": best[-2],
+                                      "final_objective": best[-1]}})
     return 0
 
 
 def cmd_verify(seed=0):
     results = run_all_suites(seed)
+    failed = sum(not r.passed for r in results)
     print(f"{'status':6s} {'suite':24s} {'runtime':>9s}  detail")
-    for res in results:
-        print(res.line())
-    failed = [r for r in results if not r.passed]
-    if failed:
-        print(f"{len(failed)} of {len(results)} suites failed "
-              f"(reproduce with seed {seed})")
-        return 1
-    print(f"all {len(results)} suites passed")
-    return 0
+    print(*(r.line() for r in results), sep="\n")
+    print(f"{failed} of {len(results)} suites failed (reproduce with seed {seed})" if failed
+          else f"all {len(results)} suites passed")
+    return 1 if failed else 0
 
 
 def _weights_operators(weights_dir):
+    """(name, operator) of each stored layer operator and each flat network block."""
     spec = icnn_mod.load_weights(weights_dir)
     from .blocks import assemble_blocks
-    named = []
-    for i, layer in enumerate(spec.layers, start=1):
-        if layer.skip is not None:
-            named.append((f"layer{i}_skip", layer.skip))
-        if layer.carry is not None:
-            named.append((f"layer{i}_carry", layer.carry))
-    assembly = assemble_blocks(spec)
-    for i, block in enumerate(assembly.blocks):
-        named.append((f"block_{block.kind}_{i}", block.operator.flat()))
-    return spec, named
+    return [(f"layer{i}_{part}", op) for i, layer in enumerate(spec.layers, start=1)
+            for part, op in (("skip", layer.skip), ("carry", layer.carry)) if op is not None] + \
+        [(f"block_{block.kind}_{i}", block.operator.flat())
+         for i, block in enumerate(assemble_blocks(spec).blocks)]
 
 
 def cmd_norm(weights_dir, seed=0):
-    _, named = _weights_operators(weights_dir)
+    named = _weights_operators(weights_dir)
     print(f"{'operator':24s} {'bound':>14s} {'estimate':>14s} {'ratio':>9s} iters converged")
     for name, op in named:
         est = linops.estimate_norm(op, seed=seed)
@@ -382,7 +374,7 @@ def cmd_norm(weights_dir, seed=0):
 
 
 def cmd_adjoint_test(weights_dir, seed=0):
-    _, named = _weights_operators(weights_dir)
+    named = _weights_operators(weights_dir)
     result = adjoint_suite(named, pairs=100, seed=seed)
     print(result.line())
     return 0 if result.passed else 1
@@ -407,11 +399,10 @@ def main(argv=None):
         p = sub.add_parser(name, help=help_text)
         if positional is not None:
             p.add_argument(positional)
-        if positional == "config_path":  # seed and budget default to the config's
-            p.add_argument("--seed", type=int, default=None)
+        # seed and budget default to the config's
+        p.add_argument("--seed", type=int, default=None if positional == "config_path" else 0)
+        if positional == "config_path":
             p.add_argument("--budget", type=int, default=None)
-        else:
-            p.add_argument("--seed", type=int, default=0)
         if name == "sweep":
             p.add_argument("--jobs", type=int, default=1)
     args = vars(parser.parse_args(argv))

@@ -416,24 +416,17 @@ def save_weights(spec: IcnnSpec, path) -> None:
     layers_cfg = []
     for i, layer in enumerate(spec.layers):
         save_blob = saver(f"layer{i}")
-        cfg = {
+        layers_cfg.append({
             "skip": linops.op_to_config(layer.skip, save_blob) if layer.skip is not None else None,
             "carry": linops.op_to_config(layer.carry, save_blob) if layer.carry is not None else None,
             "bias": save_blob("bias", layer.bias),
             "activation": {"kind": layer.activation.kind, "alpha": layer.activation.alpha},
             "residual": layer.residual,
-        }
-        layers_cfg.append(cfg)
-    manifest = {
-        "format": "icnn-weights",
-        "version": 1,
-        "input_shape": list(spec.input_shape),
-        "layers": layers_cfg,
-        "head": None,
-    }
+        })
     if spec.head is not None:
         write_tensor(path / "head.tnsb", spec.head)
-        manifest["head"] = "head.tnsb"
+    manifest = {"format": "icnn-weights", "version": 1, "input_shape": list(spec.input_shape),
+                "layers": layers_cfg, "head": None if spec.head is None else "head.tnsb"}
     with open(path / MANIFEST_NAME, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 

@@ -12,6 +12,7 @@ preconditioner satisfies the contraction condition.
 
 import copy
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -43,6 +44,19 @@ class DivergenceError(RuntimeError):
         self.where = where
         self.block = block
         super().__init__(f"non-finite iterate in {where} at iteration {iteration}")
+
+
+def as_count(value, least=None, name=None):
+    """value as an int, refusing what int() would take silently (a bool, a
+    fraction or a non-number) and, when least is given, a value below it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        problem = f"expected an integer, got {value!r}"
+    elif least is None or value >= least:
+        return int(value)
+    else:
+        problem = f"must be at least {least}, got {value}"
+    raise ValueError(problem if name is None else f"{name}: {problem}")
 
 
 # --- problem description ------------------------------------------------------
@@ -563,8 +577,8 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
     is only read; the returned state owns its arrays, so it can be the init
     of a later call that continues the run.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    budget = as_count(budget, 1, "budget")
+    metrics_every = as_count(metrics_every, 0, "metrics_every")
     if steps is None:
         steps = compute_step_sizes(assemble_problem(problem), scales=scales)
     assembly = steps.assembly
@@ -602,7 +616,7 @@ class ConstantStep:
     step: float
 
     def __post_init__(self):
-        if not 0.0 < self.step < np.inf:
+        if isinstance(self.step, bool) or not 0.0 < self.step < np.inf:
             raise ValueError(f"step must be finite and positive, got {self.step}")
 
     def at(self, k):
@@ -616,7 +630,7 @@ class DiminishingStep:
     initial: float
 
     def __post_init__(self):
-        if not 0.0 < self.initial < np.inf:
+        if isinstance(self.initial, bool) or not 0.0 < self.initial < np.inf:
             raise ValueError(f"initial step must be finite and positive, got {self.initial}")
 
     def at(self, k):
@@ -632,8 +646,8 @@ def subgradient_solve(problem: ProblemSpec, mode, *, budget: int, init_x=None,
     nested one and feasibility is identically zero. Each iteration shares
     one forward application between the step and the recorded objective.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    budget = as_count(budget, 1, "budget")
+    metrics_every = as_count(metrics_every, 0, "metrics_every")
     x = as_tensor(init_x) if init_x is not None else default_initial_image(problem)
     metrics = RunMetrics(ground_truth)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing objective records inf

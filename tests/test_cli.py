@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -36,12 +37,16 @@ def denoise_config(tmp_path, out_name="out", budget=40):
     }
 
 
+def field_at(cfg, path):
+    """The value at a key path of a config."""
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
 def set_field(cfg, path, value):
     """cfg with the field at a key path set to value, in place."""
-    target = cfg
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    field_at(cfg, path[:-1])[path[-1]] = value
     return cfg
 
 
@@ -423,7 +428,20 @@ REFUSED = [(ct_config, ("task", "background"), -5.0),
            (denoise_config, ("solvers", 2, "step0"), NAN),
            (denoise_config, ("budget",), 0),
            (denoise_config, ("reference_multiplier",), 0),
-           (denoise_config, ("sweep", "c2"), [])]
+           (denoise_config, ("sweep", "c2"), []),
+           # run settings outside their JSON type or domain, which no builder
+           # sees: each exited 0 before, and a negative seed exited 2 naming task
+           (denoise_config, ("rel_error_target",), NAN),
+           (denoise_config, ("rel_error_target",), True),
+           (denoise_config, ("rel_error_target",), "1e-2"),
+           (denoise_config, ("rel_error_target",), 0.0),
+           (denoise_config, ("rel_error_target",), -1.0),
+           (denoise_config, ("task", "nonneg"), "x"),
+           (denoise_config, ("task", "nonneg"), None),
+           (denoise_config, ("task", "fbp_init"), []),
+           (denoise_config, ("record_timing",), {}),
+           (denoise_config, ("record_timing",), 1),
+           (denoise_config, ("seed",), -12)]
 
 
 @pytest.mark.parametrize("make_config, path, value", REFUSED,
@@ -431,29 +449,6 @@ REFUSED = [(ct_config, ("task", "background"), -5.0),
 def test_refused_value_exits_2_naming_its_field(tmp_path, capsys, make_config, path,
                                                 value):
     _assert_refused(tmp_path, capsys, make_config, path, value)
-
-
-# values that ended in a traceback before: int() of a JSON Infinity (an
-# OverflowError), an unhashable kind, a pool that int() turns into 0 (a
-# ZeroDivisionError) and a kernel with a zero side; and counts that int()
-# truncated into another network, which exited 0
-TRACEBACKS = {"seed=Infinity": (denoise_config, ("seed",), float("inf")),
-              "hidden=-Infinity": (denoise_config, ("weights", "random", "hidden"),
-                                   -float("inf")),
-              "task kind=[]": (denoise_config, ("task", "kind"), []),
-              "solver kind={}": (denoise_config, ("solvers", 0, "kind"), {}),
-              "pool=0": (denoise_config, ("weights", "random", "pool"), 0),
-              "pool=-0.0": (denoise_config, ("weights", "random", "pool"), -0.0),
-              "pool=1e-300": (denoise_config, ("weights", "random", "pool"), 1e-300),
-              "denoise kernel=0": (denoise_config, ("weights", "random", "kernel"), 0),
-              "ct kernel=0": (ct_config, ("weights", "random", "kernel"), 0),
-              "filters=2.5": (denoise_config, ("weights", "random", "filters"), 2.5),
-              "hidden=true": (denoise_config, ("weights", "random", "hidden"), True)}
-
-
-@pytest.mark.parametrize("case", TRACEBACKS)
-def test_former_traceback_exits_2_naming_its_field(tmp_path, capsys, case):
-    _assert_refused(tmp_path, capsys, *TRACEBACKS[case])
 
 
 def test_ct_at_a_vanishing_count_scale_reports_minus_inf_psnr(tmp_path):
@@ -507,26 +502,80 @@ def leaf_paths(node, path=()):
 
 MUTANTS = [None, "x", -1, 0, 0.0, -0.0, NAN, float("inf"), -float("inf"), [], {}, True,
            2.5, 1e-300]
+JSON_CLASSES = [(bool, "bool"), ((int, float), "number"), (str, "string"),
+                (type(None), "null"), (list, "list"), (dict, "mapping")]
+
+
+def json_class(value):
+    return next(name for kind, name in JSON_CLASSES if isinstance(value, kind))
+
+
+def must_refuse(base, value, field):
+    """Whether a mutant of a field must exit 2: another JSON class than the
+    base value's, a non-finite number, a fraction for a count (an integer
+    base value), or a network size below 1. The last two cover values that
+    once ended in a traceback (a pool or kernel of 0) or that int() truncated
+    into another network."""
+    if json_class(value) != json_class(base):
+        return True
+    if json_class(value) != "number":
+        return False
+    return (not math.isfinite(value) or (isinstance(base, int) and not float(value).is_integer())
+            or (field in ("filters", "kernel", "pool", "hidden") and value < 1))
 
 
 @pytest.mark.parametrize("kind", ["denoise", "inpaint", "ct"])
 def test_every_field_mutation_exits_0_or_2_naming_its_field(tmp_path, capsys, kind):
     # one field at a time takes each mutant value; a refusal names the field,
-    # except a vanishing CT count scale, refused by the dual block it overflows
+    # except a vanishing CT count scale, refused by the dual block it
+    # overflows, and writes no CSV
     base = full_config(tmp_path, kind)
+    out = Path(base["output_dir"])
     failures = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for path in leaf_paths(base):
             for value in MUTANTS:
                 cfg = set_field(json.loads(json.dumps(base)), path, value)
+                for csv in out.glob("*.csv"):
+                    csv.unlink()
                 code = main(["solve", str(write_config(tmp_path, cfg))])
                 err = capsys.readouterr().err
                 name = "pdhg scales c0" if (path[-1], value) == ("poisson_scale", 1e-300) \
                     else path[-1]
-                if code != 0 and (code != 2 or name not in err):
+                refused = code == 2 and name in err and not list(out.glob("*.csv"))
+                if not refused and (code != 0 or must_refuse(field_at(base, path), value,
+                                                             path[-1])):
                     failures.append(f"{path}={value!r}: exit {code}: {err.strip()}")
     assert not failures, "\n".join(failures)
+
+
+def test_misspelled_key_exits_2_naming_it(tmp_path, capsys):
+    # each mapping of each full config gets one key with its last letter
+    # dropped (scale, lam, filter, ...), beside the key itself
+    failures = []
+    for kind in ("denoise", "inpaint", "ct"):
+        base = full_config(tmp_path, kind)
+        for path in mapping_paths(base):
+            cfg = json.loads(json.dumps(base))
+            mapping = field_at(cfg, path)
+            first = next(iter(mapping))
+            typo = first[:-1]
+            mapping[typo] = mapping[first]
+            code = main(["solve", str(write_config(tmp_path, cfg))])
+            err = capsys.readouterr().err
+            if code != 2 or f"{typo!r}" not in err or Path(cfg["output_dir"]).exists():
+                failures.append(f"{kind} {path} {typo!r}: exit {code}: {err.strip()}")
+    assert not failures, "\n".join(failures)
+
+
+def mapping_paths(node, path=()):
+    """The key path of every mapping in a config, the config itself first."""
+    if isinstance(node, dict):
+        yield path
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, (dict, list)):
+            yield from mapping_paths(value, path + (key,))
 
 
 def _assert_refused(tmp_path, capsys, make_config, path, value):
@@ -556,6 +605,9 @@ def test_budget_and_jobs_flags_are_bounded(tmp_path, capsys, monkeypatch):
         for value in ("0", "-3"):
             assert main(argv + [value]) == 2
             assert f"{argv[-1]}: must be at least 1" in capsys.readouterr().err
+    for command in ("solve", "sweep"):  # a seed below 0 ran before
+        assert main([command, path, "--seed", "-1"]) == 2
+        assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
     assert not Path(cfg["output_dir"]).exists()
     for jobs in ("1", "2", "64"):
         assert main(["sweep", path, "--jobs", jobs]) == 0
@@ -582,3 +634,51 @@ def test_non_numeric_value_exits_2_naming_its_field(tmp_path, capsys, command, p
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path[-1] in err
     assert not list((tmp_path / "out_not_number").glob("*.csv"))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def spec_rows(field, spec):
+    """(field, type, default) of one schema field and of the fields it nests,
+    written as the README's table writes them."""
+    kind, default, *domain = spec
+    nested = kind[0] if isinstance(kind, list) else kind
+    if isinstance(kind, list):
+        name = "list of " + ("mappings" if isinstance(nested, dict) else "numbers")
+    else:
+        name = cli.NAMES[dict if isinstance(kind, dict) else kind]
+    name += "".join(f", {text}" for text, _ in domain)
+    yield field, name, ("required" if default is cli.REQUIRED
+                        else "-" if default is None else json.dumps(default))
+    if isinstance(nested, dict):
+        yield from table_rows(nested, field + ("[]." if isinstance(kind, list) else "."))
+
+
+def table_rows(table, prefix=""):
+    for key, spec in table.items():
+        if isinstance(spec, dict):  # a kind, then the fields each of its values adds
+            yield prefix + key, "string", "required"
+            for fields in spec.values():
+                yield from table_rows(fields, prefix)
+        else:
+            yield from spec_rows(prefix + key, spec)
+
+
+def test_readme_field_table_is_the_schema():
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")[:3]]
+            for line in README.read_text().splitlines() if line.startswith("| `")]
+    schema = [*table_rows(cli.CONFIG), *spec_rows("solvers[].scales.c<i>", cli.SCALE),
+              *spec_rows("sweep.c<i>", cli.GRID)]
+    assert len(rows) == len(set(map(tuple, rows)))
+    assert sorted(map(tuple, rows)) == sorted(schema)
+
+
+def test_readme_minimal_config_builds_an_instance():
+    text = README.read_text()
+    start = text.index("```json", text.index("A minimal config:")) + len("```json")
+    config = json.loads(text[start:text.index("```", start)])
+    instance = Instance(config)
+    assert instance.scale_keys == ["c1", "c2"]
+    for entry in instance.config["solvers"]:  # certified steps or a step rule each
+        cli._method(instance, entry)

@@ -245,6 +245,34 @@ def test_pdhg_warm_restart_continues_the_run_bitwise(make):
             assert not np.shares_memory(state.x, other)
 
 
+SOLVES = {"pdhg": er.pdhg_solve,
+          "subgradient": lambda problem, **kw: er.subgradient_solve(
+              problem, er.ConstantStep(0.1), **kw)}
+
+
+@pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES)
+def test_solvers_refuse_counts_that_int_would_take(solve):
+    # a bool or a fraction ran (budget=True as 1 iteration, metrics_every=2.5
+    # recorded 0, 5 and 10), budget=2.5 was a TypeError of range(), and a
+    # negative metrics_every acted as its absolute value
+    problem, _ = dense_problem()
+    for name, value in [("budget", True), ("budget", 2.5), ("budget", 0), ("budget", -3),
+                        ("metrics_every", True), ("metrics_every", 2.5),
+                        ("metrics_every", -3)]:
+        kwargs = dict(budget=10, metrics_every=5) | {name: value}
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            solve(problem, **kwargs)
+    assert solve(problem, budget=10.0, metrics_every=5)[1].iterations == (0, 5, 10)
+    assert solve(problem, budget=10, metrics_every=0)[1].iterations == (0, 10)
+
+
+@pytest.mark.parametrize("rule", [er.ConstantStep, er.DiminishingStep])
+def test_step_rules_refuse_a_bool_step(rule):
+    with pytest.raises(ValueError, match="step must be finite and positive, got True"):
+        rule(True)
+    assert rule(1.0).at(1) == 1.0
+
+
 def test_pdhg_validates_proxes_per_solve_not_per_iteration(monkeypatch):
     problem = make_ct12_problem()
     steps = compute_step_sizes(assemble_problem(problem), scales=CT12_SCALES)
