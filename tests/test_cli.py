@@ -451,6 +451,29 @@ def test_refused_value_exits_2_naming_its_field(tmp_path, capsys, make_config, p
     _assert_refused(tmp_path, capsys, make_config, path, value)
 
 
+# values that ended in a traceback before: int() of a JSON Infinity (an
+# OverflowError), an unhashable kind, a pool that int() turns into 0 (a
+# ZeroDivisionError) and a kernel with a zero side; and counts that int()
+# truncated into another network, which exited 0
+TRACEBACKS = {"seed=Infinity": (denoise_config, ("seed",), float("inf")),
+              "hidden=-Infinity": (denoise_config, ("weights", "random", "hidden"),
+                                   -float("inf")),
+              "task kind=[]": (denoise_config, ("task", "kind"), []),
+              "solver kind={}": (denoise_config, ("solvers", 0, "kind"), {}),
+              "pool=0": (denoise_config, ("weights", "random", "pool"), 0),
+              "pool=-0.0": (denoise_config, ("weights", "random", "pool"), -0.0),
+              "pool=1e-300": (denoise_config, ("weights", "random", "pool"), 1e-300),
+              "denoise kernel=0": (denoise_config, ("weights", "random", "kernel"), 0),
+              "ct kernel=0": (ct_config, ("weights", "random", "kernel"), 0),
+              "filters=2.5": (denoise_config, ("weights", "random", "filters"), 2.5),
+              "hidden=true": (denoise_config, ("weights", "random", "hidden"), True)}
+
+
+@pytest.mark.parametrize("case", TRACEBACKS)
+def test_former_traceback_exits_2_naming_its_field(tmp_path, capsys, case):
+    _assert_refused(tmp_path, capsys, *TRACEBACKS[case])
+
+
 def test_ct_at_a_vanishing_count_scale_reports_minus_inf_psnr(tmp_path):
     # the normalized problem is O(1e300): the squared error of the image
     # overflows, which psnr reports as -inf; a small c0 keeps the KL dual in range
