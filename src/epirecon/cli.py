@@ -224,7 +224,13 @@ class Instance:
                     raise
                 raise ConfigError(f"pdhg scales {self.scale_keys[exc.block]}: {exc}") from exc
             return state.x, metrics
-        return solver_mod.subgradient_solve(self.problem, method, **kwargs)
+        try:
+            return solver_mod.subgradient_solve(self.problem, method, **kwargs)
+        except solver_mod.DivergenceError as exc:  # the kl term's A x + b > 0 fails at x0
+            if exc.iteration or not isinstance(self.problem.fidelity, solver_mod.KLFidelity):
+                raise
+            kind = "sm_c" if isinstance(method, solver_mod.ConstantStep) else "sm_d"
+            raise ConfigError(f"task background: solver entry {kind}: {exc}") from exc
 
 
 def _method(instance, entry):

@@ -233,16 +233,18 @@ class ObjectiveReport:
     reg_term: float
 
 
-def evaluate_objectives(problem: ProblemSpec, x, z=None) -> ObjectiveReport:
+def evaluate_objectives(problem: ProblemSpec, x, z=None, fwd=None) -> ObjectiveReport:
     """Objectives of the nested and the constrained formulation at (x, z).
 
     With z equal to the network trace the two objectives agree and the
     feasibility residual is zero; any z >= trace layerwise keeps feasibility
-    zero and can only raise the reformulated value.
+    zero and can only raise the reformulated value. fwd, when given, is A x
+    (PDHG keeps it), so the data term applies nothing.
     """
     spec = problem.regularizer
     reg_value, trace = icnn_mod.forward(spec, x, skips := [])
-    data = problem.fidelity.value(problem.apply_forward(x), problem.measurement)
+    data = problem.fidelity.value(problem.apply_forward(x) if fwd is None else fwd,
+                                  problem.measurement)
     reg_term = problem.reg_weight * reg_value
     primal = data + reg_term
     if z is None:
@@ -445,18 +447,17 @@ def initial_state(problem: ProblemSpec, assembly: BlockAssembly,
 class SolvePlan:
     """The buffers and bound prox kernels of one PDHG run, built once.
 
-    One private flat buffer holds the primal slots u = (x, z_1, ...), their
-    relaxed points and the duals, so that the divergence guard is one
-    reduction that names a failed iterate from its offset. The relaxed
-    points start at zero: step() writes them before it reads them. step()
-    only does arithmetic, written through out= into buffers the plan owns,
-    in the floating-point order of the three-phase update: each block's
-    adjoint is added into the zeroed gradient, and each dual prox gets
-    c + sigma * (K u_bar). The blocks run one after another, so they share
-    their work buffers.
-    Nothing is checked per iteration: the steps were certified, the
-    fidelity's data were checked when its ProblemSpec was built, and the
-    readout cap is checked here.
+    One flat buffer holds a half of K u, the primal slots u = (x, z_1, ...),
+    the duals and a second half. As u_bar = 2 u+ - u, no relaxed point is
+    formed (PDLP keeps K x alike): each block applies its operator to u+
+    into one half, and the other, which held K u, becomes
+    K u+ + (K u+ - K u), then c + sigma * (K u_bar) in place, its dual
+    prox's input. The halves swap roles every iteration; the fidelity
+    block's kept half is the record's A x. K u0 is applied when the plan
+    is built, so a warm restart continues a run bitwise. step() only does
+    arithmetic, through out= into the plan's buffers. Nothing is checked
+    per iteration: the steps were certified, the fidelity's data when its
+    ProblemSpec was built, and the readout cap here.
     """
 
     def __init__(self, problem: ProblemSpec, steps: StepSizes, state: SaddleState):
@@ -466,49 +467,56 @@ class SolvePlan:
         n = sum(sizes)
         dual_sizes = [sum(math.prod(s) for s in block.operator.output_shapes)
                       for block in assembly.blocks]
-        self.buf = np.zeros(2 * n + sum(dual_sizes))
+        nd = sum(dual_sizes)
+        self.buf = np.zeros(n + 3 * nd)
         self.finite = np.empty(self.buf.shape, dtype=bool)
-        self.u_flat, self.relaxed_flat, *dual_flats = split(
-            self.buf, [(n,), (n,)] + [(d,) for d in dual_sizes])
+        self.u_flat, *dual_flats = split(self.buf[nd:n + 2 * nd],
+                                         [(n,)] + [(d,) for d in dual_sizes])
         self.u = split(self.u_flat, shapes)
-        self.relaxed = split(self.relaxed_flat, shapes)
         self.duals = [split(flat, block.operator.output_shapes)
                       for flat, block in zip(dual_flats, assembly.blocks)]
         for dst, src in zip(self.u + [d for rows in self.duals for d in rows],
                             [state.x, *state.z, *(d for rows in state.duals for d in rows)]):
             np.copyto(dst, src)
         self.iteration = state.iteration
-        # the iterate each stretch of the buffer belongs to, in buffer order
+        # per block, its (flat, rows) stretch of each half
+        halves = [split(half, [(d,) for d in dual_sizes])
+                  for half in (self.buf[:nd], self.buf[n + 2 * nd:])]
+        ku = [[(flat, split(flat, block.operator.output_shapes)) for flat in flats]
+              for block, *flats in zip(assembly.blocks, *halves)]
+        self.keep = 0  # the half holding K u of the current u
+        fidelity = problem.fidelity
+        self.kept_forward = [rows[0] for _, rows in ku[0]] if fidelity.dualize else [None] * 2
+        # per value of keep, the guard's window: u, the duals and the fresh half
+        self.windows = [(lo, self.buf[lo:hi], self.finite[lo:hi])
+                        for lo, hi in ((nd, n + 3 * nd), (0, n + 2 * nd))]
+        self.iterates = (nd, self.finite[nd:n + 2 * nd])
+        # (name, dual block) of each stretch of the buffer, in buffer order
         slots = ["primal image"] + [f"auxiliary block {j}" for j in range(1, len(shapes))]
-        self.names = slots + [f"relaxed {name}" for name in slots] + \
-            [f"dual block {bi}" for bi in range(len(dual_sizes))]
-        self.ends = np.cumsum(sizes + sizes + dual_sizes)
+        relaxed = [(f"relaxed K u of dual block {bi}", bi) for bi in range(len(dual_sizes))]
+        self.stretches = relaxed + [(name, None) for name in slots] + \
+            [(f"dual block {bi}", bi) for _, bi in relaxed] + relaxed
+        self.ends = np.cumsum(dual_sizes + sizes + dual_sizes + dual_sizes)
 
-        # the primal phase (gradient) and the dual phase (tilde) of an
-        # iteration never overlap, so they share one buffer
-        most = max(dual_sizes)
-        work = np.empty(max(n, most))
-        self.grad = work[:n]
+        self.grad = np.empty(n)
         self.grads = split(self.grad, shapes)
         self.tau = steps.tau
         self.blocks = [(block.operator, rows) for block, rows in zip(assembly.blocks,
                                                                      self.duals)]
-        fidelity = problem.fidelity
         self.primal_prox = None if fidelity.dualize else fidelity.primal_kernel(
             steps.tau[0], problem.measurement, problem.forward)
         self.nonneg = problem.nonneg
         cap = prox._check_nonnegative(
             problem.reg_weight * problem.regularizer.readout_weights(), "readout weights")
-        self.dual_steps = [self._dual_step(problem, block, sigma, flat, rows, cap,
-                                           work[:flat.size])
-                           for block, sigma, flat, rows
-                           in zip(assembly.blocks, steps.sigma, dual_flats, self.duals)]
+        self.dual_steps = [self._dual_step(problem, block, sigma, flat, rows, cap, halves_of)
+                           for block, sigma, flat, rows, halves_of
+                           in zip(assembly.blocks, steps.sigma, dual_flats, self.duals, ku)]
 
-    def _dual_step(self, problem, block, sigma, dual, rows, cap, tilde):
+    def _dual_step(self, problem, block, sigma, dual, rows, cap, halves):
         """The block's dual update: its conjugate prox kernel at c + sigma * (K u_bar);
-        tilde is a work buffer of the block's dual size."""
-        op, relaxed = block.operator, self.relaxed
-        tilde_rows = split(tilde, op.output_shapes)
+        halves are the block's (flat, rows) stretches of the two K u halves."""
+        op, u = block.operator, self.u
+        op.apply(u, out=halves[0][1])  # K u0
         if block.kind == "epigraph":
             kernel = prox.epigraph_conjugate_kernel(sigma, block.bias, block.negative_slope,
                                                     op.output_shapes[0])
@@ -517,31 +525,32 @@ class SolvePlan:
         else:
             kernel = problem.fidelity.dual_kernel(sigma, problem.measurement)
 
-        def dual_step():
-            op.apply(relaxed, out=tilde_rows)
-            np.multiply(tilde, sigma, out=tilde)
-            np.add(dual, tilde, out=tilde)  # c + sigma * (K u_bar)
-            kernel(*tilde_rows, *rows)
+        def dual_step(keep):
+            (kept, kept_rows), (fresh, fresh_rows) = halves[keep], halves[1 - keep]
+            op.apply(u, out=kept_rows)  # K u+, kept for the next iteration
+            np.subtract(kept, fresh, out=fresh)
+            np.add(kept, fresh, out=fresh)  # K u_bar = K u+ + (K u+ - K u)
+            np.multiply(fresh, sigma, out=fresh)
+            np.add(dual, fresh, out=fresh)  # c + sigma * (K u_bar)
+            kernel(*fresh_rows, *rows)
         return dual_step
 
     def step(self):
         """One iteration: primal step, extrapolation by 1, dual proxes."""
-        grad, grads = self.grad, self.grads
+        grad, grads, u = self.grad, self.grads, self.u
         grad.fill(0.0)
         for op, rows in self.blocks:
             op.adjoint(rows, out=grads)
         for g, t in zip(grads, self.tau):
             np.multiply(g, t, out=g)
-        np.subtract(self.u_flat, grad, out=grad)  # the new u, x before its prox
+        np.subtract(self.u_flat, grad, out=self.u_flat)  # u+, x before its prox
         if self.primal_prox is not None:
-            self.primal_prox(grads[0], grads[0])
+            self.primal_prox(u[0], u[0])
         if self.nonneg:
-            np.maximum(grads[0], 0.0, out=grads[0])
-        np.multiply(grad, 2.0, out=self.relaxed_flat)
-        np.subtract(self.relaxed_flat, self.u_flat, out=self.relaxed_flat)
-        np.copyto(self.u_flat, grad)
+            np.maximum(u[0], 0.0, out=u[0])
+        self.keep = 1 - self.keep
         for dual_step in self.dual_steps:
-            dual_step()
+            dual_step(self.keep)
         self.iteration += 1
 
     def view(self) -> SaddleState:
@@ -550,15 +559,15 @@ class SolvePlan:
         return SaddleState(x, z, self.duals, self.iteration)
 
     def guard(self):
-        """One reduction over every iterate; when it fails, the first entry
-        that is not finite names its iterate. K u is not checked: a clipping
-        dual prox can map its overflow back to finite duals, which is why the
-        relaxed points are."""
-        if not np.isfinite(self.buf, out=self.finite).all():
-            where = np.searchsorted(self.ends, np.argmin(self.finite), side="right")
-            block = where - 2 * len(self.u)  # the duals follow u and the relaxed point
-            raise DivergenceError(self.iteration, self.names[where],
-                                  block if block >= 0 else None)
+        """One reduction over u, the duals and the fresh c + sigma * (K u_bar), whose
+        overflow a clipping dual prox can hide; the first entry that is not
+        finite names its iterate, and an iterate comes before a K u_bar stretch."""
+        lo, values, finite = self.windows[self.keep]
+        if not np.isfinite(values, out=finite).all():
+            start, iterates = self.iterates
+            at = start + np.argmin(iterates) if not iterates.all() else lo + np.argmin(finite)
+            raise DivergenceError(self.iteration, *self.stretches[
+                np.searchsorted(self.ends, at, side="right")])
 
 
 # --- the solver ---------------------------------------------------------------
@@ -586,15 +595,16 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
         raise CertificationError("step sizes were certified for another regularizer")
     if assembly.forward is not _dualized_forward(problem):
         raise CertificationError("step sizes were certified for another forward operator")
-    plan = SolvePlan(problem, steps, init if init is not None
-                     else initial_state(problem, assembly, init_x))
+    state = init if init is not None else initial_state(problem, assembly, init_x)
     metrics = RunMetrics(ground_truth)
 
     def observe():
         x, *z = plan.u
-        metrics.record(plan.iteration, evaluate_objectives(problem, x, z), x)
+        fwd = plan.kept_forward[plan.keep]  # A x, None when the fidelity is primal
+        metrics.record(plan.iteration, evaluate_objectives(problem, x, z, fwd=fwd), x)
 
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a non-finite iterate
+        plan = SolvePlan(problem, steps, state)
         plan.guard()
         observe()
         for _ in range(budget):

@@ -498,6 +498,23 @@ def test_diverging_dual_block_names_its_scale_key(tmp_path, capsys):
     assert not list(Path(cfg["output_dir"]).glob("*.csv"))
 
 
+@pytest.mark.parametrize("entry", [{"kind": "sm_c", "step": 0.05},
+                                   {"kind": "sm_d", "step0": 0.5}], ids=["sm_c", "sm_d"])
+def test_ct_baseline_outside_the_kl_domain_names_the_background(tmp_path, capsys, entry):
+    # the clipped FBP start has zero forward bins, where a zero background
+    # leaves the KL subgradient undefined at iteration 0
+    cfg = ct_config(tmp_path)
+    cfg["task"]["background"] = 0.0
+    cfg["solvers"].append(entry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: task background: solver entry {entry['kind']}: ")
+    assert "at iteration 0" in err
+    assert not list(Path(cfg["output_dir"]).glob("*.csv"))
+
+
 def full_config(tmp_path, kind):
     """The 8x8 test config of a task kind at budget 2 with a unit reference
     multiplier, every optional field written out."""

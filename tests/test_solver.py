@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 import epirecon as er
 from epirecon import prox
+from epirecon import solver as solver_mod
 from epirecon.blocks import assemble_blocks
 from epirecon.solver import (CertificationError, DivergenceError, KLFidelity, RunMetrics,
-                             assemble_problem, compute_step_sizes, initial_state)
+                             SolvePlan, assemble_problem, compute_step_sizes,
+                             initial_state)
 from epirecon.tensor import NonFiniteError
 from epirecon.verify import icnn_batch_values, preconditioned_norm, refine_grid_minimize
 from conftest import CT12_SCALES, make_ct12_problem, make_relu_1d
@@ -159,16 +162,18 @@ def test_pdhg_divergence_guard_reports_location():
 
 
 def test_pdhg_guard_catches_relaxed_point_overflow():
-    # x+ = 1 - tau * 1e308 stays finite but x_bar = 2 x+ - x overflows; the
-    # readout clip maps K x_bar back into [0, cap], so only x_bar shows it
+    # x+ = 1 - tau * 1e308 stays finite but K x_bar = K x+ + (K x+ - K x)
+    # overflows; the readout clip maps it back into [0, cap], so only the
+    # readout block's K x_bar shows it
     spec = make_relu_1d()
     problem = er.ProblemSpec(er.l1_fidelity(0.1), None, np.array([2.0]), 1.0, spec)
     state = initial_state(problem, assemble_blocks(spec), init_x=np.array([1.0]))
     state.duals[0][0][0] = 1e308
-    with warnings.catch_warnings(), \
-            pytest.raises(DivergenceError, match=r"relaxed primal image at iteration 1"):
+    with warnings.catch_warnings(), pytest.raises(
+            DivergenceError, match=r"relaxed K u of dual block 0 at iteration 1") as info:
         warnings.simplefilter("error", RuntimeWarning)  # the overflow is the guard's to report
         er.pdhg_solve(problem, budget=5, init=state, metrics_every=0)
+    assert info.value.block == 0
 
 
 def test_subgradient_objective_overflow_records_inf():
@@ -187,11 +192,12 @@ def test_subgradient_objective_overflow_records_inf():
     assert np.isfinite(metrics.objective[0]) and metrics.objective[-1] == np.inf
 
 
-def depth3_dualized_problem():
+def depth3_dualized_problem(measurement=(0.0, 0.0)):
     spec = er.random_admissible(3, er.DenseTemplate(input_dim=3, hidden_dims=(4, 5),
                                                     readout_dim=2))
     forward = er.Dense(np.random.default_rng(4).uniform(-1.0, 1.0, (2, 3)))
-    return er.ProblemSpec(er.l2_fidelity(dualize=True), forward, np.zeros(2), 0.3, spec)
+    return er.ProblemSpec(er.l2_fidelity(dualize=True), forward, np.array(measurement),
+                          0.3, spec)
 
 
 # the arrays of each iterate in the init state, under the name the guard
@@ -214,6 +220,29 @@ def test_pdhg_guard_names_a_poisoned_iterate_from_its_offset(name, position):
         er.pdhg_solve(problem, budget=3, init=state, metrics_every=0)
     block = int(name.split()[-1]) if name.startswith("dual") else None
     assert (info.value.where, info.value.iteration, info.value.block) == (name, 0, block)
+
+
+@pytest.mark.parametrize("keep", [0, 1])
+def test_pdhg_guard_reads_the_fresh_k_u_half_and_names_its_block(keep):
+    # the buffer is [K u half 0, u, duals, K u half 1]: the guard reads the half
+    # that is not kept, and a non-finite entry there names its dual block
+    problem = depth3_dualized_problem()
+    steps = compute_step_sizes(assemble_problem(problem))
+    plan = SolvePlan(problem, steps, initial_state(problem, steps.assembly))
+    sizes = [sum(math.prod(s) for s in block.operator.output_shapes)
+             for block in steps.assembly.blocks]
+    n = sum(math.prod(s) for s in steps.assembly.primal_shapes)
+    halves = (0, n + 2 * sum(sizes))
+    plan.keep = keep
+    for block, start in enumerate(np.cumsum([0] + sizes[:-1])):
+        plan.buf[halves[keep] + start] = np.nan  # the kept half is not read
+        plan.guard()
+        plan.buf[halves[1 - keep] + start] = np.inf
+        with pytest.raises(DivergenceError) as info:
+            plan.guard()
+        assert (info.value.where, info.value.block) == (f"relaxed K u of dual block {block}",
+                                                        block)
+        plan.buf[halves[1 - keep] + start] = 0.0
 
 
 def dense_problem():
@@ -243,6 +272,31 @@ def test_pdhg_warm_restart_continues_the_run_bitwise(make):
     for state in (whole, rest):
         for other in [*state.z, *(d for rows in state.duals for d in rows)]:
             assert not np.shares_memory(state.x, other)
+
+
+@pytest.mark.parametrize("make", [lambda: (depth3_dualized_problem((0.4, -0.7)), None),
+                                  lambda: (make_ct12_problem(), CT12_SCALES)],
+                         ids=["dense", "ct12"])
+def test_pdhg_records_equal_a_fresh_evaluation_bitwise(make, monkeypatch):
+    # the record reads A x from the fidelity block's kept half of K u; every
+    # recorded column must be what a fresh forward apply at that x gives
+    problem, scales = make()
+    truth = np.full(problem.regularizer.input_shape, 0.5)
+    evaluate, seen = solver_mod.evaluate_objectives, []
+
+    def keeping(problem, x, z=None, fwd=None):
+        assert fwd is not None  # the kept row stands in for the data term's apply
+        seen.append((x.copy(), [a.copy() for a in z]))
+        return evaluate(problem, x, z, fwd=fwd)
+
+    monkeypatch.setattr(solver_mod, "evaluate_objectives", keeping)
+    _, metrics = er.pdhg_solve(problem, budget=20, scales=scales, ground_truth=truth)
+    assert [row[0] for row in metrics.rows] == list(range(21))
+    for (_, *recorded, _), (x, z) in zip(metrics.rows, seen):
+        report = evaluate(problem, x, z)
+        fresh = [report.primal, report.reformulated, report.data_term, report.reg_term,
+                 report.feasibility, er.psnr(x, truth)]
+        assert np.array(recorded).tobytes() == np.array(fresh).tobytes()
 
 
 SOLVES = {"pdhg": er.pdhg_solve,
