@@ -25,7 +25,7 @@ from . import icnn as icnn_mod
 from . import linops
 from . import solver as solver_mod
 from . import tasks as tasks_mod
-from .tensor import write_tensor
+from .tensor import as_count, write_tensor
 from .verify import adjoint_suite, run_all_suites
 
 SEEDS = {"phantom": 11, "noise": 23, "weights": 37}  # offsets from the seed
@@ -67,9 +67,9 @@ TASK = {"kind": {"denoise_salt_pepper": {"sp_density": (float, REQUIRED),
                         "n_angles": (int, None), "n_bins": (int, None)}},
         "image_side": (int, REQUIRED), "phantom": (str, REQUIRED), "gamma": (float, REQUIRED),
         "nonneg": (bool, False), "fbp_init": (bool, True)}
-RANDOM = {"arch": {"conv_pool_dense": {"filters": (int, 8), "kernel": (int, 5), "pool": (int, 8),
-                                       "hidden": (int, 16), "alpha": (float, 0.2)}},
-          "seed_offset": (int, 0)}
+RANDOM = {"arch": {"conv_pool_dense": {  # the template's sizes and defaults
+    f.name: (f.type, f.default) for f in dataclasses.fields(icnn_mod.ConvPoolDenseTemplate)
+    if f.name != "side"}}, "seed_offset": (int, 0)}
 CONFIG = {"seed": (int, 0, AT_LEAST_0), "budget": (int, REQUIRED, AT_LEAST_1),
           "task": (TASK, REQUIRED),
           "weights": ({"path": (str, None), "random": (RANDOM, None)}, REQUIRED),
@@ -89,7 +89,7 @@ def _value(value, spec, where):
     python = list if isinstance(kind, list) else kind
     with _refused(where):
         if python is int:  # int() would truncate a bool or a fraction
-            value = solver_mod.as_count(value)
+            value = as_count(value)
         elif python is float and isinstance(value, (int, float)) and not isinstance(value, bool):
             if not math.isfinite(value):  # json reads NaN and Infinity
                 raise ValueError(f"expected a finite number, got {value!r}")

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import linops
-from .tensor import (NonFiniteError, as_tensor, check_shape, ensure_finite, read_tensor,
-                     write_tensor)
+from .tensor import (NonFiniteError, as_shape, as_tensor, check_shape, ensure_finite,
+                     read_tensor, write_tensor)
 
 
 class AdmissibilityError(ValueError):
@@ -82,29 +82,27 @@ class IcnnLayer:
 
     def __post_init__(self):
         object.__setattr__(self, "bias", ensure_finite(as_tensor(self.bias), "icnn bias"))
+        if not isinstance(self.residual, bool):  # bool() would read [] as False
+            raise TypeError(f"residual: expected a flag, got {self.residual!r}")
 
     @property
     def output_shape(self):
         op = self.skip if self.skip is not None else self.carry
         return tuple(op.output_shape)
 
-    def preactivation(self, x, z_prev, skipped=None):
-        """skip(x) + carry(z_prev) + bias in a fresh array; skipped, when given,
-        is skip(x) already applied, and is only read."""
-        if skipped is None and self.skip is not None:
-            skipped = self.skip.apply(x)
-        if self.carry is None:
-            return skipped + self.bias
-        s = self.carry.apply(z_prev)
-        if skipped is not None:
-            s += skipped
+    def preactivation(self, x, z_prev):
+        """skip(x) + carry(z_prev) + bias, summed into the fresh array the carry
+        path returns, or the skip path on a layer without a carry."""
+        s = self.skip.apply(x) if self.carry is None else self.carry.apply(z_prev)
+        if self.carry is not None and self.skip is not None:
+            s += self.skip.apply(x)
         s += self.bias
         return s
 
-    def step(self, x, z_prev, skipped=None):
+    def step(self, x, z_prev):
         """(activation slope at the preactivation, output); z_prev is None on
         the first layer, where a residual layer adds x instead."""
-        out = self.preactivation(x, z_prev, skipped)
+        out = self.preactivation(x, z_prev)
         slope = self.activation.derivative(out)
         out *= slope  # the activation, as in Activation.__call__
         if self.residual:
@@ -121,7 +119,7 @@ class IcnnSpec:
     head: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", tuple(int(s) for s in self.input_shape))
+        object.__setattr__(self, "input_shape", as_shape(self.input_shape, "input_shape"))
         object.__setattr__(self, "layers", tuple(self.layers))
         if self.head is not None:
             object.__setattr__(self, "head", ensure_finite(as_tensor(self.head), "icnn head"))
@@ -249,20 +247,23 @@ def require_admissible(spec: IcnnSpec) -> IcnnSpec:
     return spec
 
 
-def forward(spec: IcnnSpec, x: np.ndarray, skips: list = None):
-    """(value, trace of hidden activations); a list skips receives each skip(x) or None."""
+def _sweep(spec: IcnnSpec, x, what, keep_slopes):
+    """(value, kept) of one forward pass at x: kept holds each layer's
+    activation slope, or else its output."""
     x = as_tensor(x)
-    check_shape(x, spec.input_shape, "icnn forward input")
-    trace = []
+    check_shape(x, spec.input_shape, what)
+    kept = []
     z = None
-    for i, layer in enumerate(spec.layers, start=1):
-        if skips is not None:
-            skips.append(None if layer.skip is None else layer.skip.apply(x))
-        _, z = layer.step(x, z, skips[-1] if skips else None)
-        if i < spec.depth:
-            trace.append(z)
-    value = float(np.vdot(spec.readout_weights(), z))
-    return value, trace
+    for layer in spec.layers:
+        slope, z = layer.step(x, z)
+        kept.append(slope if keep_slopes else z)
+    return float(np.vdot(spec.readout_weights(), z)), kept
+
+
+def forward(spec: IcnnSpec, x: np.ndarray):
+    """(value, trace of hidden activations)."""
+    value, outputs = _sweep(spec, x, "icnn forward input", keep_slopes=False)
+    return value, outputs[:-1]
 
 
 def value_and_subgradient(spec: IcnnSpec, x: np.ndarray):
@@ -271,14 +272,7 @@ def value_and_subgradient(spec: IcnnSpec, x: np.ndarray):
     Kinks take the left-branch slope (0 for relu, the negative slope for
     leaky relu), a fixed and therefore reproducible selection.
     """
-    x = as_tensor(x)
-    check_shape(x, spec.input_shape, "icnn subgradient input")
-    slopes = []
-    z = None
-    for layer in spec.layers:
-        slope, z = layer.step(x, z)
-        slopes.append(slope)
-    value = float(np.vdot(spec.readout_weights(), z))
+    value, slopes = _sweep(spec, x, "icnn subgradient input", keep_slopes=True)
     x_terms = []  # summed in order into the first, an array the sweep owns
     cot = spec.readout_weights().copy()
     for i in range(spec.depth, 0, -1):
@@ -398,7 +392,7 @@ def _random_conv(rng, tpl: ConvPoolDenseTemplate) -> IcnnSpec:
 
 # --- weights container --------------------------------------------------------
 
-MANIFEST_NAME = "manifest.json"
+MANIFEST_NAME, MANIFEST_VERSION = "manifest.json", 1
 
 
 def save_weights(spec: IcnnSpec, path) -> None:
@@ -425,7 +419,8 @@ def save_weights(spec: IcnnSpec, path) -> None:
         })
     if spec.head is not None:
         write_tensor(path / "head.tnsb", spec.head)
-    manifest = {"format": "icnn-weights", "version": 1, "input_shape": list(spec.input_shape),
+    manifest = {"format": "icnn-weights", "version": MANIFEST_VERSION,
+                "input_shape": list(spec.input_shape),
                 "layers": layers_cfg, "head": None if spec.head is None else "head.tnsb"}
     with open(path / MANIFEST_NAME, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -454,8 +449,11 @@ def load_weights(path, allow_inadmissible: bool = False) -> IcnnSpec:
         loaded.append(fname)
         return read_tensor(blob)
 
-    entry = "network"  # the manifest entry being built, for error messages
+    entry = "version"  # the manifest entry being read, for error messages
     try:
+        version = manifest["version"]
+        if type(version) is not int or version != MANIFEST_VERSION:  # nor 1.0 nor true
+            raise ValueError(f"unsupported version {version!r}, expected {MANIFEST_VERSION}")
         layers = []
         for i, cfg in enumerate(manifest["layers"]):
             entry = f"layers[{i}]"
@@ -465,7 +463,7 @@ def load_weights(path, allow_inadmissible: bool = False) -> IcnnSpec:
                 carry=linops.op_from_config(cfg["carry"], load_blob) if cfg["carry"] else None,
                 bias=load_blob(cfg["bias"]),
                 activation=Activation(act_cfg["kind"], act_cfg.get("alpha", 0.0)),
-                residual=bool(cfg.get("residual", False)),
+                residual=cfg.get("residual", False),
             ))
         entry = "network"
         head = load_blob(manifest["head"]) if manifest.get("head") else None

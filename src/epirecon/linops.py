@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeMismatchError, as_tensor, check_shape, ensure_finite
+from .tensor import ShapeMismatchError, as_shape, as_tensor, check_shape, ensure_finite
 
 
 def pad_bound(value) -> float:
@@ -63,7 +63,7 @@ class Dense(LinOp):
             raise ValueError(f"dense operator needs a 2-d matrix, got shape {matrix.shape}")
         self.matrix = matrix
         m, n = matrix.shape
-        self.input_shape = (n,) if input_shape is None else tuple(int(s) for s in input_shape)
+        self.input_shape = (n,) if input_shape is None else as_shape(input_shape, "input_shape")
         if int(np.prod(self.input_shape)) != n:
             raise ShapeMismatchError((n,), self.input_shape, "dense input_shape product")
         self.output_shape = (m,)
@@ -96,7 +96,7 @@ class Conv2D(LinOp):
 
     def __init__(self, filters, input_shape):
         filters = ensure_finite(as_tensor(filters), "conv2d filters")
-        input_shape = tuple(int(s) for s in input_shape)
+        input_shape = as_shape(input_shape, "input_shape")
         if len(input_shape) not in (2, 3):
             raise ValueError(f"conv2d input must be 2-d or 3-d, got {input_shape}")
         in_channels = input_shape[0] if len(input_shape) == 3 else 1
@@ -183,10 +183,8 @@ class AvgPool2D(LinOp):
     kind = "avgpool2d"
 
     def __init__(self, pool, input_shape):
-        ph, pw = (int(pool), int(pool)) if np.isscalar(pool) else (int(pool[0]), int(pool[1]))
-        if ph < 1 or pw < 1:
-            raise ValueError(f"pool size must be positive, got {(ph, pw)}")
-        input_shape = tuple(int(s) for s in input_shape)
+        ph, pw = as_shape((pool, pool) if np.isscalar(pool) else pool, "pool", least=1)
+        input_shape = as_shape(input_shape, "input_shape")
         if len(input_shape) not in (2, 3):
             raise ValueError(f"avgpool2d input must be 2-d or 3-d, got {input_shape}")
         h, w = input_shape[-2:]
@@ -260,7 +258,7 @@ class ScaledIdentity(LinOp):
     kind = "scaled_identity"
 
     def __init__(self, shape, scale=1.0):
-        self.input_shape = tuple(int(s) for s in shape)
+        self.input_shape = as_shape(shape, "shape")
         self.output_shape = self.input_shape
         self.scale = float(scale)
         if not np.isfinite(self.scale):

@@ -3,8 +3,8 @@
 Everything here is componentwise and accepts scalar or (broadcastable)
 array step sizes. The projection onto a leaky-relu epigraph and the
 readout-conjugate clip are the two nonstandard maps; both come with an
-independent numeric oracle (golden-section / grid search, see verify) in
-the test suite.
+independent numeric oracle (golden-section search, see verify) in the
+test suite.
 """
 
 import numpy as np

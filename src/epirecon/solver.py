@@ -12,7 +12,6 @@ preconditioner satisfies the contraction condition.
 
 import copy
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -23,7 +22,7 @@ from . import prox
 from .blocks import BlockAssembly, assemble_blocks, split
 from .icnn import IcnnSpec, require_admissible
 from .linops import DiagonalMask
-from .tensor import as_tensor, check_shape, ensure_finite
+from .tensor import as_count, as_tensor, check_shape, ensure_finite
 
 
 class CertificationError(ValueError):
@@ -44,19 +43,6 @@ class DivergenceError(RuntimeError):
         self.where = where
         self.block = block
         super().__init__(f"non-finite iterate in {where} at iteration {iteration}")
-
-
-def as_count(value, least=None, name=None):
-    """value as an int, refusing what int() would take silently (a bool, a
-    fraction or a non-number) and, when least is given, a value below it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            isinstance(value, numbers.Integral) or float(value).is_integer()):
-        problem = f"expected an integer, got {value!r}"
-    elif least is None or value >= least:
-        return int(value)
-    else:
-        problem = f"must be at least {least}, got {value}"
-    raise ValueError(problem if name is None else f"{name}: {problem}")
 
 
 # --- problem description ------------------------------------------------------
@@ -212,6 +198,8 @@ class ProblemSpec:
         if self.forward is not None:
             check_shape(np.empty(self.forward.input_shape), self.regularizer.input_shape,
                         "forward operator input")
+        elif self.fidelity.dualize:
+            raise ValueError("dualized fidelity needs an explicit forward operator")
         object.__setattr__(self, "fidelity",
                            self.fidelity.bind(self.forward, self.measurement))
 
@@ -242,7 +230,7 @@ def evaluate_objectives(problem: ProblemSpec, x, z=None, fwd=None) -> ObjectiveR
     (PDHG keeps it), so the data term applies nothing.
     """
     spec = problem.regularizer
-    reg_value, trace = icnn_mod.forward(spec, x, skips := [])
+    reg_value, trace = icnn_mod.forward(spec, x)
     data = problem.fidelity.value(problem.apply_forward(x) if fwd is None else fwd,
                                   problem.measurement)
     reg_term = problem.reg_weight * reg_value
@@ -251,14 +239,14 @@ def evaluate_objectives(problem: ProblemSpec, x, z=None, fwd=None) -> ObjectiveR
         return ObjectiveReport(primal, primal, 0.0, data, reg_term)
     if len(z) != spec.depth - 1:
         raise ValueError(f"expected {spec.depth - 1} auxiliary tensors, got {len(z)}")
-    # layer 1 reads no z: its output is trace[0]; later layers reuse forward's skips
+    # layer 1 reads no z: its output is trace[0]
     feas = 0.0
     for i, layer in enumerate(spec.layers[:-1], start=1):
-        gap = trace[0] if i == 1 else layer.step(x, z[i - 2], skips[i - 1])[1]
+        gap = trace[0] if i == 1 else layer.step(x, z[i - 2])[1]
         gap -= z[i - 1]  # in place: the implied output is a fresh array
         feas = max(feas, float(np.max(gap, initial=0.0)))
     final_term = reg_value if spec.depth == 1 else float(np.vdot(
-        spec.readout_weights(), spec.layers[-1].step(x, z[-1], skips[-1])[1]))
+        spec.readout_weights(), spec.layers[-1].step(x, z[-1])[1]))
     reformulated = data + problem.reg_weight * final_term
     return ObjectiveReport(primal, reformulated, feas, data, reg_term)
 
@@ -267,11 +255,7 @@ def evaluate_objectives(problem: ProblemSpec, x, z=None, fwd=None) -> ObjectiveR
 
 def _dualized_forward(problem: ProblemSpec):
     """The forward map of the leading fidelity block, None when there is none."""
-    if not problem.fidelity.dualize:
-        return None
-    if problem.forward is None:
-        raise ValueError("dualized fidelity needs an explicit forward operator")
-    return problem.forward
+    return problem.forward if problem.fidelity.dualize else None
 
 
 def assemble_problem(problem: ProblemSpec) -> BlockAssembly:

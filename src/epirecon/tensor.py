@@ -1,11 +1,12 @@
 """Dense float64 tensors and the lossless binary blob format.
 
 All signal, weight and dual data in this package is carried by C-contiguous
-float64 numpy arrays. Blob files are bit-exact round trips: magic "TNSB",
-u16 version, u16 rank, rank x u64 dims, then row-major f64 payload, all
-little-endian.
+float64 numpy arrays; counts and shapes are read as ints, refusing a bool or a
+fraction. Blob files are bit-exact round trips: magic "TNSB", u16 version,
+u16 rank, rank x u64 dims, then row-major f64 payload, all little-endian.
 """
 
+import numbers
 import struct
 
 import numpy as np
@@ -44,6 +45,24 @@ def as_tensor(values) -> np.ndarray:
 def check_shape(arr: np.ndarray, expected, context: str = "") -> None:
     if tuple(arr.shape) != tuple(expected):
         raise ShapeMismatchError(expected, arr.shape, context)
+
+
+def as_count(value, least=None, name=None):
+    """value as an int, refusing what int() would take silently (a bool, a
+    fraction or a non-number) and, when least is given, a value below it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        problem = f"expected an integer, got {value!r}"
+    elif least is None or value >= least:
+        return int(value)
+    else:
+        problem = f"must be at least {least}, got {value}"
+    raise ValueError(problem if name is None else f"{name}: {problem}")
+
+
+def as_shape(values, name, least=None):
+    """A shape (or pool size) as a tuple of ints, each read by as_count."""
+    return tuple(as_count(s, least, name) for s in values)
 
 
 def ensure_finite(arr: np.ndarray, context: str = "") -> np.ndarray:

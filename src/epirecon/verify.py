@@ -1,10 +1,10 @@
 """Independent numeric oracles and the bundled property-test suites.
 
 The oracles deliberately avoid the code paths they check: spectral norms
-come from cyclic Jacobi sweeps instead of power iteration, proxes from
-golden-section search instead of closed forms, projections from 2-d grid
-refinement, and minimizers of small convex problems from coarse-to-fine
-grid search (sound because the objectives are convex).
+come from cyclic Jacobi sweeps instead of power iteration, proxes and
+epigraph projections from golden-section search instead of closed forms,
+and minimizers of small convex problems from coarse-to-fine grid search
+(sound because the objectives are convex).
 """
 
 import math
@@ -89,38 +89,23 @@ def jacobi_spectral_norm(mat, max_sweeps=100, tol=1e-13):
     return math.sqrt(float(np.einsum("ij,ij->i", b, b).max()))
 
 
-def grid_project_epigraph(alpha, pbar, qbar, rounds=12, pts=41):
-    """Projection onto the leaky-relu epigraph by grid refinement.
+def golden_project_epigraph(alpha, pbar, qbar):
+    """Projection onto the leaky-relu epigraph by golden-section search.
 
-    A point inside the set is its own projection; otherwise the projection
-    lies on the boundary graph (p, max(p, alpha*p)), so the search refines a
-    grid over p of the squared distance to that graph. The distance along
-    the boundary of a convex set is unimodal, and its curvature in p is at
-    least 2, so shrinking the window to the cells around each grid argmin
-    cannot lose the minimizer. (A naive masked 2-d grid is biased near the
-    boundary by the transverse quantization, which is why the refinement
-    runs along the graph instead.)
+    A point inside the set is its own projection; otherwise the projection is
+    the boundary point (p, max(p, alpha*p)) nearest to it, whose p lies within
+    2*max(1, |pbar|, |qbar|) of 0. The squared distance is unimodal in p: it is
+    convex on each side of the kink, and where the kink is concave (qbar > 0)
+    an outside point has pbar > qbar > 0, so the distance falls all the way
+    to a minimizer right of 0.
     """
-    pb = np.atleast_1d(np.asarray(pbar, dtype=np.float64)).ravel()
-    qb = np.atleast_1d(np.asarray(qbar, dtype=np.float64)).ravel()
-    out_p = pb.copy()
-    out_q = qb.copy()
-    outside = np.maximum(pb, alpha * pb) > qb
-    for i in np.flatnonzero(outside):
-        cp, cq = pb[i], qb[i]
-        # the foot's p-coordinate is bounded by the projected point's size
-        hw = 2.0 * max(1.0, abs(cp), abs(cq))
-        bp = 0.0
-        for _ in range(rounds):
-            ps = np.linspace(bp - hw, bp + hw, pts)
-            qs = np.maximum(ps, alpha * ps)
-            dist = (ps - cp) ** 2 + (qs - cq) ** 2
-            bp = ps[int(np.argmin(dist))]
-            hw = 1.6 * (2.0 * hw / (pts - 1))
-        out_p[i] = bp
-        out_q[i] = max(bp, alpha * bp)
-    shape = np.shape(pbar)
-    return out_p.reshape(shape), out_q.reshape(shape)
+    pb = np.asarray(pbar, dtype=np.float64)
+    qb = np.asarray(qbar, dtype=np.float64)
+    half = 2.0 * np.maximum(1.0, np.maximum(np.abs(pb), np.abs(qb)))
+    p = golden_section_vec(lambda p: (p - pb) ** 2 + (np.maximum(p, alpha * p) - qb) ** 2,
+                           -half, half)
+    inside = np.maximum(pb, alpha * pb) <= qb
+    return np.where(inside, pb, p), np.where(inside, qb, np.maximum(p, alpha * p))
 
 
 def kl_conjugate_oracle(wbar, sigma, counts, background, outer_tol=1e-9):
@@ -411,7 +396,7 @@ def prox_oracle_suite(instances=300, seed=0, tol=1e-6):
 
 def epigraph_suite(instances=200, seed=0, tol=1e-6):
     """Leaky-relu epigraph projection and the PDHG plan's conjugate kernel
-    against the grid-search oracle, and the cone properties that kernel
+    against the golden-section oracle, and the cone properties that kernel
     uses; all four branches must be hit."""
     def run():
         rng = np.random.default_rng(seed + 67)
@@ -425,7 +410,7 @@ def epigraph_suite(instances=200, seed=0, tol=1e-6):
             _require_hits(f"alpha={alpha}", {"inside": inside, "right": right, "left": left,
                                               "corner": ~(inside | right | left)})
             p, q = prox.project_epigraph_leaky_relu(alpha, pb, qb)
-            gp, gq = grid_project_epigraph(alpha, pb, qb)
+            gp, gq = golden_project_epigraph(alpha, pb, qb)
             _require_close(gaps, "epigraph", np.hypot(p - gp, q - gq), tol)
             # the conjugate kernel the PDHG plan runs is v - P(v), here at v = (pb, qb)
             sigma, bias = 0.5, np.linspace(-1.0, 1.0, instances)

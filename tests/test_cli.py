@@ -1,7 +1,9 @@
 import contextlib
+import inspect
 import json
 import math
 import re
+import textwrap
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -241,6 +243,30 @@ def test_suites_fail_on_a_branch_never_hit_or_a_nan_result(monkeypatch):
     assert (result.passed, result.detail) == (False, "shrink off its oracle by nan")
 
 
+# (kernel builder, its line, the broken line, family whose oracle gap fails)
+EPIGRAPH_MUTANTS = {
+    "left_foot_max": ("epigraph_kernel", "np.minimum(q, 0.0, out=q)",
+                      "np.maximum(q, 0.0, out=q)", "epigraph"),
+    "right_foot_unclamped": ("epigraph_kernel", "np.maximum(right, 0.0, out=right)",
+                             "pass", "epigraph"),
+    "bias_subtracted": ("epigraph_conjugate_kernel", "np.add(pbar, shift, out=pbar)",
+                        "np.subtract(pbar, shift, out=pbar)", "epigraph conjugate"),
+}
+
+
+@pytest.mark.parametrize("mutant", EPIGRAPH_MUTANTS)
+def test_epigraph_suite_catches_a_wrong_projection(monkeypatch, mutant):
+    name, line, broken, family = EPIGRAPH_MUTANTS[mutant]
+    source = textwrap.dedent(inspect.getsource(getattr(prox, name)))
+    assert line in source
+    namespace = dict(vars(prox))  # the broken builder reads the other kernels from prox
+    exec(source.replace(line, broken), namespace)
+    monkeypatch.setattr(prox, name, namespace[name])
+    result = epigraph_suite()
+    assert not result.passed
+    assert re.fullmatch(rf"{family} off its oracle by \S+", result.detail), result.detail
+
+
 def test_adjoint_suite_catches_injected_sign_flip():
     for broken in (np.negative, lambda w: np.full_like(w, np.nan)):  # a NaN gap fails too
         class BrokenAdjoint(er.Dense):
@@ -294,6 +320,18 @@ MALFORMED = {
                         "layers[0]", "unknown activation kind 'tanh'"),
     "compose_chain": (lambda m: m["layers"][1]["carry"]["parts"].reverse(),
                       "layers[1]", "compose dense -> avgpool2d"),
+    "version_99": (lambda m: m.update(version=99), "version", "unsupported version 99"),
+    "version_string": (lambda m: m.update(version="x"), "version", "unsupported version 'x'"),
+    "version_true": (lambda m: m.update(version=True), "version", "unsupported version True"),
+    "residual_list": (lambda m: m["layers"][0].update(residual=[]),
+                      "layers[0]", "residual: expected a flag, got []"),
+    "input_shape_fraction": (lambda m: m.update(input_shape=[8.5, 8]),
+                             "network", "input_shape: expected an integer, got 8.5"),
+    "operator_input_shape_fraction": (
+        lambda m: m["layers"][0]["skip"].update(input_shape=[8, 8.5]),
+        "layers[0]", "input_shape: expected an integer, got 8.5"),
+    "pool_fraction": (lambda m: m["layers"][1]["carry"]["parts"][0].update(pool=[4.5, 4.5]),
+                      "layers[1]", "pool: expected an integer, got 4.5"),
 }
 
 

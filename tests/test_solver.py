@@ -567,6 +567,16 @@ def test_problem_spec_validation():
         er.ProblemSpec(er.l2_fidelity(), None, np.array([1.0]), -0.1, spec)
 
 
+
+@pytest.mark.parametrize("fidelity", [er.l1_fidelity(0.1, dualize=True),
+                                      er.l2_fidelity(dualize=True), er.kl_fidelity(1.0)],
+                         ids=["l1", "l2", "kl"])
+def test_dualized_fidelity_without_forward_refused_when_built(fidelity):
+    # refused by the ProblemSpec, before a subgradient baseline could run on it
+    with pytest.raises(ValueError, match="dualized fidelity needs an explicit forward"):
+        er.ProblemSpec(fidelity, None, np.array([1.0]), 1.0, make_relu_1d())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_problem_data_refused_when_built(bad):
     spec = make_relu_1d()
