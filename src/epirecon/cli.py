@@ -60,13 +60,13 @@ POSITIVE, NON_EMPTY = ("positive", lambda v: v > 0), ("non-empty", len)
 SOLVER = {"kind": {"pdhg": {"scales": (dict, {})}, "sm_c": {"step": (float, REQUIRED)},
                    "sm_d": {"step0": (float, REQUIRED)}}}
 TASK = {"kind": {"denoise_salt_pepper": {"sp_density": (float, REQUIRED),
-                                         "lam": (float, REQUIRED)},
+                                         "lam": (float, REQUIRED), "nonneg": (bool, False)},
                  "inpaint": {"mask_fraction": (float, REQUIRED),
-                             "gaussian_sigma": (float, REQUIRED)},
+                             "gaussian_sigma": (float, REQUIRED), "nonneg": (bool, False)},
                  "ct": {"poisson_scale": (float, REQUIRED), "background": (float, REQUIRED),
-                        "n_angles": (int, None), "n_bins": (int, None)}},
-        "image_side": (int, REQUIRED), "phantom": (str, REQUIRED), "gamma": (float, REQUIRED),
-        "nonneg": (bool, False), "fbp_init": (bool, True)}
+                        "n_angles": (int, None), "n_bins": (int, None),
+                        "fbp_init": (bool, True)}},
+        "image_side": (int, REQUIRED), "phantom": (str, REQUIRED), "gamma": (float, REQUIRED)}
 RANDOM = {"arch": {"conv_pool_dense": {  # the template's sizes and defaults
     f.name: (f.type, f.default) for f in dataclasses.fields(icnn_mod.ConvPoolDenseTemplate)
     if f.name != "side"}}, "seed_offset": (int, 0)}
@@ -185,8 +185,8 @@ class Instance:
         with _refused("task gamma" if lam is None else "task gamma or lam"):
             self.problem, self.init_x = tasks_mod.build_problem(
                 task_config, self.ground_truth, weights, task["gamma"], lam=lam,
-                nonneg=task["nonneg"])
-        self.init_x = self.init_x if task["fbp_init"] else None
+                nonneg=task.get("nonneg"))  # ct has none: its image stays nonnegative
+        self.init_x = self.init_x if task.get("fbp_init") else None
         # dual-scale keys in block order; c0 only when the fidelity is dualized
         self.scale_keys = (["c0"] if self.problem.fidelity.dualize else []) + \
             [f"c{i}" for i in range(1, weights.depth + 1)]

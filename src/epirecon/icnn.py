@@ -33,7 +33,7 @@ class Activation:
 
     negative_slope is the slope left of the origin: 0 for relu, alpha in
     [0,1) for leaky relu, 1 for identity. That same slope is the declared
-    subdifferential selection at the kink.
+    subdifferential selection at the kink. Only leaky relu takes an alpha.
     """
 
     kind: str
@@ -42,8 +42,10 @@ class Activation:
     def __post_init__(self):
         if self.kind not in ("relu", "leaky_relu", "identity"):
             raise ValueError(f"unknown activation kind {self.kind!r}")
-        if self.kind == "leaky_relu" and not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"leaky_relu alpha must lie in [0, 1), got {self.alpha}")
+        leaky = self.kind == "leaky_relu"
+        if not (0.0 <= self.alpha < 1.0 if leaky else self.alpha == 0.0):
+            raise ValueError(f"{self.kind} alpha must {'lie in [0, 1)' if leaky else 'be 0'}, "
+                             f"got {self.alpha!r}")
 
     @property
     def negative_slope(self) -> float:
@@ -426,8 +428,8 @@ def save_weights(spec: IcnnSpec, path) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def load_weights(path, allow_inadmissible: bool = False) -> IcnnSpec:
-    """Load a weights directory; rejects inadmissible weights unless overridden."""
+def load_weights(path) -> IcnnSpec:
+    """Load a weights directory; rejects inadmissible weights."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
@@ -477,6 +479,6 @@ def load_weights(path, allow_inadmissible: bool = False) -> IcnnSpec:
     except (ValueError, TypeError) as exc:  # a kind, shape or value a constructor refused
         raise WeightsFormatError(f"{manifest_path}: {entry} refused: {exc}") from exc
     report = validate(spec)
-    if not report.ok and not allow_inadmissible:
+    if not report.ok:
         raise AdmissibilityError(f"{path}: {report}")
     return spec

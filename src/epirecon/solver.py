@@ -49,34 +49,37 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Fidelity:
-    """Data term f(A x; y); `dualize` moves it to a dual block.
+    """Data term f(A x; y); bind() checks it once, when the ProblemSpec is
+    built, and keeps it primal through a forward of a type in primal_forwards
+    (None is the identity), dualized through any other (`dualize`).
 
     Each subclass gives value(fwd, y) (+inf where A x left the domain),
     residual_subgradient(fwd, y) in measurement space, dual_kernel(sigma, y),
     the prox kernel (see prox) of its conjugate at step sigma, and, where
     one exists, primal_kernel(tau, y, forward), that of the term itself.
-    bind() validates the term against the forward operator and measurement
-    once, when the ProblemSpec is built.
     """
 
     weight: float = 1.0
-    dualize: bool = False
+    dualize: bool = field(default=False, init=False)
+    primal_forwards = ()
 
     def __post_init__(self):
         if not 0.0 < self.weight < np.inf:
             raise ValueError(f"fidelity weight must be finite and positive, "
                              f"got {self.weight}")
 
+    def bind(self, forward, measurement, **checked):
+        """A copy with the checked fields, dualized unless the forward is a primal one."""
+        bound = replace(self, **checked)
+        object.__setattr__(bound, "dualize", not isinstance(forward, self.primal_forwards))
+        return bound
+
 
 @dataclass(frozen=True)
 class L1Fidelity(Fidelity):
-    """weight * |A x - y|_1; kept primal only with the identity forward."""
+    """weight * |A x - y|_1; kept primal with the identity forward."""
 
-    def bind(self, forward, measurement):
-        if not self.dualize and forward is not None:
-            raise ValueError("l1 fidelity kept primal requires an identity forward; "
-                             "set dualize=True for a general operator")
-        return self
+    primal_forwards = (type(None),)
 
     def value(self, fwd, y):
         return self.weight * float(np.sum(np.abs(fwd - y)))
@@ -95,12 +98,7 @@ class L1Fidelity(Fidelity):
 class L2Fidelity(Fidelity):
     """(weight/2) * |A x - y|^2; kept primal with an identity or diagonal forward."""
 
-    def bind(self, forward, measurement):
-        if not self.dualize and forward is not None \
-                and not isinstance(forward, DiagonalMask):
-            raise ValueError("l2 fidelity kept primal requires a diagonal forward; "
-                             "set dualize=True for a general operator")
-        return self
+    primal_forwards = (type(None), DiagonalMask)
 
     def value(self, fwd, y):
         diff = fwd - y
@@ -121,23 +119,24 @@ class L2Fidelity(Fidelity):
 
 @dataclass(frozen=True)
 class KLFidelity(Fidelity):
-    """Poisson term sum(A x + b - y) + y.log(y / (A x + b)); it has no primal prox."""
+    """Poisson term sum(A x + b - y) + y.log(y / (A x + b)); no primal prox, no weight."""
 
     background: np.ndarray = None
 
     def __post_init__(self):
-        super().__post_init__()
+        if self.weight != 1.0:
+            raise ValueError(f"kl fidelity takes no weight, got {self.weight}")
         if self.background is None:
             raise ValueError("kl fidelity needs a background level")
-        if not self.dualize:
-            raise ValueError("kl fidelity has no primal prox; set dualize=True")
 
     def bind(self, forward, measurement):
+        if forward is None:
+            raise ValueError("dualized fidelity needs an explicit forward operator")
         bg = as_tensor(np.broadcast_to(self.background, measurement.shape))
         bg = ensure_finite(bg, "kl background")
         prox._check_nonnegative(bg, "kl background")
         prox._check_nonnegative(measurement, "kl counts")
-        return replace(self, background=bg)
+        return super().bind(forward, measurement, background=bg)
 
     def _domain(self, fwd, y):
         """(A x + b, y > 0, out of the domain: A x + b <= 0 where y > 0, < 0 where y = 0)."""
@@ -162,16 +161,16 @@ class KLFidelity(Fidelity):
         return prox.kl_conjugate_kernel(sigma, y, self.background, y.shape)
 
 
-def l1_fidelity(weight, dualize=False):
-    return L1Fidelity(weight, dualize)
+def l1_fidelity(weight):
+    return L1Fidelity(weight)
 
 
-def l2_fidelity(weight=1.0, dualize=False):
-    return L2Fidelity(weight, dualize)
+def l2_fidelity(weight=1.0):
+    return L2Fidelity(weight)
 
 
 def kl_fidelity(background):
-    return KLFidelity(dualize=True, background=background)
+    return KLFidelity(background=background)
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,6 @@ class ProblemSpec:
         if self.forward is not None:
             check_shape(np.empty(self.forward.input_shape), self.regularizer.input_shape,
                         "forward operator input")
-        elif self.fidelity.dualize:
-            raise ValueError("dualized fidelity needs an explicit forward operator")
         object.__setattr__(self, "fidelity",
                            self.fidelity.bind(self.forward, self.measurement))
 
@@ -385,9 +382,6 @@ class RunMetrics:
     feasibility = property(lambda self: tuple(row[5] for row in self.rows))
     psnr = property(lambda self: tuple(row[6] for row in self.rows))
 
-    def running_min_objective(self):
-        return list(np.minimum.accumulate(self.objective)) if self.rows else []
-
     def write_csv(self, path, timing=False):
         """Deterministic CSV: 17 significant digits, timing zeroed unless asked."""
         with open(path, "w") as fh:
@@ -557,12 +551,12 @@ class SolvePlan:
 # --- the solver ---------------------------------------------------------------
 
 def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
-               scales=None, init_x=None, init: SaddleState = None,
-               ground_truth=None, metrics_every: int = 1):
+               init_x=None, init: SaddleState = None, ground_truth=None,
+               metrics_every: int = 1):
     """Run the block primal-dual iteration for `budget` iterations.
 
     Returns (final SaddleState, RunMetrics). Step sizes are derived (and
-    certified) from the operators' norm bounds unless given; given steps
+    certified) at unit dual scales unless given; given steps
     run on the block assembly they were certified on, which must have been
     built for this problem's regularizer and dualized forward map (the
     same objects). metrics_every controls how often objectives are
@@ -573,7 +567,7 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
     budget = as_count(budget, 1, "budget")
     metrics_every = as_count(metrics_every, 0, "metrics_every")
     if steps is None:
-        steps = compute_step_sizes(assemble_problem(problem), scales=scales)
+        steps = compute_step_sizes(assemble_problem(problem))
     assembly = steps.assembly
     if assembly.regularizer is not problem.regularizer:
         raise CertificationError("step sizes were certified for another regularizer")

@@ -146,16 +146,20 @@ def corrupt(config: TaskConfig, x: np.ndarray):
 
 
 def build_problem(task: TaskConfig, truth, regularizer, reg_weight, lam=None,
-                  nonneg=False):
+                  nonneg=None):
     """Corrupt the truth and pose its reconstruction: (ProblemSpec, init_x).
 
     Each kind's data term is chosen here: lam * L1 with the identity forward
     (denoise), L2 on the mask (inpaint), Poisson KL through the unscaled Radon
     transform (ct). CT divides counts and background by the count scale, and
     with them the KL term, so the problem is O(1) and reg_weight weighs the
-    regularizer against the normalized term; its image stays nonnegative and
-    starts at the clipped FBP. init_x is None otherwise.
+    regularizer against the normalized term; its image stays nonnegative (it
+    refuses nonneg=False) and starts at the clipped FBP. init_x is None
+    otherwise, and nonneg off unless set.
     """
+    if task.kind == "ct" and nonneg not in (None, True):
+        raise ValueError(f"nonneg: ct keeps its image nonnegative, got {nonneg!r}")
+    nonneg = bool(nonneg)
     y, forward = corrupt(task, truth)
     if task.kind == "denoise_salt_pepper":
         if lam is None:

@@ -476,10 +476,11 @@ REFUSED = [(ct_config, ("task", "background"), -5.0),
            (denoise_config, ("rel_error_target",), -1.0),
            (denoise_config, ("task", "nonneg"), "x"),
            (denoise_config, ("task", "nonneg"), None),
-           (denoise_config, ("task", "fbp_init"), []),
+           (denoise_config, ("task", "fbp_init"), True),  # a field of another kind
            (denoise_config, ("record_timing",), {}),
            (denoise_config, ("record_timing",), 1),
-           (denoise_config, ("seed",), -12)]
+           (denoise_config, ("seed",), -12),
+           (ct_config, ("task", "nonneg"), False)]  # ct has no such field
 
 
 @pytest.mark.parametrize("make_config, path, value", REFUSED,
@@ -563,7 +564,7 @@ def full_config(tmp_path, kind):
     if kind == "ct":
         cfg["task"]["n_bins"] = 13
         cfg["solvers"] += [{"kind": "sm_c", "step": 0.05}, {"kind": "sm_d", "step0": 0.5}]
-    cfg["task"].update(nonneg=False, fbp_init=True)
+    cfg["task"].update({"fbp_init": True} if kind == "ct" else {"nonneg": False})
     cfg["weights"]["random"].update(alpha=0.2, seed_offset=0)
     cfg.update(reference_multiplier=1, record_timing=False, rel_error_target=1e-3)
     return cfg
@@ -735,10 +736,10 @@ def spec_rows(field, spec):
 
 def table_rows(table, prefix=""):
     for key, spec in table.items():
-        if isinstance(spec, dict):  # a kind, then the fields each of its values adds
+        if isinstance(spec, dict):  # a kind, then the fields its values add, each once
             yield prefix + key, "string", "required"
-            for fields in spec.values():
-                yield from table_rows(fields, prefix)
+            yield from dict.fromkeys(row for fields in spec.values()
+                                     for row in table_rows(fields, prefix))
         else:
             yield from spec_rows(prefix + key, spec)
 

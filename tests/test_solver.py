@@ -139,8 +139,8 @@ def test_pdhg_feasibility_decays():
     cfg = er.TaskConfig(kind="denoise_salt_pepper", image_side=8, sp_density=0.1, seed=4)
     y, _ = er.corrupt(cfg, x_true)
     problem = er.ProblemSpec(er.l1_fidelity(0.02), None, y, 20.0, spec)
-    _, metrics = er.pdhg_solve(problem, budget=3000, scales=(5.0, 5.0),
-                               metrics_every=100)
+    steps = compute_step_sizes(assemble_problem(problem), scales=(5.0, 5.0))
+    _, metrics = er.pdhg_solve(problem, steps, budget=3000, metrics_every=100)
     early = max(metrics.feasibility[1:6])
     assert metrics.feasibility[-1] <= 1e-4
     assert metrics.feasibility[-1] < early
@@ -196,7 +196,7 @@ def depth3_dualized_problem(measurement=(0.0, 0.0)):
     spec = er.random_admissible(3, er.DenseTemplate(input_dim=3, hidden_dims=(4, 5),
                                                     readout_dim=2))
     forward = er.Dense(np.random.default_rng(4).uniform(-1.0, 1.0, (2, 3)))
-    return er.ProblemSpec(er.l2_fidelity(dualize=True), forward, np.array(measurement),
+    return er.ProblemSpec(er.l2_fidelity(), forward, np.array(measurement),
                           0.3, spec)
 
 
@@ -290,7 +290,8 @@ def test_pdhg_records_equal_a_fresh_evaluation_bitwise(make, monkeypatch):
         return evaluate(problem, x, z, fwd=fwd)
 
     monkeypatch.setattr(solver_mod, "evaluate_objectives", keeping)
-    _, metrics = er.pdhg_solve(problem, budget=20, scales=scales, ground_truth=truth)
+    steps = compute_step_sizes(assemble_problem(problem), scales=scales)
+    _, metrics = er.pdhg_solve(problem, steps, budget=20, ground_truth=truth)
     assert [row[0] for row in metrics.rows] == list(range(21))
     for (_, *recorded, _), (x, z) in zip(metrics.rows, seen):
         report = evaluate(problem, x, z)
@@ -360,7 +361,7 @@ def test_pdhg_refuses_steps_certified_for_another_network():
 
 def test_pdhg_refuses_steps_certified_for_another_forward():
     spec = scalar_chain_spec()
-    problem = er.ProblemSpec(er.l2_fidelity(dualize=True), er.Dense([[1.0]]),
+    problem = er.ProblemSpec(er.l2_fidelity(), er.Dense([[1.0]]),
                              np.array([0.5]), 1.0, spec)
     for forward in (er.Dense([[1.0]]), None):
         steps = compute_step_sizes(assemble_blocks(spec, forward=forward))
@@ -369,8 +370,8 @@ def test_pdhg_refuses_steps_certified_for_another_forward():
 
 
 @pytest.mark.parametrize("fidelity, data_term", [
-    (er.l1_fidelity(0.05, dualize=True), lambda r: 0.05 * np.sum(np.abs(r), axis=1)),
-    (er.l2_fidelity(1.5, dualize=True), lambda r: 0.75 * np.sum(r * r, axis=1)),
+    (er.l1_fidelity(0.05), lambda r: 0.05 * np.sum(np.abs(r), axis=1)),
+    (er.l2_fidelity(1.5), lambda r: 0.75 * np.sum(r * r, axis=1)),
 ], ids=["l1", "l2"])
 def test_pdhg_dualized_fidelity_matches_grid_minimizer(fidelity, data_term):
     # the conjugate prox runs in its own dual block; grid search as in equivalence_suite
@@ -430,7 +431,7 @@ def test_kl_residual_and_value_share_one_domain():
     # a zero count allows A x + b = 0 (residual 1, no 0/0); a positive count
     # needs A x + b > 0; both methods refuse exactly the same points
     y = np.array([0.0, 0.0, 2.0])
-    fid = er.kl_fidelity(0.0).bind(None, y)
+    fid = er.kl_fidelity(0.0).bind(er.Dense(np.eye(3)), y)  # kl refuses no forward
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fwd = np.array([0.0, 3.0, 4.0])
@@ -498,7 +499,7 @@ def test_smd_running_min_settles_on_desk_instance():
     y, fwd = er.corrupt(cfg, truth)
     problem = er.ProblemSpec(er.l2_fidelity(), fwd, y, 2.0, spec)
     _, metrics = er.subgradient_solve(problem, er.DiminishingStep(1.0), budget=5000)
-    rm = metrics.running_min_objective()
+    rm = np.minimum.accumulate(metrics.objective)
     tail = rm[int(0.8 * len(rm)):]
     assert max(tail) - min(tail) <= 1e-4 * (1.0 + abs(tail[-1]))
 
@@ -512,9 +513,6 @@ def objective_record(values):
 def test_running_min_non_increasing(rng):
     values = rng.uniform(0, 1, 50)
     metrics = objective_record([float(v) for v in values])
-    rm = metrics.running_min_objective()
-    assert np.all(np.diff(rm) <= 0.0 + 1e-15)
-    assert rm == list(np.minimum.accumulate(values))
     with pytest.raises(AttributeError):  # columns are read-only tuples
         metrics.objective.append(0.0)
 
@@ -543,8 +541,8 @@ def test_pdhg_bitwise_deterministic():
     problem = er.ProblemSpec(er.l1_fidelity(0.05), None, y, 5.0, spec)
     runs = []
     for _ in range(2):
-        state, metrics = er.pdhg_solve(problem, budget=50, scales=(0.5, 0.5),
-                                       ground_truth=x_true)
+        steps = compute_step_sizes(assemble_problem(problem), scales=(0.5, 0.5))
+        state, metrics = er.pdhg_solve(problem, steps, budget=50, ground_truth=x_true)
         runs.append((state.x.tobytes(), list(metrics.objective),
                      list(metrics.feasibility), list(metrics.psnr)))
     assert runs[0][0] == runs[1][0]
@@ -553,26 +551,47 @@ def test_pdhg_bitwise_deterministic():
     assert runs[0][3] == runs[1][3]
 
 
+# (fidelity, forward, dualized): a term stays primal only where its prox
+# through the forward is explicit, and the rest go to their own dual block
+ROLES = {"l1 identity": (er.l1_fidelity(0.1), None, False),
+         "l1 mask": (er.l1_fidelity(0.1), er.DiagonalMask(np.array([0.5])), True),
+         "l1 dense": (er.l1_fidelity(0.1), er.Dense([[2.0]]), True),
+         "l2 identity": (er.l2_fidelity(), None, False),
+         "l2 mask": (er.l2_fidelity(), er.DiagonalMask(np.array([0.5])), False),
+         "l2 dense": (er.l2_fidelity(), er.Dense([[2.0]]), True),
+         "kl dense": (er.kl_fidelity(1.0), er.Dense([[2.0]]), True)}
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_the_forward_map_picks_the_data_terms_block(role):
+    fidelity, forward, dualized = ROLES[role]
+    problem = er.ProblemSpec(fidelity, forward, np.array([1.0]), 1.0, make_relu_1d())
+    assert problem.fidelity.dualize is dualized and not fidelity.dualize  # bind copies
+    blocks = assemble_problem(problem).blocks
+    assert (blocks[0].kind == "fidelity") is dualized and len(blocks) == 1 + dualized
+    state, _ = er.pdhg_solve(problem, budget=5)
+    assert np.all(np.isfinite(state.x))
+
+
+def test_settings_the_code_would_ignore_are_refused():
+    with pytest.raises(ValueError, match="kl fidelity takes no weight, got 2.0"):
+        KLFidelity(2.0, background=np.array([1.0]))
+    for kind, alpha in (("relu", 0.5), ("identity", np.nan), ("relu", "x")):
+        with pytest.raises(ValueError, match=f"{kind} alpha must be 0"):
+            er.Activation(kind, alpha)
+
+
 def test_problem_spec_validation():
     spec = make_relu_1d()
-    with pytest.raises(ValueError, match="kl fidelity has no primal prox"):
-        KLFidelity(dualize=False, background=np.array([1.0]))
-    with pytest.raises(ValueError, match="identity forward"):
-        er.ProblemSpec(er.l1_fidelity(0.1), er.Dense([[2.0]]), np.array([1.0]),
-                       1.0, spec)
-    with pytest.raises(ValueError, match="diagonal forward"):
-        er.ProblemSpec(er.l2_fidelity(), er.Dense([[1.0], [1.0]]),
-                       np.array([1.0, 1.0]), 1.0, spec)
     with pytest.raises(ValueError, match="reg_weight"):
         er.ProblemSpec(er.l2_fidelity(), None, np.array([1.0]), -0.1, spec)
 
 
 
-@pytest.mark.parametrize("fidelity", [er.l1_fidelity(0.1, dualize=True),
-                                      er.l2_fidelity(dualize=True), er.kl_fidelity(1.0)],
-                         ids=["l1", "l2", "kl"])
+@pytest.mark.parametrize("fidelity", [er.kl_fidelity(1.0)], ids=["kl"])
 def test_dualized_fidelity_without_forward_refused_when_built(fidelity):
-    # refused by the ProblemSpec, before a subgradient baseline could run on it
+    # refused by the ProblemSpec, before a subgradient baseline could run on it;
+    # l1 and l2 are primal on the identity
     with pytest.raises(ValueError, match="dualized fidelity needs an explicit forward"):
         er.ProblemSpec(fidelity, None, np.array([1.0]), 1.0, make_relu_1d())
 
