@@ -25,7 +25,7 @@ from . import icnn as icnn_mod
 from . import linops
 from . import solver as solver_mod
 from . import tasks as tasks_mod
-from .tensor import as_count, write_tensor
+from .tensor import as_count, as_real, write_tensor
 from .verify import adjoint_suite, run_all_suites
 
 SEEDS = {"phantom": 11, "noise": 23, "weights": 37}  # offsets from the seed
@@ -90,11 +90,9 @@ def _value(value, spec, where):
     with _refused(where):
         if python is int:  # int() would truncate a bool or a fraction
             value = as_count(value)
-        elif python is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            if not math.isfinite(value):  # json reads NaN and Infinity
-                raise ValueError(f"expected a finite number, got {value!r}")
-            value = float(value)
-        elif python is float or not isinstance(value, python):
+        elif python is float:  # json reads NaN and Infinity
+            value = as_real(value)
+        elif not isinstance(value, python):
             raise TypeError(f"expected a {NAMES[python]}, got {value!r}")
     if python is list:
         value = [_value(item, (kind[0], None), f"{where}[{i}]") for i, item in enumerate(value)]
@@ -412,8 +410,11 @@ def main(argv=None):
         if name == "sweep":
             p.add_argument("--jobs", type=int, default=1)
     args = vars(parser.parse_args(argv))
+    command = COMMANDS[args.pop("command")][0]
     try:
-        return COMMANDS[args.pop("command")][0](**args)
+        if "config_path" not in args:  # solve and sweep read theirs with the config
+            args["seed"] = _value(args["seed"], CONFIG["seed"], "--seed")
+        return command(**args)
     except (ConfigError, icnn_mod.WeightsFormatError, icnn_mod.AdmissibilityError,
             solver_mod.CertificationError, solver_mod.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

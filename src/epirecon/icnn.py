@@ -439,20 +439,22 @@ def load_weights(path) -> IcnnSpec:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise WeightsFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
-    if manifest.get("format") != "icnn-weights":
-        raise WeightsFormatError(f"{manifest_path}: not an icnn-weights manifest")
-
     loaded = []
 
     def load_blob(fname):
-        blob = path / fname
-        if not blob.exists():
-            raise WeightsFormatError(f"{path}: manifest references missing blob {fname!r}")
+        if not (path / fname).is_file():  # path / a non-string raises a TypeError
+            raise ValueError(f"missing blob {fname!r}")
         loaded.append(fname)
-        return read_tensor(blob)
+        return read_tensor(path / fname)
 
-    entry = "version"  # the manifest entry being read, for error messages
+    def load_op(op_cfg):  # a skip or carry mapping, or null for none
+        return None if op_cfg is None else linops.op_from_config(op_cfg, load_blob)
+
+    entry = "format"  # the manifest entry being read, for error messages
     try:
+        if manifest.get("format") != "icnn-weights":
+            raise ValueError("not an icnn-weights manifest")
+        entry = "version"
         version = manifest["version"]
         if type(version) is not int or version != MANIFEST_VERSION:  # nor 1.0 nor true
             raise ValueError(f"unsupported version {version!r}, expected {MANIFEST_VERSION}")
@@ -461,24 +463,22 @@ def load_weights(path) -> IcnnSpec:
             entry = f"layers[{i}]"
             act_cfg = cfg["activation"]
             layers.append(IcnnLayer(
-                skip=linops.op_from_config(cfg["skip"], load_blob) if cfg["skip"] else None,
-                carry=linops.op_from_config(cfg["carry"], load_blob) if cfg["carry"] else None,
+                skip=load_op(cfg["skip"]), carry=load_op(cfg["carry"]),
                 bias=load_blob(cfg["bias"]),
                 activation=Activation(act_cfg["kind"], act_cfg.get("alpha", 0.0)),
                 residual=cfg.get("residual", False),
             ))
         entry = "network"
-        head = load_blob(manifest["head"]) if manifest.get("head") else None
+        head = manifest.get("head")
+        head = None if head is None else load_blob(head)
         spec = IcnnSpec(tuple(manifest["input_shape"]), layers, head)
     except KeyError as exc:
         raise WeightsFormatError(f"{manifest_path}: missing field {exc}") from exc
     except NonFiniteError as exc:  # objects are built right after their blob is read
         raise WeightsFormatError(f"{path}: blob {loaded[-1]!r} refused: {exc}") from exc
-    except WeightsFormatError:
-        raise
     except (ValueError, TypeError) as exc:  # a kind, shape or value a constructor refused
         raise WeightsFormatError(f"{manifest_path}: {entry} refused: {exc}") from exc
     report = validate(spec)
     if not report.ok:
-        raise AdmissibilityError(f"{path}: {report}")
+        raise AdmissibilityError(f"{manifest_path}: network refused: {report}")
     return spec

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeMismatchError, as_shape, as_tensor, check_shape, ensure_finite
+from .tensor import (ShapeMismatchError, as_real, as_shape, as_tensor, check_shape,
+                     ensure_finite)
 
 
 def pad_bound(value) -> float:
@@ -260,9 +261,9 @@ class ScaledIdentity(LinOp):
     def __init__(self, shape, scale=1.0):
         self.input_shape = as_shape(shape, "shape")
         self.output_shape = self.input_shape
+        if isinstance(scale, bool) or not np.isfinite(scale):  # float() reads true as 1.0
+            raise ValueError(f"scaled identity needs a finite scale, got {scale!r}")
         self.scale = float(scale)
-        if not np.isfinite(self.scale):
-            raise ValueError(f"scaled identity needs a finite scale, got {self.scale}")
         self.norm_bound = abs(self.scale)
 
     def _apply(self, x):
@@ -423,6 +424,8 @@ def op_to_config(op, save_blob):
 
 
 def op_from_config(cfg, load_blob):
+    if not isinstance(cfg, dict):
+        raise TypeError(f"expected an operator mapping, got {cfg!r}")
     kind = cfg.get("kind")
     if kind == "dense":
         return Dense(load_blob(cfg["matrix"]), input_shape=cfg.get("input_shape"))
@@ -441,6 +444,7 @@ def op_from_config(cfg, load_blob):
         g = cfg["geometry"]
         geom = RadonGeometry(image_side=g["image_side"], n_angles=g["n_angles"],
                              n_bins=g["n_bins"], detector_spacing=g["detector_spacing"],
-                             scale=g["scale"], angles=tuple(g["angles"]))
+                             scale=as_real(g["scale"], "scale"),  # null: no default here
+                             angles=tuple(g["angles"]))
         return Radon(geom)
     raise ValueError(f"unknown operator kind {kind!r}")

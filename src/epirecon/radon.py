@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linops import LinOp
-from .tensor import check_shape
+from .tensor import as_count, as_real, check_shape
 
 
 def _uniform_angles(n_angles: int) -> tuple:
@@ -34,6 +34,8 @@ class RadonGeometry:
     angles: tuple = field(default=None)
 
     def __post_init__(self):
+        for name in ("image_side", "n_angles", "n_bins"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name=name))
         if self.image_side < 1:
             raise ValueError(f"image_side must be >= 1, got {self.image_side}")
         if self.n_angles < 1 or self.n_bins < 1:
@@ -43,11 +45,11 @@ class RadonGeometry:
             object.__setattr__(self, "scale", 1.0 / self.image_side)
         for name in ("detector_spacing", "scale"):
             v = getattr(self, name)
-            if not 0.0 < v < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {v}")
+            if isinstance(v, bool) or not 0.0 < v < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
         if self.angles is None:
             object.__setattr__(self, "angles", _uniform_angles(self.n_angles))
-        angles = tuple(float(a) for a in self.angles)
+        angles = tuple(as_real(a, "angles") for a in self.angles)
         if len(angles) != self.n_angles:
             raise ValueError(f"{len(angles)} angles given, n_angles={self.n_angles}")
         if any(b <= a for a, b in zip(angles, angles[1:])):
@@ -73,7 +75,9 @@ class Radon(LinOp):
         ys, xs = np.meshgrid(centers, centers, indexing="ij")
         angles = np.asarray(geometry.angles)[:, None]
         t = np.cos(angles) * xs.ravel()[None, :] + np.sin(angles) * ys.ravel()[None, :]
-        u = t / geometry.detector_spacing + (geometry.n_bins - 1) / 2.0
+        # bins past either end get no weight; clipped there, u stays an int64
+        u = np.clip(t / geometry.detector_spacing + (geometry.n_bins - 1) / 2.0,
+                    -1.0, geometry.n_bins)
         lo = np.floor(u).astype(np.int64)
         frac = u - lo
         nb = geometry.n_bins
@@ -99,13 +103,19 @@ class Radon(LinOp):
 
     def _norm_bound(self):
         """Collatz-Wielandt: A >= 0 entrywise, so |A|^2 <= max_i (A*A x)_i / x_i over x_i > 0,
-        here for 10 power iterates from ones; unreached pixels become 0 and drop out."""
+        here for 10 power iterates from ones over the pixels that reach a bin (the rest
+        drop out; with none, the bound is 0). Each such (A*A x)_i is positive, so one
+        below the normal range has underflowed, and leaves no bound."""
+        reached = ((self._w_lo > 0.0) | (self._w_hi > 0.0)).any(axis=0).reshape(self.input_shape)
+        if not reached.any():
+            return 0.0
         x = np.ones(self.input_shape)
         best = np.inf
         for _ in range(10):
             y = self.adjoint(self.apply(x))
-            pos = x > 0.0
-            best = min(best, float(np.max(y[pos] / x[pos])))
+            if not (y[reached] >= np.finfo(np.float64).tiny).all():
+                return None
+            best = min(best, float(np.max(y[reached] / x[reached])))
             x = y / y.max()
         return np.sqrt(best)
 

@@ -2,10 +2,11 @@
 
 All signal, weight and dual data in this package is carried by C-contiguous
 float64 numpy arrays; counts and shapes are read as ints, refusing a bool or a
-fraction. Blob files are bit-exact round trips: magic "TNSB", u16 version,
+fraction, and scalars as finite floats, refusing a bool. Blob files are bit-exact round trips: magic "TNSB", u16 version,
 u16 rank, rank x u64 dims, then row-major f64 payload, all little-endian.
 """
 
+import math
 import numbers
 import struct
 
@@ -58,6 +59,15 @@ def as_count(value, least=None, name=None):
     else:
         problem = f"must be at least {least}, got {value}"
     raise ValueError(problem if name is None else f"{name}: {problem}")
+
+
+def as_real(value, name=None):
+    """value as a float, refusing a bool, a non-number and a non-finite number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        problem = f"expected a finite number, got {value!r}"
+        raise ValueError(problem if name is None else f"{name}: {problem}")
+    return float(value)
 
 
 def as_shape(values, name, least=None):

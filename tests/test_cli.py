@@ -17,7 +17,7 @@ from epirecon import cli, linops, prox
 from epirecon import solver as solver_mod
 from epirecon.cli import (SEEDS, ConfigError, Instance, cmd_solve, cmd_sweep,
                           load_config, main)
-from epirecon.tensor import write_tensor
+from epirecon.tensor import BlobFormatError, read_tensor, write_tensor
 from epirecon.verify import adjoint_suite, epigraph_suite, prox_oracle_suite
 
 
@@ -354,6 +354,80 @@ def test_malformed_weights_manifest_exits_2_naming_the_entry(tmp_path, capsys, c
     assert not Path(cfg["output_dir"]).exists()
 
 
+def operator_network():
+    """An 8x8 network of three layers: a scaled_identity skip (relu), a radon
+    skip and carry (relu) and a dense carry (identity) to a scalar."""
+    geometry = er.RadonGeometry(image_side=8, n_angles=2, n_bins=12)
+    first = er.IcnnLayer(linops.ScaledIdentity((8, 8), 0.5), None, np.zeros((8, 8)),
+                         er.Activation("relu"))
+    second = er.IcnnLayer(er.Radon(geometry), er.Radon(geometry), np.zeros((2, 12)),
+                          er.Activation("relu"))
+    third = er.IcnnLayer(None, er.Dense(np.full((1, 24), 0.1), input_shape=(2, 12)),
+                         np.zeros(1), er.Activation("identity"))
+    return er.IcnnSpec((8, 8), (first, second, third))
+
+
+NETWORKS = {"conv": lambda: er.random_admissible(3, er.ConvPoolDenseTemplate(
+    side=8, filters=2, kernel=3, pool=4, hidden=4)), "operators": operator_network}
+# a blob's header: magic, u16 version, u16 rank, then u64 dims, then the payload
+BLOB_MUTANTS = {"magic": lambda raw: b"TNSA" + raw[4:],
+                "version": lambda raw: raw[:4] + b"\x02" + raw[5:],
+                "rank": lambda raw: raw[:6] + bytes([raw[6] + 1]) + raw[7:],
+                "dim": lambda raw: raw[:8] + bytes([raw[8] + 1]) + raw[9:],
+                "truncated": lambda raw: raw[:-8], "extra": lambda raw: raw + raw[-8:]}
+
+
+def manifest_entry(path):
+    """The entry a load error names for a manifest leaf at a key path."""
+    if path[0] == "layers":
+        return f"layers[{path[1]}]"
+    return path[0] if path[0] in ("format", "version") else "network"
+
+
+@pytest.mark.parametrize("network", NETWORKS)
+def test_every_manifest_and_blob_mutation_exits_0_or_2_naming_it(tmp_path, capsys, network):
+    # every leaf of the saved manifest takes each config mutant, and every blob
+    # each header corruption; `norm` never ends in a traceback, and it must exit
+    # 2 naming the entry for another JSON class, a non-finite number or a
+    # fraction for an integer, and naming the blob for a header that no longer
+    # parses (a zero bias reads as a well-formed blob of shape (1, 0) once its
+    # rank is raised; the network refuses that shape)
+    weights = tmp_path / "w"
+    er.save_weights(NETWORKS[network](), weights)
+    manifest = json.loads((weights / "manifest.json").read_text())
+    failures = []
+
+    def check(what, named, must):
+        try:
+            code, err = main(["norm", str(weights)]), capsys.readouterr().err
+        except Exception as exc:
+            code, err = "traceback", f"{type(exc).__name__}: {exc}"
+        capsys.readouterr()
+        if not (code == 2 and (named in err or not must) or code == 0 and not must):
+            failures.append(f"{what}: exit {code}: {err.strip()}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for path in leaf_paths(manifest):
+            for value in MUTANTS:
+                edited = set_field(json.loads(json.dumps(manifest)), path, value)
+                (weights / "manifest.json").write_text(json.dumps(edited))
+                check(f"{path}={value!r}", f"manifest.json: {manifest_entry(path)} refused",
+                      must_refuse(field_at(manifest, path), value))
+        (weights / "manifest.json").write_text(json.dumps(manifest))
+        for blob in sorted(weights.glob("*.tnsb")):
+            raw = blob.read_bytes()
+            for name, corrupt in BLOB_MUTANTS.items():
+                blob.write_bytes(corrupt(raw))
+                with contextlib.suppress(BlobFormatError):
+                    read_tensor(blob)
+                    check(f"{blob.name} {name}", "network refused", True)
+                    continue
+                check(f"{blob.name} {name}", blob.name, True)
+            blob.write_bytes(raw)
+    assert not failures, "\n".join(failures)
+
+
 def test_missing_weights_dir_is_config_error(tmp_path):
     rc = main(["norm", str(tmp_path / "nope")])
     assert rc == 2
@@ -589,7 +663,7 @@ def json_class(value):
     return next(name for kind, name in JSON_CLASSES if isinstance(value, kind))
 
 
-def must_refuse(base, value, field):
+def must_refuse(base, value, field=None):
     """Whether a mutant of a field must exit 2: another JSON class than the
     base value's, a non-finite number, a fraction for a count (an integer
     base value), or a network size below 1. The last two cover values that
@@ -691,6 +765,18 @@ def test_budget_and_jobs_flags_are_bounded(tmp_path, capsys, monkeypatch):
     for jobs in ("1", "2", "64"):
         assert main(["sweep", path, "--jobs", jobs]) == 0
     assert sizes == [2, 3]  # 1 runs serially; 64 starts one worker per combination
+
+
+def test_weights_and_verify_commands_refuse_a_seed_below_0(tmp_path, capsys):
+    # norm ended in a numpy traceback, verify failed three suites, and
+    # adjoint-test passed only because its suite adds 17 to the seed
+    spec = er.random_admissible(3, er.DenseTemplate(input_dim=3, hidden_dims=(4,)))
+    er.save_weights(spec, tmp_path / "w")
+    for argv in (["verify"], ["norm", str(tmp_path / "w")],
+                 ["adjoint-test", str(tmp_path / "w")]):
+        for seed in ("-1", "-17"):
+            assert main(argv + ["--seed", seed]) == 2
+            assert f"--seed: must be at least 0, got {seed}" in capsys.readouterr().err
 
 
 NOT_NUMBERS = [("solve", ("task", "gamma"), "abc"),

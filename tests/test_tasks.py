@@ -211,6 +211,9 @@ def test_build_problem_matches_hand_normalized_ct():
         np.full(y.shape, 20.0 / count_scale).tobytes()
     assert init_x.tobytes() == np.clip(er.fbp(geom, counts), 0.0, None).tobytes()
     assert problem.nonneg and problem.fidelity.dualize and problem.reg_weight == 4.0
+    assert er.build_problem(cfg, truth, spec, 4.0, nonneg=True)[0].nonneg
+    with pytest.raises(ValueError, match="nonneg: ct keeps its image nonnegative, got False"):
+        er.build_problem(cfg, truth, spec, 4.0, nonneg=False)  # it was set True silently
 
 
 def test_build_problem_data_term_per_kind():
