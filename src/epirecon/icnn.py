@@ -447,9 +447,6 @@ def load_weights(path) -> IcnnSpec:
         loaded.append(fname)
         return read_tensor(path / fname)
 
-    def load_op(op_cfg):  # a skip or carry mapping, or null for none
-        return None if op_cfg is None else linops.op_from_config(op_cfg, load_blob)
-
     entry = "format"  # the manifest entry being read, for error messages
     try:
         if manifest.get("format") != "icnn-weights":
@@ -463,14 +460,14 @@ def load_weights(path) -> IcnnSpec:
             entry = f"layers[{i}]"
             act_cfg = cfg["activation"]
             layers.append(IcnnLayer(
-                skip=load_op(cfg["skip"]), carry=load_op(cfg["carry"]),
+                *[None if cfg[k] is None else linops.op_from_config(cfg[k], load_blob)
+                  for k in ("skip", "carry")],  # a mapping each, or null for none
                 bias=load_blob(cfg["bias"]),
                 activation=Activation(act_cfg["kind"], act_cfg.get("alpha", 0.0)),
                 residual=cfg.get("residual", False),
             ))
         entry = "network"
-        head = manifest.get("head")
-        head = None if head is None else load_blob(head)
+        head = None if manifest.get("head") is None else load_blob(manifest["head"])
         spec = IcnnSpec(tuple(manifest["input_shape"]), layers, head)
     except KeyError as exc:
         raise WeightsFormatError(f"{manifest_path}: missing field {exc}") from exc

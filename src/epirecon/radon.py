@@ -36,11 +36,9 @@ class RadonGeometry:
     def __post_init__(self):
         for name in ("image_side", "n_angles", "n_bins"):
             object.__setattr__(self, name, as_count(getattr(self, name), name=name))
-        if self.image_side < 1:
-            raise ValueError(f"image_side must be >= 1, got {self.image_side}")
-        if self.n_angles < 1 or self.n_bins < 1:
-            raise ValueError(
-                f"degenerate geometry: n_angles={self.n_angles}, n_bins={self.n_bins}")
+        if min(self.image_side, self.n_angles, self.n_bins) < 1:
+            raise ValueError(f"degenerate geometry: image_side={self.image_side}, "
+                             f"n_angles={self.n_angles}, n_bins={self.n_bins}")
         if self.scale is None:
             object.__setattr__(self, "scale", 1.0 / self.image_side)
         for name in ("detector_spacing", "scale"):
@@ -75,12 +73,10 @@ class Radon(LinOp):
         ys, xs = np.meshgrid(centers, centers, indexing="ij")
         angles = np.asarray(geometry.angles)[:, None]
         t = np.cos(angles) * xs.ravel()[None, :] + np.sin(angles) * ys.ravel()[None, :]
-        # bins past either end get no weight; clipped there, u stays an int64
-        u = np.clip(t / geometry.detector_spacing + (geometry.n_bins - 1) / 2.0,
-                    -1.0, geometry.n_bins)
+        nb = geometry.n_bins
+        u = np.clip(t / geometry.detector_spacing + (nb - 1) / 2.0, -1.0, nb)  # int64-safe
         lo = np.floor(u).astype(np.int64)
         frac = u - lo
-        nb = geometry.n_bins
         self._w_lo = np.where((lo >= 0) & (lo < nb), 1.0 - frac, 0.0)
         self._w_hi = np.where((lo + 1 >= 0) & (lo + 1 < nb), frac, 0.0)
         rows = np.arange(geometry.n_angles)[:, None] * nb
@@ -103,9 +99,8 @@ class Radon(LinOp):
 
     def _norm_bound(self):
         """Collatz-Wielandt: A >= 0 entrywise, so |A|^2 <= max_i (A*A x)_i / x_i over x_i > 0,
-        here for 10 power iterates from ones over the pixels that reach a bin (the rest
-        drop out; with none, the bound is 0). Each such (A*A x)_i is positive, so one
-        below the normal range has underflowed, and leaves no bound."""
+        for 10 power iterates from ones on the pixels that reach a bin (0 if none does);
+        each (A*A x)_i there is positive, so one below the normal range underflowed."""
         reached = ((self._w_lo > 0.0) | (self._w_hi > 0.0)).any(axis=0).reshape(self.input_shape)
         if not reached.any():
             return 0.0

@@ -133,8 +133,7 @@ class KLFidelity(Fidelity):
         if forward is None:
             raise ValueError("dualized fidelity needs an explicit forward operator")
         bg = as_tensor(np.broadcast_to(self.background, measurement.shape))
-        bg = ensure_finite(bg, "kl background")
-        prox._check_nonnegative(bg, "kl background")
+        bg = prox._check_nonnegative(ensure_finite(bg, "kl background"), "kl background")
         prox._check_nonnegative(measurement, "kl counts")
         return super().bind(forward, measurement, background=bg)
 
@@ -161,12 +160,7 @@ class KLFidelity(Fidelity):
         return prox.kl_conjugate_kernel(sigma, y, self.background, y.shape)
 
 
-def l1_fidelity(weight):
-    return L1Fidelity(weight)
-
-
-def l2_fidelity(weight=1.0):
-    return L2Fidelity(weight)
+l1_fidelity, l2_fidelity = L1Fidelity, L2Fidelity  # each takes its weight
 
 
 def kl_fidelity(background):

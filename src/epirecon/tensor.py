@@ -2,8 +2,9 @@
 
 All signal, weight and dual data in this package is carried by C-contiguous
 float64 numpy arrays; counts and shapes are read as ints, refusing a bool or a
-fraction, and scalars as finite floats, refusing a bool. Blob files are bit-exact round trips: magic "TNSB", u16 version,
-u16 rank, rank x u64 dims, then row-major f64 payload, all little-endian.
+fraction, and scalars as finite floats, refusing a bool. Blob files are
+bit-exact round trips: magic "TNSB", u16 version, u16 rank, rank x u64 dims,
+then row-major f64 payload, all little-endian.
 """
 
 import math
@@ -63,8 +64,7 @@ def as_count(value, least=None, name=None):
 
 def as_real(value, name=None):
     """value as a float, refusing a bool, a non-number and a non-finite number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         problem = f"expected a finite number, got {value!r}"
         raise ValueError(problem if name is None else f"{name}: {problem}")
     return float(value)
