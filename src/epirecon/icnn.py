@@ -449,13 +449,13 @@ def load_weights(path) -> IcnnSpec:
 
     entry = "format"  # the manifest entry being read, for error messages
     try:
-        if manifest.get("format") != "icnn-weights":
+        if not isinstance(manifest, dict) or manifest.get("format") != "icnn-weights":
             raise ValueError("not an icnn-weights manifest")
         entry = "version"
         version = manifest["version"]
         if type(version) is not int or version != MANIFEST_VERSION:  # nor 1.0 nor true
             raise ValueError(f"unsupported version {version!r}, expected {MANIFEST_VERSION}")
-        layers = []
+        layers, entry = [], "layers"
         for i, cfg in enumerate(manifest["layers"]):
             entry = f"layers[{i}]"
             act_cfg = cfg["activation"]
@@ -473,7 +473,7 @@ def load_weights(path) -> IcnnSpec:
         raise WeightsFormatError(f"{manifest_path}: missing field {exc}") from exc
     except NonFiniteError as exc:  # objects are built right after their blob is read
         raise WeightsFormatError(f"{path}: blob {loaded[-1]!r} refused: {exc}") from exc
-    except (ValueError, TypeError) as exc:  # a kind, shape or value a constructor refused
+    except (ValueError, TypeError, OverflowError) as exc:  # a value a constructor refused
         raise WeightsFormatError(f"{manifest_path}: {entry} refused: {exc}") from exc
     report = validate(spec)
     if not report.ok:

@@ -1,4 +1,6 @@
 import functools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -325,6 +327,33 @@ def test_load_names_the_non_finite_blob(tmp_path, blob):
     arr.ravel()[-1] = np.nan
     write_tensor(tmp_path / "w" / blob, arr)
     with pytest.raises(WeightsFormatError, match=f"blob '{blob}' refused"):
+        er.load_weights(tmp_path / "w")
+
+
+def _radon_network():
+    geometry = er.RadonGeometry(image_side=4, n_angles=2, n_bins=6)
+    first = er.IcnnLayer(er.Radon(geometry), None, np.full((2, 6), 0.1), er.Activation("relu"))
+    last = er.IcnnLayer(None, er.Dense(np.full((1, 12), 0.1), input_shape=(2, 6)), [0.1],
+                        er.Activation("identity"))
+    return er.IcnnSpec((4, 4), (first, last))
+
+
+def _huge_angle(manifest):
+    manifest["layers"][0]["skip"]["geometry"]["angles"][1] = 10**400  # json keeps the int
+    return manifest
+
+
+# a manifest that is no mapping ended in an AttributeError, a layers count was
+# named as the version, and an angle past the float range ended in an OverflowError
+@pytest.mark.parametrize("edit, entry", [(lambda m: [m], "format"),
+                                         (lambda m: {**m, "layers": 5}, "layers"),
+                                         (_huge_angle, "layers[0]")],
+                         ids=["list", "layers_count", "huge_angle"])
+def test_load_names_the_entry_of_a_malformed_manifest(tmp_path, edit, entry):
+    er.save_weights(_radon_network(), tmp_path / "w")
+    path = tmp_path / "w" / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(WeightsFormatError, match=re.escape(f"manifest.json: {entry} refused")):
         er.load_weights(tmp_path / "w")
 
 
