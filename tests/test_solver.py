@@ -616,7 +616,8 @@ def test_reg_weight_refused_when_built(bad):
         er.ProblemSpec(er.l2_fidelity(), None, np.array([1.0]), bad, make_relu_1d())
 
 
-@pytest.mark.parametrize("make", [er.l1_fidelity, er.l2_fidelity])
+@pytest.mark.parametrize("make", [er.l1_fidelity, er.l2_fidelity],
+                         ids=["l1_fidelity", "l2_fidelity"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_fidelity_weight_refused_when_built(make, bad):
     with pytest.raises(ValueError, match="fidelity weight must be finite"):
