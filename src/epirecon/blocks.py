@@ -38,15 +38,17 @@ class BlockOperator:
                                      f"row is {shape}")
 
     def apply(self, us, out=None):
-        """One array per row, each the sum of its entries in order; written
-        into out (one array per row) when given."""
+        """One array per row, each its first entry plus the others in order
+        (not summed from zero, which would turn a -0.0 into 0.0); written into
+        out (one array per row) when given."""
         if len(us) != len(self.input_shapes):
             raise ValueError(f"expected {len(self.input_shapes)} primal slots, got {len(us)}")
         if out is None:
             out = [np.empty(shape) for shape in self.output_shapes]
         for row, acc in zip(self.rows, out):
-            acc.fill(0.0)
-            for slot, op in row:
+            slot, op = row[0]
+            acc[...] = op.apply(us[slot])
+            for slot, op in row[1:]:
                 acc += op.apply(us[slot])
         return out
 

@@ -55,9 +55,11 @@ class Activation:
             return self.alpha
         return 1.0
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        """max(t, a t), as t * derivative(t): the same bits for finite t."""
-        return np.asarray(t, dtype=np.float64) * self.derivative(t)
+    def __call__(self, t: np.ndarray, out=None) -> np.ndarray:
+        """max(t, a t) for a > 0, else t * (t > 0): in two passes the bits of
+        t * derivative(t) on every float (max(t, 0 t) would make +inf NaN)."""
+        t, a = np.asarray(t, dtype=np.float64), self.negative_slope
+        return np.maximum(t, t * a, out=out) if a > 0.0 else np.multiply(t, t > 0.0, out=out)
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
         """1 where t > 0, else a: branch-free, and exact as a + fl(1 - a) rounds to 1."""
@@ -92,21 +94,32 @@ class IcnnLayer:
         op = self.skip if self.skip is not None else self.carry
         return tuple(op.output_shape)
 
-    def preactivation(self, x, z_prev):
+    def preactivation(self, x, z_prev, row=None):
         """skip(x) + carry(z_prev) + bias, summed into the fresh array the carry
-        path returns, or the skip path on a layer without a carry."""
+        path returns, or the skip path on a layer without a carry; row, when
+        given, is skip(x) + carry(z_prev) (PDHG keeps it), so nothing is applied."""
+        if row is not None:
+            return row + self.bias
         s = self.skip.apply(x) if self.carry is None else self.carry.apply(z_prev)
         if self.carry is not None and self.skip is not None:
             s += self.skip.apply(x)
         s += self.bias
         return s
 
+    def output(self, x, z_prev, row=None):
+        """activation(preactivation), plus z_prev when residual; z_prev is None
+        on the first layer, where a residual layer adds x instead."""
+        out = self.preactivation(x, z_prev, row)
+        self.activation(out, out=out)
+        if self.residual:
+            out += x if z_prev is None else z_prev
+        return out
+
     def step(self, x, z_prev):
-        """(activation slope at the preactivation, output); z_prev is None on
-        the first layer, where a residual layer adds x instead."""
+        """(activation slope at the preactivation, output), as in output."""
         out = self.preactivation(x, z_prev)
         slope = self.activation.derivative(out)
-        out *= slope  # the activation, as in Activation.__call__
+        out *= slope  # the activation's bits
         if self.residual:
             out += x if z_prev is None else z_prev
         return slope, out
@@ -121,7 +134,7 @@ class IcnnSpec:
     head: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", as_shape(self.input_shape, "input_shape"))
+        object.__setattr__(self, "input_shape", as_shape(self.input_shape, "input_shape", least=1))
         object.__setattr__(self, "layers", tuple(self.layers))
         if self.head is not None:
             object.__setattr__(self, "head", ensure_finite(as_tensor(self.head), "icnn head"))
@@ -249,23 +262,16 @@ def require_admissible(spec: IcnnSpec) -> IcnnSpec:
     return spec
 
 
-def _sweep(spec: IcnnSpec, x, what, keep_slopes):
-    """(value, kept) of one forward pass at x: kept holds each layer's
-    activation slope, or else its output."""
+def forward(spec: IcnnSpec, x: np.ndarray, first=None):
+    """(value, trace of hidden activations); first, when given, is layer 1's
+    skip(x) (PDHG keeps it), so layer 1 applies nothing."""
     x = as_tensor(x)
-    check_shape(x, spec.input_shape, what)
-    kept = []
-    z = None
+    check_shape(x, spec.input_shape, "icnn forward input")
+    trace, z = [], None
     for layer in spec.layers:
-        slope, z = layer.step(x, z)
-        kept.append(slope if keep_slopes else z)
-    return float(np.vdot(spec.readout_weights(), z)), kept
-
-
-def forward(spec: IcnnSpec, x: np.ndarray):
-    """(value, trace of hidden activations)."""
-    value, outputs = _sweep(spec, x, "icnn forward input", keep_slopes=False)
-    return value, outputs[:-1]
+        z = layer.output(x, z, first if z is None else None)
+        trace.append(z)
+    return float(np.vdot(spec.readout_weights(), z)), trace[:-1]
 
 
 def value_and_subgradient(spec: IcnnSpec, x: np.ndarray):
@@ -274,7 +280,13 @@ def value_and_subgradient(spec: IcnnSpec, x: np.ndarray):
     Kinks take the left-branch slope (0 for relu, the negative slope for
     leaky relu), a fixed and therefore reproducible selection.
     """
-    value, slopes = _sweep(spec, x, "icnn subgradient input", keep_slopes=True)
+    x = as_tensor(x)
+    check_shape(x, spec.input_shape, "icnn subgradient input")
+    slopes, z = [], None
+    for layer in spec.layers:
+        slope, z = layer.step(x, z)
+        slopes.append(slope)
+    value = float(np.vdot(spec.readout_weights(), z))
     x_terms = []  # summed in order into the first, an array the sweep owns
     cot = spec.readout_weights().copy()
     for i in range(spec.depth, 0, -1):

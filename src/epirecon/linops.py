@@ -63,8 +63,9 @@ class Dense(LinOp):
         if matrix.ndim != 2:
             raise ValueError(f"dense operator needs a 2-d matrix, got shape {matrix.shape}")
         self.matrix = matrix
-        m, n = matrix.shape
-        self.input_shape = (n,) if input_shape is None else as_shape(input_shape, "input_shape")
+        m, n = as_shape(matrix.shape, "dense matrix shape", least=1)
+        self.input_shape = (n,) if input_shape is None else as_shape(
+            input_shape, "input_shape", least=1)
         if int(np.prod(self.input_shape)) != n:
             raise ShapeMismatchError((n,), self.input_shape, "dense input_shape product")
         self.output_shape = (m,)
@@ -97,7 +98,7 @@ class Conv2D(LinOp):
 
     def __init__(self, filters, input_shape):
         filters = ensure_finite(as_tensor(filters), "conv2d filters")
-        input_shape = as_shape(input_shape, "input_shape")
+        input_shape = as_shape(input_shape, "input_shape", least=1)
         if len(input_shape) not in (2, 3):
             raise ValueError(f"conv2d input must be 2-d or 3-d, got {input_shape}")
         in_channels = input_shape[0] if len(input_shape) == 3 else 1
@@ -185,7 +186,7 @@ class AvgPool2D(LinOp):
 
     def __init__(self, pool, input_shape):
         ph, pw = as_shape((pool, pool) if np.isscalar(pool) else pool, "pool", least=1)
-        input_shape = as_shape(input_shape, "input_shape")
+        input_shape = as_shape(input_shape, "input_shape", least=1)
         if len(input_shape) not in (2, 3):
             raise ValueError(f"avgpool2d input must be 2-d or 3-d, got {input_shape}")
         h, w = input_shape[-2:]
@@ -259,7 +260,7 @@ class ScaledIdentity(LinOp):
     kind = "scaled_identity"
 
     def __init__(self, shape, scale=1.0):
-        self.input_shape = as_shape(shape, "shape")
+        self.input_shape = as_shape(shape, "shape", least=1)
         self.output_shape = self.input_shape
         if isinstance(scale, bool) or not np.isfinite(scale):  # float() reads true as 1.0
             raise ValueError(f"scaled identity needs a finite scale, got {scale!r}")

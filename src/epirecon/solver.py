@@ -212,16 +212,22 @@ class ObjectiveReport:
     reg_term: float
 
 
-def evaluate_objectives(problem: ProblemSpec, x, z=None, fwd=None) -> ObjectiveReport:
+def evaluate_objectives(problem: ProblemSpec, x, z=None, rows=None) -> ObjectiveReport:
     """Objectives of the nested and the constrained formulation at (x, z).
 
     With z equal to the network trace the two objectives agree and the
     feasibility residual is zero; any z >= trace layerwise keeps feasibility
-    zero and can only raise the reformulated value. fwd, when given, is A x
-    (PDHG keeps it), so the data term applies nothing.
+    zero and can only raise the reformulated value. rows, when given, is row
+    0 of each dual block's K u at (x, z), in block order (PDHG keeps them):
+    A x for a dualized data term, then each layer's skip(x) + carry(z_{i-1}).
+    The data term, layer 1 of the nested trace, every feasibility gap and
+    the final term then read their rows; only the nested trace's layers
+    past the first are applied.
     """
     spec = problem.regularizer
-    reg_value, trace = icnn_mod.forward(spec, x)
+    fwd, *pre = [None] * (spec.depth + 1) if rows is None else (
+        rows if problem.fidelity.dualize else [None, *rows])
+    reg_value, trace = icnn_mod.forward(spec, x, first=pre[0])
     data = problem.fidelity.value(problem.apply_forward(x) if fwd is None else fwd,
                                   problem.measurement)
     reg_term = problem.reg_weight * reg_value
@@ -233,11 +239,11 @@ def evaluate_objectives(problem: ProblemSpec, x, z=None, fwd=None) -> ObjectiveR
     # layer 1 reads no z: its output is trace[0]
     feas = 0.0
     for i, layer in enumerate(spec.layers[:-1], start=1):
-        gap = trace[0] if i == 1 else layer.step(x, z[i - 2])[1]
+        gap = trace[0] if i == 1 else layer.output(x, z[i - 2], pre[i - 1])
         gap -= z[i - 1]  # in place: the implied output is a fresh array
         feas = max(feas, float(np.max(gap, initial=0.0)))
     final_term = reg_value if spec.depth == 1 else float(np.vdot(
-        spec.readout_weights(), spec.layers[-1].step(x, z[-1])[1]))
+        spec.readout_weights(), spec.layers[-1].output(x, z[-1], pre[-1])))
     reformulated = data + problem.reg_weight * final_term
     return ObjectiveReport(primal, reformulated, feas, data, reg_term)
 
@@ -424,8 +430,9 @@ class SolvePlan:
     formed (PDLP keeps K x alike): each block applies its operator to u+
     into one half, and the other, which held K u, becomes
     K u+ + (K u+ - K u), then c + sigma * (K u_bar) in place, its dual
-    prox's input. The halves swap roles every iteration; the fidelity
-    block's kept half is the record's A x. K u0 is applied when the plan
+    prox's input. The halves swap roles every iteration. A record reads
+    row 0 of each block's kept half (kept_rows): the fidelity block's A x
+    and each layer's skip(x) + carry(z_{i-1}). K u0 is applied when the plan
     is built, so a warm restart continues a run bitwise. step() only does
     arithmetic, through out= into the plan's buffers. Nothing is checked
     per iteration: the steps were certified, the fidelity's data when its
@@ -458,7 +465,8 @@ class SolvePlan:
               for block, *flats in zip(assembly.blocks, *halves)]
         self.keep = 0  # the half holding K u of the current u
         fidelity = problem.fidelity
-        self.kept_forward = [rows[0] for _, rows in ku[0]] if fidelity.dualize else [None] * 2
+        # per value of keep, row 0 of each block's kept half, in block order
+        self.kept_rows = [[halves_of[k][1][0] for halves_of in ku] for k in (0, 1)]
         # per value of keep, the guard's window: u, the duals and the fresh half
         self.windows = [(lo, self.buf[lo:hi], self.finite[lo:hi])
                         for lo, hi in ((nd, n + 3 * nd), (0, n + 2 * nd))]
@@ -572,8 +580,8 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
 
     def observe():
         x, *z = plan.u
-        fwd = plan.kept_forward[plan.keep]  # A x, None when the fidelity is primal
-        metrics.record(plan.iteration, evaluate_objectives(problem, x, z, fwd=fwd), x)
+        rows = plan.kept_rows[plan.keep]
+        metrics.record(plan.iteration, evaluate_objectives(problem, x, z, rows=rows), x)
 
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a non-finite iterate
         plan = SolvePlan(problem, steps, state)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import epirecon as er
-from epirecon.blocks import assemble_blocks
+from epirecon.blocks import BlockOperator, assemble_blocks
 from epirecon.verify import jacobi_spectral_norm
 
 
@@ -33,6 +33,16 @@ def test_two_layer_block_structure(rng):
     # bias-shifted preactivation rows reproduce the layerwise constraint left-hand sides
     assert np.allclose(p + k1.bias, spec.layers[0].preactivation(x, None))
     assert np.allclose(out + k2.bias, spec.layers[1].preactivation(x, z1))
+
+
+def test_block_rows_keep_the_sign_of_a_zero():
+    # a row is its first entry plus the others, not a sum from +0.0, so a
+    # kept row is bitwise what its layer's paths give, -0.0 included
+    ident = er.ScaledIdentity((3,), 1.0)
+    op = BlockOperator([[(0, ident)], [(0, ident), (1, ident)]], [(3,), (3,)])
+    zero = np.full(3, -0.0)
+    for out in (op.apply([zero, zero]), op.apply([zero, zero], out=[np.ones(3), np.ones(3)])):
+        assert all(np.signbit(row).all() for row in out)
 
 
 def test_fidelity_block_prepended(rng):

@@ -412,8 +412,9 @@ def test_every_manifest_and_blob_mutation_exits_0_or_2_naming_it(tmp_path, capsy
             for value in MUTANTS:
                 edited = set_field(json.loads(json.dumps(manifest)), path, value)
                 (weights / "manifest.json").write_text(json.dumps(edited))
+                field = next(key for key in reversed(path) if isinstance(key, str))
                 check(f"{path}={value!r}", f"manifest.json: {manifest_entry(path)} refused",
-                      must_refuse(field_at(manifest, path), value))
+                      must_refuse(field_at(manifest, path), value, field))
         (weights / "manifest.json").write_text(json.dumps(manifest))
         for blob in sorted(weights.glob("*.tnsb")):
             raw = blob.read_bytes()
@@ -663,18 +664,23 @@ def json_class(value):
     return next(name for kind, name in JSON_CLASSES if isinstance(value, kind))
 
 
+# config fields and manifest entries that size a network or an operator
+SIZES = ("filters", "kernel", "pool", "hidden", "input_shape", "shape", "image_side",
+         "n_angles", "n_bins")
+
+
 def must_refuse(base, value, field=None):
     """Whether a mutant of a field must exit 2: another JSON class than the
     base value's, a non-finite number, a fraction for a count (an integer
-    base value), or a network size below 1. The last two cover values that
-    once ended in a traceback (a pool or kernel of 0) or that int() truncated
-    into another network."""
+    base value), or a size below 1. The last two cover values that once
+    ended in a traceback (a pool or kernel of 0), that int() truncated into
+    another network, or that built an operator on an empty shape."""
     if json_class(value) != json_class(base):
         return True
     if json_class(value) != "number":
         return False
     return (not math.isfinite(value) or (isinstance(base, int) and not float(value).is_integer())
-            or (field in ("filters", "kernel", "pool", "hidden") and value < 1))
+            or (field in SIZES and value < 1))
 
 
 @pytest.mark.parametrize("kind", ["denoise", "inpaint", "ct"])

@@ -58,6 +58,23 @@ def test_activation_and_derivative_match_the_select(act):
     assert np.asarray(act.derivative(np.array(3.0))).tobytes() == np.float64(1.0).tobytes()
 
 
+@pytest.mark.parametrize("act", [er.Activation("relu"), er.Activation("leaky_relu", 0.2),
+                                 er.Activation("identity")], ids=["relu", "leaky", "identity"])
+def test_activation_is_t_times_derivative_bitwise_on_every_float(act):
+    # the two-pass activation a layer output uses, max(t, a t) or t * (t > 0),
+    # against t * derivative(t), also in place and at +-0, +-inf, NaN of
+    # either sign and subnormals (max(t, 0 t) would turn +inf into NaN)
+    nan = float("nan")
+    special = [0.0, -0.0, np.inf, -np.inf, nan, -nan, 5e-324, -5e-324, 1e-310, -1e-310]
+    t = np.concatenate([special, np.random.default_rng(2).standard_normal(1000)])
+    with np.errstate(invalid="ignore"):  # relu at -inf: -inf * 0
+        expected = (t * act.derivative(t)).tobytes()
+        assert act(t).tobytes() == expected
+        inplace = t.copy()
+        act(inplace, out=inplace)
+    assert inplace.tobytes() == expected
+
+
 def test_branch_free_derivative_is_exact_for_sampled_slopes():
     # (t > 0) * (1 - a) + a is 1 exactly when a + fl(1 - a) rounds to 1
     a = np.random.default_rng(0).uniform(0.0, 1.0, 200_000)

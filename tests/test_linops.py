@@ -110,6 +110,23 @@ def test_avgpool_rejects_non_divisible():
         er.AvgPool2D(3, (8, 8))
 
 
+EMPTY = {"scaled_identity": lambda s: er.ScaledIdentity((s, 8)),
+         "dense_rows": lambda s: er.Dense(np.zeros((max(s, 0), 3))),
+         "dense_columns": lambda s: er.Dense(np.zeros((2, max(s, 0)))),
+         "dense_input_shape": lambda s: er.Dense(np.zeros((2, 4)), input_shape=(s, 4)),
+         "conv2d": lambda s: er.Conv2D(np.ones((1, 1, 1)), (s, 4)),
+         "avgpool2d": lambda s: er.AvgPool2D(1, (4, s)),
+         "network": lambda s: er.IcnnSpec((s,), ())}
+
+
+@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("build", EMPTY.values(), ids=EMPTY)
+def test_no_operator_or_network_builds_on_an_empty_shape(build, size):
+    # a matrix takes no negative side, so the dense dims try 0 twice
+    with pytest.raises(ValueError, match="must be at least 1"):
+        build(size)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_scaled_identity_refuses_non_finite_scale(bad):
     with pytest.raises(ValueError, match="finite scale"):

@@ -274,20 +274,43 @@ def test_pdhg_warm_restart_continues_the_run_bitwise(make):
             assert not np.shares_memory(state.x, other)
 
 
+def conv_denoise_problem():
+    # a conv network under a primal l1 data term: its kept rows are V1 x and
+    # the carry W2 z1 through pool and dense
+    spec = er.random_admissible(7, er.ConvPoolDenseTemplate(
+        side=12, filters=2, kernel=3, pool=4, hidden=4))
+    truth = er.make_phantom("smooth_blobs", 12, 6)
+    cfg = er.TaskConfig(kind="denoise_salt_pepper", image_side=12, seed=5)
+    return er.build_problem(cfg, truth, spec, 10.0, lam=0.02)[0], None
+
+
+def skip_residual_problem():
+    # every layer reads x, so rows past layer 1 hold two entries, and layer 2 is
+    # residual; the data term is dualized
+    spec = er.random_admissible(6, er.DenseTemplate(
+        input_dim=3, hidden_dims=(4, 4, 3), readout_dim=2, skip_all=True,
+        residual_layers=(2,)))
+    forward = er.Dense(np.random.default_rng(8).uniform(-1.0, 1.0, (4, 3)))
+    return er.ProblemSpec(er.l2_fidelity(), forward, np.array([0.3, -0.2, 0.5, 0.1]),
+                          0.5, spec), None
+
+
 @pytest.mark.parametrize("make", [lambda: (depth3_dualized_problem((0.4, -0.7)), None),
-                                  lambda: (make_ct12_problem(), CT12_SCALES)],
-                         ids=["dense", "ct12"])
+                                  lambda: (make_ct12_problem(), CT12_SCALES),
+                                  conv_denoise_problem, skip_residual_problem],
+                         ids=["dense", "ct12", "conv_denoise", "skip_residual"])
 def test_pdhg_records_equal_a_fresh_evaluation_bitwise(make, monkeypatch):
-    # the record reads A x from the fidelity block's kept half of K u; every
-    # recorded column must be what a fresh forward apply at that x gives
+    # the record reads A x and each layer's skip(x) + carry(z) from the kept
+    # half of K u; every recorded column must be what a fresh evaluation,
+    # applying each operator at that (x, z), gives
     problem, scales = make()
     truth = np.full(problem.regularizer.input_shape, 0.5)
     evaluate, seen = solver_mod.evaluate_objectives, []
 
-    def keeping(problem, x, z=None, fwd=None):
-        assert fwd is not None  # the kept row stands in for the data term's apply
+    def keeping(problem, x, z=None, rows=None):
+        assert rows is not None  # the kept rows stand in for the applies
         seen.append((x.copy(), [a.copy() for a in z]))
-        return evaluate(problem, x, z, fwd=fwd)
+        return evaluate(problem, x, z, rows=rows)
 
     monkeypatch.setattr(solver_mod, "evaluate_objectives", keeping)
     steps = compute_step_sizes(assemble_problem(problem), scales=scales)
