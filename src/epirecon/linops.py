@@ -243,9 +243,9 @@ class DiagonalMask(LinOp):
 
     def __init__(self, mask):
         self.mask = ensure_finite(as_tensor(mask), "diagonal_mask mask")
-        self.input_shape = self.mask.shape
-        self.output_shape = self.mask.shape
-        self.norm_bound = float(np.max(np.abs(self.mask))) if self.mask.size else 0.0
+        self.input_shape = as_shape(self.mask.shape, "diagonal_mask mask shape", least=1)
+        self.output_shape = self.input_shape
+        self.norm_bound = float(np.max(np.abs(self.mask)))
 
     def _apply(self, x):
         return self.mask * x
@@ -318,7 +318,7 @@ def min_coefficient(op):
         # zero padding contributes zero entries; the sign is set by filters
         return min(float(op.filters.min()), 0.0)
     if isinstance(op, DiagonalMask):
-        return min(float(op.mask.min()), 0.0) if op.mask.size else 0.0
+        return min(float(op.mask.min()), 0.0)
     if isinstance(op, AvgPool2D):
         return 0.0
     if isinstance(op, ScaledIdentity):

@@ -37,3 +37,17 @@ def make_ct12_problem():
                         background=50.0, geometry=geom, seed=17)
     problem, _ = er.build_problem(cfg, truth, spec, 20.0)
     return problem
+
+
+def operator_network(side=8):
+    """A side x side network of three layers: a scaled_identity skip (relu), a
+    radon skip and carry (relu) and a dense carry (identity) to a scalar."""
+    bins = side * 3 // 2
+    geometry = er.RadonGeometry(image_side=side, n_angles=2, n_bins=bins)
+    first = er.IcnnLayer(er.ScaledIdentity((side, side), 0.5), None, np.zeros((side, side)),
+                         er.Activation("relu"))
+    second = er.IcnnLayer(er.Radon(geometry), er.Radon(geometry), np.zeros((2, bins)),
+                          er.Activation("relu"))
+    third = er.IcnnLayer(None, er.Dense(np.full((1, 2 * bins), 0.1), input_shape=(2, bins)),
+                         np.zeros(1), er.Activation("identity"))
+    return er.IcnnSpec((side, side), (first, second, third))

@@ -19,6 +19,7 @@ from epirecon.cli import (SEEDS, ConfigError, Instance, cmd_solve, cmd_sweep,
                           load_config, main)
 from epirecon.tensor import BlobFormatError, read_tensor, write_tensor
 from epirecon.verify import adjoint_suite, epigraph_suite, prox_oracle_suite
+from conftest import operator_network
 
 
 def denoise_config(tmp_path, out_name="out", budget=40):
@@ -332,6 +333,9 @@ MALFORMED = {
         "layers[0]", "input_shape: expected an integer, got 8.5"),
     "pool_fraction": (lambda m: m["layers"][1]["carry"]["parts"][0].update(pool=[4.5, 4.5]),
                       "layers[1]", "pool: expected an integer, got 4.5"),
+    "mask_empty": (lambda m: m["layers"][0].update(skip={"kind": "diagonal_mask",
+                                                         "mask": "empty.tnsb"}),
+                   "layers[0]", "mask shape: must be at least 1, got 0"),
 }
 
 
@@ -341,6 +345,7 @@ def test_malformed_weights_manifest_exits_2_naming_the_entry(tmp_path, capsys, c
     spec = er.random_admissible(3, er.ConvPoolDenseTemplate(
         side=8, filters=2, kernel=3, pool=4, hidden=4))
     er.save_weights(spec, tmp_path / "w")
+    write_tensor(tmp_path / "w" / "empty.tnsb", np.zeros(0))  # a blob of shape (0,)
     manifest_path = tmp_path / "w" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     edit(manifest)
@@ -352,19 +357,6 @@ def test_malformed_weights_manifest_exits_2_naming_the_entry(tmp_path, capsys, c
         err = capsys.readouterr().err
         assert f"manifest.json: {entry} refused" in err and message in err
     assert not Path(cfg["output_dir"]).exists()
-
-
-def operator_network():
-    """An 8x8 network of three layers: a scaled_identity skip (relu), a radon
-    skip and carry (relu) and a dense carry (identity) to a scalar."""
-    geometry = er.RadonGeometry(image_side=8, n_angles=2, n_bins=12)
-    first = er.IcnnLayer(linops.ScaledIdentity((8, 8), 0.5), None, np.zeros((8, 8)),
-                         er.Activation("relu"))
-    second = er.IcnnLayer(er.Radon(geometry), er.Radon(geometry), np.zeros((2, 12)),
-                          er.Activation("relu"))
-    third = er.IcnnLayer(None, er.Dense(np.full((1, 24), 0.1), input_shape=(2, 12)),
-                         np.zeros(1), er.Activation("identity"))
-    return er.IcnnSpec((8, 8), (first, second, third))
 
 
 NETWORKS = {"conv": lambda: er.random_admissible(3, er.ConvPoolDenseTemplate(
