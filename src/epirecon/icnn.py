@@ -208,19 +208,13 @@ def validate(spec: IcnnSpec) -> AdmissibilityReport:
             continue
         if i == 1 and layer.carry is not None:
             report.add(i, "unexpected_carry", "first layer has no previous activation")
-        if layer.skip is None and layer.carry is None:
+        if layer.skip is None and layer.carry is None:  # no output shape to check on
             report.add(i, "empty_layer", "layer has neither input nor carry path")
-            continue
-        out_shape = layer.output_shape
-        if layer.skip is not None:
-            if tuple(layer.skip.input_shape) != spec.input_shape:
-                report.add(i, "skip_shape",
-                           f"input path expects {tuple(layer.skip.input_shape)}, "
-                           f"network input is {spec.input_shape}")
-            if tuple(layer.skip.output_shape) != out_shape:
-                report.add(i, "path_shape",
-                           f"input path output {tuple(layer.skip.output_shape)} "
-                           f"!= layer output {out_shape}")
+            return report
+        out_shape = layer.output_shape  # the input path's, when there is one
+        if layer.skip is not None and tuple(layer.skip.input_shape) != spec.input_shape:
+            report.add(i, "skip_shape", f"input path expects {tuple(layer.skip.input_shape)}, "
+                                        f"network input is {spec.input_shape}")
         if layer.carry is not None:
             if prev_shape is not None and tuple(layer.carry.input_shape) != prev_shape:
                 report.add(i, "carry_shape",

@@ -42,9 +42,7 @@ class RadonGeometry:
         if self.scale is None:
             object.__setattr__(self, "scale", 1.0 / self.image_side)
         for name in ("detector_spacing", "scale"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not 0.0 < v < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+            object.__setattr__(self, name, as_real(getattr(self, name), name, "positive"))
         if self.angles is None:
             object.__setattr__(self, "angles", _uniform_angles(self.n_angles))
         angles = tuple(as_real(a, "angles") for a in self.angles)

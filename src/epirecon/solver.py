@@ -22,7 +22,7 @@ from . import prox
 from .blocks import BlockAssembly, assemble_blocks, split
 from .icnn import IcnnSpec, require_admissible
 from .linops import DiagonalMask
-from .tensor import as_count, as_tensor, check_shape, ensure_finite
+from .tensor import as_count, as_real, as_tensor, check_shape, ensure_finite
 
 
 class CertificationError(ValueError):
@@ -64,9 +64,7 @@ class Fidelity:
     primal_forwards = ()
 
     def __post_init__(self):
-        if not 0.0 < self.weight < np.inf:
-            raise ValueError(f"fidelity weight must be finite and positive, "
-                             f"got {self.weight}")
+        object.__setattr__(self, "weight", as_real(self.weight, "fidelity weight", "positive"))
 
     def bind(self, forward, measurement, **checked):
         """A copy with the checked fields, dualized unless the forward is a primal one."""
@@ -124,6 +122,7 @@ class KLFidelity(Fidelity):
     background: np.ndarray = None
 
     def __post_init__(self):
+        super().__post_init__()  # refuses a bool, which equals 1.0
         if self.weight != 1.0:
             raise ValueError(f"kl fidelity takes no weight, got {self.weight}")
         if self.background is None:
@@ -181,9 +180,8 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "measurement",
                            ensure_finite(as_tensor(self.measurement), "measurement"))
-        if not 0.0 <= self.reg_weight < np.inf:
-            raise ValueError(f"reg_weight must be finite and nonnegative, "
-                             f"got {self.reg_weight}")
+        object.__setattr__(self, "reg_weight",
+                           as_real(self.reg_weight, "reg_weight", "nonnegative"))
         require_admissible(self.regularizer)
         expected = (tuple(self.forward.output_shape) if self.forward is not None
                     else tuple(self.regularizer.input_shape))
@@ -303,11 +301,9 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norm_seed=None) -> 
     nblocks = len(assembly.blocks)
     if scales is None:
         scales = (1.0,) * nblocks
-    scales = tuple(float(s) for s in scales)
+    scales = tuple(as_real(s, "dual scales", "positive") for s in scales)
     if len(scales) != nblocks:
         raise ValueError(f"need {nblocks} dual scales, got {len(scales)}")
-    if not all(0.0 < s < np.inf for s in scales):
-        raise ValueError(f"dual scales must be finite and positive, got {scales}")
 
     sigma = []
     for bi, block in enumerate(assembly.blocks):
@@ -330,8 +326,9 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norm_seed=None) -> 
     certificates = {}
     for slot, slot_terms in enumerate(terms):
         denom = sum(w * b * b for w, b in slot_terms)
-        if denom <= 0.0:
-            raise CertificationError(f"primal slot {slot} is not touched by any dual block")
+        if denom <= 0.0:  # assemble_blocks touches every slot, so its terms are 0
+            raise CertificationError(f"primal slot {slot}: the row-width * sigma * norm^2 "
+                                     f"terms on it sum to 0, so tau = 1 / 0")
         tau.append(1.0 / denom)
         if not 0.0 < tau[slot] < np.inf:
             raise CertificationError(f"primal slot {slot}: tau = 1 / {denom} is not "
@@ -442,8 +439,7 @@ class SolvePlan:
     def __init__(self, problem: ProblemSpec, steps: StepSizes, state: SaddleState):
         assembly = steps.assembly
         shapes = assembly.primal_shapes
-        sizes = [math.prod(s) for s in shapes]
-        n = sum(sizes)
+        n = sum(math.prod(s) for s in shapes)
         dual_sizes = [sum(math.prod(s) for s in block.operator.output_shapes)
                       for block in assembly.blocks]
         nd = sum(dual_sizes)
@@ -468,15 +464,15 @@ class SolvePlan:
         # per value of keep, row 0 of each block's kept half, in block order
         self.kept_rows = [[halves_of[k][1][0] for halves_of in ku] for k in (0, 1)]
         # per value of keep, the guard's window: u, the duals and the fresh half
-        self.windows = [(lo, self.buf[lo:hi], self.finite[lo:hi])
+        self.windows = [(self.buf[lo:hi], self.finite[lo:hi])
                         for lo, hi in ((nd, n + 3 * nd), (0, n + 2 * nd))]
-        self.iterates = (nd, self.finite[nd:n + 2 * nd])
-        # (name, dual block) of each stretch of the buffer, in buffer order
-        slots = ["primal image"] + [f"auxiliary block {j}" for j in range(1, len(shapes))]
-        relaxed = [(f"relaxed K u of dual block {bi}", bi) for bi in range(len(dual_sizes))]
-        self.stretches = relaxed + [(name, None) for name in slots] + \
-            [(f"dual block {bi}", bi) for _, bi in relaxed] + relaxed
-        self.ends = np.cumsum(dual_sizes + sizes + dual_sizes + dual_sizes)
+        # per value of keep, (name, dual block, view) of each stretch of the
+        # window in report order: the image, the auxiliaries, the duals, then K u_bar
+        named = [("primal image", None, self.u[0])] + [
+            (f"auxiliary block {j}", None, z) for j, z in enumerate(self.u[1:], 1)] + [
+            (f"dual block {bi}", bi, flat) for bi, flat in enumerate(dual_flats)]
+        self.iterates = [named + [(f"relaxed K u of dual block {bi}", bi, halves_of[1 - k][0])
+                                  for bi, halves_of in enumerate(ku)] for k in (0, 1)]
 
         self.grad = np.empty(n)
         self.grads = split(self.grad, shapes)
@@ -540,14 +536,13 @@ class SolvePlan:
 
     def guard(self):
         """One reduction over u, the duals and the fresh c + sigma * (K u_bar), whose
-        overflow a clipping dual prox can hide; the first entry that is not
-        finite names its iterate, and an iterate comes before a K u_bar stretch."""
-        lo, values, finite = self.windows[self.keep]
+        overflow a clipping dual prox can hide; on failure it names the first
+        stretch that is not all finite, an iterate before a K u_bar stretch."""
+        values, finite = self.windows[self.keep]
         if not np.isfinite(values, out=finite).all():
-            start, iterates = self.iterates
-            at = start + np.argmin(iterates) if not iterates.all() else lo + np.argmin(finite)
-            raise DivergenceError(self.iteration, *self.stretches[
-                np.searchsorted(self.ends, at, side="right")])
+            raise DivergenceError(self.iteration, *next(
+                (name, bi) for name, bi, view in self.iterates[self.keep]
+                if not np.isfinite(view).all()))
 
 
 # --- the solver ---------------------------------------------------------------
@@ -606,8 +601,7 @@ class ConstantStep:
     step: float
 
     def __post_init__(self):
-        if isinstance(self.step, bool) or not 0.0 < self.step < np.inf:
-            raise ValueError(f"step must be finite and positive, got {self.step}")
+        object.__setattr__(self, "step", as_real(self.step, "step", "positive"))
 
     def at(self, k):
         return self.step
@@ -620,8 +614,7 @@ class DiminishingStep:
     initial: float
 
     def __post_init__(self):
-        if isinstance(self.initial, bool) or not 0.0 < self.initial < np.inf:
-            raise ValueError(f"initial step must be finite and positive, got {self.initial}")
+        object.__setattr__(self, "initial", as_real(self.initial, "initial step", "positive"))
 
     def at(self, k):
         return self.initial / k

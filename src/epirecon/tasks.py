@@ -15,7 +15,7 @@ import numpy as np
 from .linops import DiagonalMask
 from .radon import Radon, RadonGeometry, ramp_filter
 from .solver import ProblemSpec, kl_fidelity, l1_fidelity, l2_fidelity
-from .tensor import as_tensor, check_shape
+from .tensor import as_real, as_tensor, check_shape
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,10 @@ class TaskConfig:
     def __post_init__(self):
         if self.kind not in ("denoise_salt_pepper", "inpaint", "ct"):
             raise ValueError(f"unknown task kind {self.kind!r}")
-        for name, high in (("sp_density", 1.0), ("mask_fraction", 1.0),
-                           ("gaussian_sigma", math.inf), ("background", math.inf)):
-            v = getattr(self, name)
-            if not (0.0 <= v <= high and math.isfinite(v)):
-                raise ValueError(f"{name} must be finite and within [0, {high:g}], got {v}")
-        if not 0.0 < self.poisson_scale < math.inf:
-            raise ValueError(f"poisson_scale must be finite and positive, "
-                             f"got {self.poisson_scale}")
+        for name, domain in (("sp_density", "within [0, 1]"), ("mask_fraction", "within [0, 1]"),
+                             ("gaussian_sigma", "nonnegative"), ("background", "nonnegative"),
+                             ("poisson_scale", "positive")):
+            object.__setattr__(self, name, as_real(getattr(self, name), name, domain))
         if self.kind == "ct" and self.geometry is None:
             object.__setattr__(self, "geometry", ct_geometry(self.image_side))
 
@@ -179,8 +175,7 @@ def psnr(x: np.ndarray, reference: np.ndarray, peak: float = 1.0) -> float:
     x = np.asarray(x, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     check_shape(x, reference.shape, "psnr")
-    if peak <= 0.0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    peak = as_real(peak, "peak", "positive")
     with np.errstate(over="ignore"):
         mse = float(np.mean((x - reference) ** 2))
     if mse == 0.0:

@@ -62,9 +62,18 @@ def as_count(value, least=None, name=None):
     raise ValueError(problem if name is None else f"{name}: {problem}")
 
 
-def as_real(value, name=None):
-    """value as a float, refusing a bool, a non-number and a non-finite number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+DOMAINS = {"positive": lambda v: v > 0.0, "nonnegative": lambda v: v >= 0.0,
+           "within [0, 1]": lambda v: 0.0 <= v <= 1.0}
+
+
+def as_real(value, name=None, domain=None):
+    """value as a float, refusing a bool, a non-number, a non-finite number and,
+    when one of DOMAINS is named, a value outside it; with a domain the refusal
+    reads "{name} must be finite and {domain}, got {value!r}"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            math.isfinite(value) and (domain is None or DOMAINS[domain](value))):
+        if domain is not None:
+            raise ValueError(f"{name} must be finite and {domain}, got {value!r}")
         problem = f"expected a finite number, got {value!r}"
         raise ValueError(problem if name is None else f"{name}: {problem}")
     return float(value)

@@ -24,11 +24,11 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # --- oracles -------------------------------------------------------------------
 
-def golden_section_vec(f, lo, hi, tol=1e-10, max_iter=120):
-    """Elementwise golden-section minimizer over per-lane brackets."""
+def golden_section_vec(f, lo, hi, tol=1e-10):
+    """Elementwise golden-section minimizer over per-lane brackets (at most 120 steps)."""
     lo = np.asarray(lo, dtype=np.float64).copy()
     hi = np.asarray(hi, dtype=np.float64).copy()
-    for _ in range(max_iter):
+    for _ in range(120):
         span = hi - lo
         if float(span.max(initial=0.0)) <= tol:
             break
@@ -50,13 +50,14 @@ def moreau_conjugate_prox(prox_fn, step, xbar):
     return xbar - step * prox_fn(1.0 / step, xbar / step)
 
 
-def jacobi_spectral_norm(mat, max_sweeps=100, tol=1e-13):
+def jacobi_spectral_norm(mat):
     """Largest singular value by one-sided cyclic Jacobi: rows p, q of B = matᵀ
     turn by the angle that zeroes entry (p, q) of the Gram matrix B Bᵀ. A sweep
     meets every pair once in round-robin order (row 0 stays, the rest move one
     seat per round; an odd n gets a zero row), each round's pairs in adjacent
-    rows, so its disjoint rotations are whole-array updates of two row views."""
-    b = np.asarray(mat, dtype=np.float64).T
+    rows, so its disjoint rotations are whole-array updates of two row views.
+    It stops after 100 sweeps, or once no Gram entry off the diagonal exceeds tol * scale."""
+    b, tol = np.asarray(mat, dtype=np.float64).T, 1e-13
     n = b.shape[0]
     if n == 0:
         return 0.0
@@ -68,7 +69,7 @@ def jacobi_spectral_norm(mat, max_sweeps=100, tol=1e-13):
         return np.stack([ring[:half], ring[::-1][:half]], axis=1).ravel()
     move = np.argsort(seating(0))[seating(1)]  # the same for every round
     b = b[seating(0)]
-    for _ in range(max_sweeps):
+    for _ in range(100):
         off = 0.0
         for _ in range(2 * half - 1):
             pairs = b.reshape(half, 2, -1)
@@ -108,7 +109,7 @@ def golden_project_epigraph(alpha, pbar, qbar):
     return np.where(inside, pb, p), np.where(inside, qb, np.maximum(p, alpha * p))
 
 
-def kl_conjugate_oracle(wbar, sigma, counts, background, outer_tol=1e-9):
+def kl_conjugate_oracle(wbar, sigma, counts, background):
     """Prox of the kl-fidelity conjugate by nested 1-d golden section.
 
     The conjugate value is itself evaluated numerically (inner maximization
@@ -141,23 +142,23 @@ def kl_conjugate_oracle(wbar, sigma, counts, background, outer_tol=1e-9):
     v_hi = np.minimum(1.0 - 1e-9, wb + sig * r + 1.0)
     v_lo = np.minimum(v_lo, v_hi - 1e-6)
     result = golden_section_vec(
-        lambda v: (v - wb) ** 2 / (2.0 * sig) + conjugate(v), v_lo, v_hi, tol=outer_tol)
+        lambda v: (v - wb) ** 2 / (2.0 * sig) + conjugate(v), v_lo, v_hi, tol=1e-9)
     return result.reshape(np.shape(wbar))
 
 
-def refine_grid_minimize(f_batch, lower, upper, rounds=12, pts=13):
-    """Coarse-to-fine grid minimization of a convex function on a box.
-
-    Convexity keeps the continuous minimizer within one cell of each grid
-    argmin, so shrinking the window to the surrounding cells is sound.
+def refine_grid_minimize(f_batch, lower, upper):
+    """Coarse-to-fine grid minimization of a convex function on a box: 12
+    rounds of 13 points per axis. Convexity keeps the continuous minimizer
+    within one cell of each grid argmin, so shrinking the window to the
+    surrounding cells is sound.
     """
     lower = np.asarray(lower, dtype=np.float64).copy()
     upper = np.asarray(upper, dtype=np.float64).copy()
     orig_lo, orig_hi = lower.copy(), upper.copy()
     n = lower.size
     best = None
-    best_val = np.inf
-    for _ in range(rounds):
+    best_val, pts = np.inf, 13
+    for _ in range(12):
         axes = [np.linspace(lower[d], upper[d], pts) for d in range(n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)

@@ -426,6 +426,34 @@ def test_missing_weights_dir_is_config_error(tmp_path):
     assert rc == 2
 
 
+# refusals of a whole config: (command, edit of the denoise config, or None
+# for a config path that does not exist, and the text of the refusal)
+WHOLE_CONFIG = {
+    "weights path and random": ("solve", lambda cfg: cfg["weights"].update(path="w"),
+                                "config weights: give one of 'path' and 'random'"),
+    "weights neither": ("solve", lambda cfg: cfg.update(weights={}),
+                        "config weights: give one of 'path' and 'random'"),
+    "no solvers": ("solve", lambda cfg: cfg.update(solvers=[]),
+                   "config solvers: at least one solver entry is required"),
+    "no scale grid": ("sweep", lambda cfg: None,
+                      "sweep: no scale grids given (expected ['c1', 'c2'])"),
+    "no config file": ("solve", None, "config file {path} does not exist"),
+}
+
+
+@pytest.mark.parametrize("case", WHOLE_CONFIG)
+def test_whole_config_refusal_exits_2_with_its_text(tmp_path, capsys, case):
+    command, edit, text = WHOLE_CONFIG[case]
+    cfg = denoise_config(tmp_path)
+    path = tmp_path / "absent.json"
+    if edit is not None:
+        edit(cfg)
+        path = write_config(tmp_path, cfg)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {text.format(path=path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_scale_keys_follow_the_dual_blocks(tmp_path):
     # c0 exists only when the fidelity is dualized (ct), never for denoise
     ct = denoise_config(tmp_path, "out_ct")

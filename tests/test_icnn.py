@@ -237,6 +237,48 @@ def test_validate_reports_residual_shape_break():
     assert any(v.code == "residual_shape" for v in report.violations)
 
 
+def make_layer(skip, carry, width, kind="relu"):
+    return er.IcnnLayer(skip, carry, np.zeros(width), er.Activation(kind))
+
+
+ONES = er.Dense(np.ones((2, 2)))
+FIRST = make_layer(ONES, None, 2)
+SCALAR = make_layer(None, er.Dense(np.ones((1, 2))), 1, "identity")
+NEGATIVE_FILTER = np.ones((1, 1, 3, 3))
+NEGATIVE_FILTER[0, 0, 1, 2] = -0.5
+# each admissibility check: (network, the layer and code it reports, text in its detail)
+VIOLATIONS = {
+    "empty_network": (er.IcnnSpec((2,), ()), None, "at least one layer"),
+    "missing_skip": (er.IcnnSpec((2,), (make_layer(None, ONES, 2), SCALAR)), 1, "input path"),
+    "unexpected_carry": (er.IcnnSpec((2,), (make_layer(ONES, ONES, 2), SCALAR)), 1, "previous"),
+    "empty_layer": (er.IcnnSpec((2,), (FIRST, make_layer(None, None, 1))), 2, "neither"),
+    "skip_shape": (er.IcnnSpec((2,), (make_layer(er.Dense(np.ones((2, 3))), None, 2), SCALAR)), 1,
+                   "input path expects (3,), network input is (2,)"),
+    "path_shape": (er.IcnnSpec((2,), (FIRST, make_layer(er.Dense(np.ones((1, 2))), ONES, 1))), 2,
+                   "carry path output (2,) != layer output (1,)"),
+    "carry_shape": (er.IcnnSpec((2,), (FIRST, make_layer(None, er.Dense(np.ones((1, 3))), 1))), 2,
+                    "carry path expects (3,), previous layer emits (2,)"),
+    "head_shape": (er.IcnnSpec((2,), (FIRST,), head=np.ones(3)), None,
+                   "head shape (3,) != final layer output (2,)"),
+    "negative_head_weight": (er.IcnnSpec((2,), (FIRST,), head=np.array([1.0, -0.5])), None,
+                             "head entry 1 = -0.5"),
+    "uncertifiable_sign": (er.IcnnSpec((2,), (FIRST, make_layer(
+        None, er.Compose([er.Dense(-np.ones((2, 2))), er.Dense(-np.ones((1, 2)))]), 1))), 2,
+        "carry path (compose) nonnegativity cannot be certified"),
+    "negative_carry_weight": (er.IcnnSpec((4, 4), (
+        make_layer(er.ScaledIdentity((4, 4)), None, (4, 4)),
+        make_layer(None, er.Conv2D(NEGATIVE_FILTER, (4, 4)), (4, 4))), head=np.ones((4, 4))), 2,
+        "negative coefficient -0.5 at filter entry (0, 0, 1, 2)"),
+}
+
+
+@pytest.mark.parametrize("code", VIOLATIONS)
+def test_validate_reports_each_violation_with_its_detail(code):
+    spec, where, detail = VIOLATIONS[code]
+    assert any((v.layer, v.code) == (where, code) and detail in v.detail
+               for v in er.validate(spec).violations), str(er.validate(spec))
+
+
 def test_validate_non_scalar_output():
     l1 = er.IcnnLayer(er.Dense(np.ones((3, 2))), None, np.zeros(3),
                       er.Activation("relu"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import epirecon as er
 from epirecon.radon import Radon, RadonGeometry
 from epirecon.tensor import ShapeMismatchError
 
@@ -44,6 +45,15 @@ def test_degenerate_geometry_rejected():
 def test_geometry_scalars_refused_when_built(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
         RadonGeometry(image_side=8, n_angles=4, n_bins=12, **{field: bad})
+
+
+def test_network_on_a_numpy_scale_saves_and_loads(tmp_path):
+    # the geometry stores the float it read, so the manifest can hold it
+    geom = RadonGeometry(image_side=8, n_angles=2, n_bins=12, scale=np.float32(0.125))
+    assert type(geom.scale) is float
+    layer = er.IcnnLayer(Radon(geom), None, np.zeros((2, 12)), er.Activation("relu"))
+    er.save_weights(er.IcnnSpec((8, 8), (layer,), head=np.ones((2, 12))), tmp_path / "w")
+    assert er.load_weights(tmp_path / "w").layers[0].skip.geometry == geom
 
 
 def test_shape_mismatch():

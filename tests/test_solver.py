@@ -95,6 +95,16 @@ def test_step_sizes_outside_the_float_range_fail_certification(weight, scales, w
     assert info.value.block == block
 
 
+@pytest.mark.parametrize("solve", [
+    lambda spec: compute_step_sizes(assemble_blocks(spec)),
+    lambda spec: er.pdhg_solve(er.ProblemSpec(er.l2_fidelity(), None, np.zeros(1), 1.0, spec),
+                               budget=1)], ids=["compute_step_sizes", "pdhg_solve"])
+def test_step_sizes_refuse_a_slot_whose_norm_bounds_are_0(solve):
+    # the zero skip touches the image, but with bound 0: tau would be 1 / 0
+    with pytest.raises(CertificationError, match=r"^primal slot 0: .* sum to 0, so tau = 1 / 0$"):
+        solve(scalar_chain_spec(v0=0.0))
+
+
 def test_step_sizes_reject_wrong_scale_count():
     assembly = assemble_blocks(scalar_chain_spec())
     with pytest.raises(ValueError, match="dual scales"):
@@ -190,6 +200,15 @@ def test_subgradient_objective_overflow_records_inf():
                                           init_x=init)
     assert np.all(np.isfinite(x))
     assert np.isfinite(metrics.objective[0]) and metrics.objective[-1] == np.inf
+
+
+def test_subgradient_iterate_overflow_raises_divergence():
+    # x = 1e10 - 1e308 * (1e10 - 2) overflows to -inf after the first step
+    problem = er.ProblemSpec(er.l2_fidelity(), None, np.array([2.0]), 0.0, make_relu_1d())
+    with pytest.raises(DivergenceError, match="^non-finite iterate in subgradient iterate "
+                                              "at iteration 1$"):
+        er.subgradient_solve(problem, er.ConstantStep(1e308), budget=3,
+                             init_x=np.array([1e10]))
 
 
 def depth3_dualized_problem(measurement=(0.0, 0.0)):
@@ -594,6 +613,13 @@ def test_the_forward_map_picks_the_data_terms_block(role):
     assert (blocks[0].kind == "fidelity") is dualized and len(blocks) == 1 + dualized
     state, _ = er.pdhg_solve(problem, budget=5)
     assert np.all(np.isfinite(state.x))
+
+
+def test_kl_fidelity_refuses_a_bool_weight():
+    # True == 1.0, so the "takes no weight" comparison alone let it through
+    with pytest.raises(ValueError,
+                       match=r"^fidelity weight must be finite and positive, got True$"):
+        KLFidelity(True, background=np.array([1.0]))
 
 
 def test_settings_the_code_would_ignore_are_refused():
