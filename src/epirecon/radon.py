@@ -6,6 +6,7 @@ linear weights. The adjoint is the exact transpose of that splat (a matched
 pair), which is what the primal-dual convergence condition needs.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +58,29 @@ class RadonGeometry:
         return (self.n_angles, self.n_bins)
 
 
+@functools.lru_cache(maxsize=4)
+def _radon_work(image_side, angles, n_bins, detector_spacing):
+    """One geometry's splat tables, which do not depend on its scale: bin weights and flat
+    sinogram indices (clipped into range, so np.take's mode="clip" is exact; writeable, as
+    np.bincount copies a read-only index array per call), and two work buffers of their size
+    that apply and adjoint overwrite, not thread-safe: allocated per call they page-faulted."""
+    centers = np.arange(image_side) - (image_side - 1) / 2.0
+    ys, xs = np.meshgrid(centers, centers, indexing="ij")
+    angles = np.asarray(angles)[:, None]
+    t = np.cos(angles) * xs.ravel()[None, :] + np.sin(angles) * ys.ravel()[None, :]
+    u = np.clip(t / detector_spacing + (n_bins - 1) / 2.0, -1.0, n_bins)  # int64-safe
+    lo = np.floor(u).astype(np.int64)
+    frac = u - lo
+    rows = np.arange(len(angles))[:, None] * n_bins
+    return (np.where((lo >= 0) & (lo < n_bins), 1.0 - frac, 0.0),
+            np.where((lo + 1 >= 0) & (lo + 1 < n_bins), frac, 0.0),
+            rows + np.clip(lo, 0, n_bins - 1), rows + np.clip(lo + 1, 0, n_bins - 1),
+            np.empty(t.shape), np.empty(t.shape))
+
+
 class Radon(LinOp):
-    """Pixel-driven parallel-beam projector for a fixed geometry."""
+    """Pixel-driven parallel-beam projector for a fixed geometry; the projectors of one
+    geometry share its tables and work buffers (not thread-safe), of one scale its bound."""
 
     kind = "radon"
 
@@ -67,50 +89,49 @@ class Radon(LinOp):
         n = geometry.image_side
         self.input_shape = (n, n)
         self.output_shape = geometry.sinogram_shape
-        centers = np.arange(n) - (n - 1) / 2.0
-        ys, xs = np.meshgrid(centers, centers, indexing="ij")
-        angles = np.asarray(geometry.angles)[:, None]
-        t = np.cos(angles) * xs.ravel()[None, :] + np.sin(angles) * ys.ravel()[None, :]
-        nb = geometry.n_bins
-        u = np.clip(t / geometry.detector_spacing + (nb - 1) / 2.0, -1.0, nb)  # int64-safe
-        lo = np.floor(u).astype(np.int64)
-        frac = u - lo
-        self._w_lo = np.where((lo >= 0) & (lo < nb), 1.0 - frac, 0.0)
-        self._w_hi = np.where((lo + 1 >= 0) & (lo + 1 < nb), frac, 0.0)
-        rows = np.arange(geometry.n_angles)[:, None] * nb
-        self._idx_lo = rows + np.clip(lo, 0, nb - 1)
-        self._idx_hi = rows + np.clip(lo + 1, 0, nb - 1)
-        self._flat_len = geometry.n_angles * nb
+        (self._w_lo, self._w_hi, self._idx_lo, self._idx_hi, self._lo, self._hi) = _radon_work(
+            n, geometry.angles, geometry.n_bins, geometry.detector_spacing)
+        self._flat_len = geometry.n_angles * geometry.n_bins
 
     def _apply(self, x):
         vals = x.ravel()[None, :]
-        sino = np.bincount(self._idx_lo.ravel(), (vals * self._w_lo).ravel(),
-                           minlength=self._flat_len)
-        sino += np.bincount(self._idx_hi.ravel(), (vals * self._w_hi).ravel(),
-                            minlength=self._flat_len)
+        np.multiply(vals, self._w_lo, out=self._lo)
+        np.multiply(vals, self._w_hi, out=self._hi)
+        sino = np.bincount(self._idx_lo.ravel(), self._lo.ravel(), minlength=self._flat_len)
+        sino += np.bincount(self._idx_hi.ravel(), self._hi.ravel(), minlength=self._flat_len)
         return self.geometry.scale * sino.reshape(self.output_shape)
 
     def _adjoint(self, s):
         flat = s.ravel()
-        contrib = self._w_lo * flat[self._idx_lo] + self._w_hi * flat[self._idx_hi]
-        return self.geometry.scale * contrib.sum(axis=0).reshape(self.input_shape)
+        lo = np.multiply(self._w_lo, np.take(flat, self._idx_lo, out=self._lo, mode="clip"),
+                         out=self._lo)
+        lo += np.multiply(self._w_hi, np.take(flat, self._idx_hi, out=self._hi, mode="clip"),
+                          out=self._hi)
+        return self.geometry.scale * lo.sum(axis=0).reshape(self.input_shape)
 
     def _norm_bound(self):
-        """Collatz-Wielandt: A >= 0 entrywise, so |A|^2 <= max_i (A*A x)_i / x_i over x_i > 0,
-        for 10 power iterates from ones on the pixels that reach a bin (0 if none does);
-        each (A*A x)_i there is positive, so one below the normal range underflowed."""
-        reached = ((self._w_lo > 0.0) | (self._w_hi > 0.0)).any(axis=0).reshape(self.input_shape)
-        if not reached.any():
-            return 0.0
-        x = np.ones(self.input_shape)
-        best = np.inf
-        for _ in range(10):
-            y = self.adjoint(self.apply(x))
-            if not (y[reached] >= np.finfo(np.float64).tiny).all():
-                return None
-            best = min(best, float(np.max(y[reached] / x[reached])))
-            x = y / y.max()
-        return np.sqrt(best)
+        return _cw_bound(self.geometry)
+
+
+@functools.lru_cache(maxsize=4)
+def _cw_bound(geometry):
+    """Collatz-Wielandt: A >= 0 entrywise, so |A|^2 <= max_i (A*A x)_i / x_i over x_i > 0,
+    for 10 power iterates from ones on the pixels that reach a bin (0 if none does);
+    each (A*A x)_i there is positive, so one below the normal range underflowed.
+    Run once per geometry, scale included, on the scaled operator."""
+    op = Radon(geometry)
+    reached = ((op._w_lo > 0.0) | (op._w_hi > 0.0)).any(axis=0).reshape(op.input_shape)
+    if not reached.any():
+        return 0.0
+    x = np.ones(op.input_shape)
+    best = np.inf
+    for _ in range(10):
+        y = op.adjoint(op.apply(x))
+        if not (y[reached] >= np.finfo(np.float64).tiny).all():
+            return None
+        best = min(best, float(np.max(y[reached] / x[reached])))
+        x = y / y.max()
+    return np.sqrt(best)
 
 
 def ramp_filter(geometry: RadonGeometry, sinogram: np.ndarray) -> np.ndarray:

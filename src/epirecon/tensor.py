@@ -10,6 +10,7 @@ then row-major f64 payload, all little-endian.
 import math
 import numbers
 import struct
+import sys
 
 import numpy as np
 
@@ -71,7 +72,9 @@ def as_real(value, name=None, domain=None):
     when one of DOMAINS is named, a value outside it; with a domain the refusal
     reads "{name} must be finite and {domain}, got {value!r}"."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            math.isfinite(value) and (domain is None or DOMAINS[domain](value))):
+            # an int is compared exactly: math.isfinite would overflow converting it
+            (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value))
+            and (domain is None or DOMAINS[domain](value))):
         if domain is not None:
             raise ValueError(f"{name} must be finite and {domain}, got {value!r}")
         problem = f"expected a finite number, got {value!r}"

@@ -1,9 +1,16 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import epirecon as er
+from epirecon import radon
+from epirecon.linops import pad_bound
 from epirecon.radon import Radon, RadonGeometry
 from epirecon.tensor import ShapeMismatchError
+
+TABLES = ("_w_lo", "_w_hi", "_idx_lo", "_idx_hi")
 
 
 def test_zero_image_zero_sinogram():
@@ -63,3 +70,86 @@ def test_shape_mismatch():
         op.apply(np.zeros((9, 9)))
     with pytest.raises(ShapeMismatchError):
         op.adjoint(np.zeros((4, 11)))
+
+
+def test_geometries_that_differ_only_in_scale_share_their_tables():
+    geom = RadonGeometry(image_side=9, n_angles=5, n_bins=14)
+    first, second = Radon(geom), Radon(replace(geom, scale=0.3))
+    assert all(getattr(first, name) is getattr(second, name) for name in TABLES)
+
+
+@pytest.mark.parametrize("change", [
+    {"angles": (0.0, 0.5, 1.0, 1.5, 2.5)}, {"n_bins": 15}, {"detector_spacing": 0.9},
+    {"image_side": 10}])
+def test_geometries_that_differ_beyond_scale_have_their_own_tables(change):
+    geom = RadonGeometry(image_side=9, n_angles=5, n_bins=14)
+    first, second = Radon(geom), Radon(replace(geom, **change))
+    assert not any(getattr(first, name) is getattr(second, name) for name in TABLES)
+
+
+def test_results_are_not_views_of_the_shared_work_buffers():
+    geom = RadonGeometry(image_side=9, n_angles=5, n_bins=14)
+    first, second = Radon(geom), Radon(replace(geom, scale=2.0))
+    rng = np.random.default_rng(0)
+    x, s = rng.standard_normal((9, 9)), rng.standard_normal((5, 14))
+    sino, back = first.apply(x), first.adjoint(s)
+    kept = sino.copy(), back.copy()
+    second.apply(rng.standard_normal((9, 9)))
+    second.adjoint(rng.standard_normal((5, 14)))
+    assert sino.tobytes() == kept[0].tobytes() and back.tobytes() == kept[1].tobytes()
+    sino += 1.0
+    back += 1.0
+    assert first.apply(x).tobytes() == kept[0].tobytes()
+    assert first.adjoint(s).tobytes() == kept[1].tobytes()
+
+
+def collatz_wielandt(op):
+    """The bound's rule run afresh on op's own apply and adjoint."""
+    x, best = np.ones(op.input_shape), np.inf
+    reached = op.adjoint(op.apply(x)) > 0.0
+    for _ in range(10):
+        y = op.adjoint(op.apply(x))
+        best = min(best, float(np.max(y[reached] / x[reached])))
+        x = y / y.max()
+    return pad_bound(np.sqrt(best))
+
+
+def test_a_geometry_bound_is_computed_once_on_the_scaled_operator():
+    geom = RadonGeometry(image_side=7, n_angles=3, n_bins=11, scale=0.3)
+    misses = radon._cw_bound.cache_info().misses
+    bound = Radon(geom).norm_bound
+    assert bound == collatz_wielandt(Radon(geom))  # the scaled operator's own bits
+    assert Radon(geom).norm_bound == bound
+    assert radon._cw_bound.cache_info().misses == misses + 1
+    # an underflowing iterate fails closed on every instance, not only the first
+    tiny = replace(geom, scale=1e-300)
+    assert Radon(tiny).norm_bound is None and Radon(tiny).norm_bound is None
+
+
+def test_build_problem_builds_a_new_ct_geometry_tables_once():
+    spec = er.random_admissible(3, er.ConvPoolDenseTemplate(
+        side=10, filters=2, kernel=3, pool=5, hidden=4))
+    geom = RadonGeometry(image_side=10, n_angles=7, n_bins=17)
+    cfg = er.TaskConfig(kind="ct", image_side=10, poisson_scale=1e4, geometry=geom, seed=4)
+    truth = er.make_phantom("smooth_blobs", 10, 2)
+    misses = radon._radon_work.cache_info().misses
+    er.build_problem(cfg, truth, spec, 4.0)
+    assert radon._radon_work.cache_info().misses == misses + 1
+    er.build_problem(replace(cfg, seed=5), truth, spec, 4.0)
+    assert radon._radon_work.cache_info().misses == misses + 1
+
+
+@pytest.mark.parametrize("call", ["apply", "adjoint"])
+def test_a_64px_projection_allocates_under_a_quarter_of_a_table(call):
+    # the products go to the geometry's work buffers; made per call, each was
+    # a table-sized temporary that malloc could unmap and fault in again
+    op = Radon(RadonGeometry(image_side=64, n_angles=40, n_bins=92))
+    arg = np.ones(op.input_shape if call == "apply" else op.output_shape)
+    getattr(op, call)(arg)
+    tracemalloc.start()
+    try:
+        getattr(op, call)(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < op._w_lo.nbytes / 4

@@ -80,7 +80,7 @@ def test_as_real_reads_a_named_domain(domain, inside, outside):
     for value in inside:
         for read in (as_real(value, "x", domain), as_real(np.float32(value), "x", domain)):
             assert type(read) is float and read == np.float32(value)
-    for value in outside + (True, "0.5", None, np.nan, np.inf, -np.inf):
+    for value in outside + (True, "0.5", None, np.nan, np.inf, -np.inf, 10 ** 400, -10 ** 400):
         with pytest.raises(ValueError, match=refusal("x", domain, value)):
             as_real(value, "x", domain)
 
@@ -116,7 +116,16 @@ def test_scalar_setting_is_read_as_a_float_or_refused_naming_it(site):
     stored = build(np.float32(0.375))
     assert type(stored) is float and stored == build(0.375)
     below = -0.5 if domain == "positive" else -1e-300
-    for value in (True, "0.5", np.nan, np.inf, -np.inf, below) + (
+    for value in (True, "0.5", np.nan, np.inf, -np.inf, 10 ** 400, below) + (
             (1.5,) if domain == "within [0, 1]" else ()):
         with pytest.raises(ValueError, match=refusal(name, domain, value)):
             build(value)
+
+
+def test_an_int_beyond_the_float_range_is_refused_as_a_value():
+    # math.isfinite converts an int to float first, which overflowed; with a
+    # domain the two tests above refuse it
+    assert as_real(2 ** 1023) == 2.0 ** 1023
+    for value in (10 ** 400, -10 ** 400):
+        with pytest.raises(ValueError, match=f"^x: expected a finite number, got {value}$"):
+            as_real(value, "x")
