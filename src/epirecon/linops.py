@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (ShapeMismatchError, as_real, as_shape, as_tensor, check_shape,
-                     ensure_finite)
+from .tensor import (ShapeMismatchError, as_count, as_real, as_shape, as_tensor,
+                     check_shape, ensure_finite)
 
 
 def pad_bound(value) -> float:
@@ -351,8 +351,7 @@ def estimate_norm(op, tol: float = 1e-6, max_iters: int = 500, seed: int = 0) ->
     monotonically non-decreasing; `converged` is False if the relative
     change never fell below tol (the best estimate is still returned).
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol, max_iters = as_real(tol, "tol", "positive"), as_count(max_iters, 1, "max_iters")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=op.input_shape)
     nrm = np.sqrt(np.vdot(x, x))

@@ -58,24 +58,32 @@ class RadonGeometry:
         return (self.n_angles, self.n_bins)
 
 
+BLOCK_BYTES = 2**18  # one angle block's rows of a float64 table: work buffers stay in L2
+
+
 @functools.lru_cache(maxsize=4)
 def _radon_work(image_side, angles, n_bins, detector_spacing):
-    """One geometry's splat tables, which do not depend on its scale: bin weights and flat
-    sinogram indices (clipped into range, so np.take's mode="clip" is exact; writeable, as
-    np.bincount copies a read-only index array per call), and two work buffers of their size
-    that apply and adjoint overwrite, not thread-safe: allocated per call they page-faulted."""
+    """One geometry's splat tables, which do not depend on its scale, in blocks of consecutive
+    angles: a block's first angle, bin weights and sinogram indices from its first bin (clipped
+    into range, so np.take's mode="clip" is exact; writeable, as np.bincount copies a read-only
+    index array per call). Two work buffers of one block, one with an extra row, that apply and
+    adjoint overwrite, not thread-safe: allocated per call they page-faulted."""
     centers = np.arange(image_side) - (image_side - 1) / 2.0
     ys, xs = np.meshgrid(centers, centers, indexing="ij")
-    angles = np.asarray(angles)[:, None]
-    t = np.cos(angles) * xs.ravel()[None, :] + np.sin(angles) * ys.ravel()[None, :]
-    u = np.clip(t / detector_spacing + (n_bins - 1) / 2.0, -1.0, n_bins)  # int64-safe
-    lo = np.floor(u).astype(np.int64)
-    frac = u - lo
-    rows = np.arange(len(angles))[:, None] * n_bins
-    return (np.where((lo >= 0) & (lo < n_bins), 1.0 - frac, 0.0),
-            np.where((lo + 1 >= 0) & (lo + 1 < n_bins), frac, 0.0),
-            rows + np.clip(lo, 0, n_bins - 1), rows + np.clip(lo + 1, 0, n_bins - 1),
-            np.empty(t.shape), np.empty(t.shape))
+    size = max(1, BLOCK_BYTES // (8 * image_side**2))
+    blocks = []
+    for first in range(0, len(angles), size):
+        block = np.asarray(angles[first:first + size])[:, None]
+        t = np.cos(block) * xs.ravel()[None, :] + np.sin(block) * ys.ravel()[None, :]
+        u = np.clip(t / detector_spacing + (n_bins - 1) / 2.0, -1.0, n_bins)  # int64-safe
+        lo = np.floor(u).astype(np.int64)
+        frac = u - lo
+        rows = np.arange(len(block))[:, None] * n_bins
+        blocks.append((first, np.where((lo >= 0) & (lo < n_bins), 1.0 - frac, 0.0),
+                       np.where((lo + 1 >= 0) & (lo + 1 < n_bins), frac, 0.0),
+                       rows + np.clip(lo, 0, n_bins - 1), rows + np.clip(lo + 1, 0, n_bins - 1)))
+    size = min(size, len(angles))
+    return tuple(blocks), np.empty((size + 1, image_side**2)), np.empty((size, image_side**2))
 
 
 class Radon(LinOp):
@@ -89,25 +97,35 @@ class Radon(LinOp):
         n = geometry.image_side
         self.input_shape = (n, n)
         self.output_shape = geometry.sinogram_shape
-        (self._w_lo, self._w_hi, self._idx_lo, self._idx_hi, self._lo, self._hi) = _radon_work(
+        self._blocks, self._lo, self._hi = _radon_work(
             n, geometry.angles, geometry.n_bins, geometry.detector_spacing)
-        self._flat_len = geometry.n_angles * geometry.n_bins
 
     def _apply(self, x):
-        vals = x.ravel()[None, :]
-        np.multiply(vals, self._w_lo, out=self._lo)
-        np.multiply(vals, self._w_hi, out=self._hi)
-        sino = np.bincount(self._idx_lo.ravel(), self._lo.ravel(), minlength=self._flat_len)
-        sino += np.bincount(self._idx_hi.ravel(), self._hi.ravel(), minlength=self._flat_len)
-        return self.geometry.scale * sino.reshape(self.output_shape)
+        # per block: a bin gets the terms of its own angle only, in pixel order
+        vals, sino = x.ravel()[None, :], np.empty(self.output_shape)
+        for first, w_lo, w_hi, idx_lo, idx_hi in self._blocks:
+            k = len(w_lo)
+            rows = sino[first:first + k].ravel()  # a view: the block's rows are contiguous
+            lo = np.multiply(vals, w_lo, out=self._lo[1:k + 1]).ravel()
+            hi = np.multiply(vals, w_hi, out=self._hi[:k]).ravel()
+            np.add(np.bincount(idx_lo.ravel(), lo, minlength=rows.size),
+                   np.bincount(idx_hi.ravel(), hi, minlength=rows.size), out=rows)
+        sino *= self.geometry.scale
+        return sino
 
     def _adjoint(self, s):
-        flat = s.ravel()
-        lo = np.multiply(self._w_lo, np.take(flat, self._idx_lo, out=self._lo, mode="clip"),
-                         out=self._lo)
-        lo += np.multiply(self._w_hi, np.take(flat, self._idx_hi, out=self._hi, mode="clip"),
-                          out=self._hi)
-        return self.geometry.scale * lo.sum(axis=0).reshape(self.input_shape)
+        # past the first block, row 0 holds the earlier angles' sum: rows add in angle order
+        back = np.empty(self._lo.shape[1])
+        for first, w_lo, w_hi, idx_lo, idx_hi in self._blocks:
+            k = len(w_lo)
+            rows, lo, hi = s[first:first + k].ravel(), self._lo[1:k + 1], self._hi[:k]
+            np.multiply(w_lo, np.take(rows, idx_lo, out=lo, mode="clip"), out=lo)
+            lo += np.multiply(w_hi, np.take(rows, idx_hi, out=hi, mode="clip"), out=hi)
+            if first:
+                self._lo[0] = back
+            np.add.reduce(self._lo[0 if first else 1:k + 1], axis=0, out=back)
+        back *= self.geometry.scale
+        return back.reshape(self.input_shape)
 
     def _norm_bound(self):
         return _cw_bound(self.geometry)
@@ -120,7 +138,8 @@ def _cw_bound(geometry):
     each (A*A x)_i there is positive, so one below the normal range underflowed.
     Run once per geometry, scale included, on the scaled operator."""
     op = Radon(geometry)
-    reached = ((op._w_lo > 0.0) | (op._w_hi > 0.0)).any(axis=0).reshape(op.input_shape)
+    reached = np.logical_or.reduce([((w_lo > 0.0) | (w_hi > 0.0)).any(axis=0)
+                                    for _, w_lo, w_hi, _, _ in op._blocks]).reshape(op.input_shape)
     if not reached.any():
         return 0.0
     x = np.ones(op.input_shape)

@@ -214,6 +214,23 @@ def test_estimate_norm_rejects_bad_tol():
         er.estimate_norm(er.Dense(np.eye(2)), tol=0.0)
 
 
+@pytest.mark.parametrize("name, value, match", [
+    ("tol", np.nan, "finite and positive"), ("tol", np.inf, "finite and positive"),
+    ("tol", True, "finite and positive"), ("max_iters", 0, "at least 1"),
+    ("max_iters", -3, "at least 1"), ("max_iters", True, "expected an integer"),
+    ("max_iters", 2.5, "expected an integer")])
+def test_estimate_norm_refuses_a_bad_tolerance_or_iteration_count(name, value, match):
+    # a NaN tol ran every step to report converged=False, 0 steps reported 0.0 as the
+    # estimate, True read as 1 step and 2.5 raised a TypeError from range()
+    with pytest.raises(ValueError, match=f"{name}.*{match}"):
+        er.estimate_norm(er.Dense(np.eye(2)), **{name: value})
+
+
+def test_estimate_norm_reads_a_whole_float_iteration_count():
+    assert er.estimate_norm(er.Dense(np.diag([3.0, 1.0])), max_iters=40.0) == er.estimate_norm(
+        er.Dense(np.diag([3.0, 1.0])), max_iters=40)
+
+
 def test_compose_shapes_and_norm_bound(rng):
     pool = er.AvgPool2D(2, (4, 4))
     dense = er.Dense(rng.standard_normal((3, 4)), input_shape=(2, 2))

@@ -6,11 +6,14 @@ import pytest
 
 import epirecon as er
 from epirecon import radon
-from epirecon.linops import pad_bound
+from epirecon.linops import LinOp, pad_bound
 from epirecon.radon import Radon, RadonGeometry
 from epirecon.tensor import ShapeMismatchError
 
-TABLES = ("_w_lo", "_w_hi", "_idx_lo", "_idx_hi")
+
+def work_arrays(op):
+    """Every array of op's geometry cache entry: each block's tables and the work buffers."""
+    return [table for block in op._blocks for table in block[1:]] + [op._lo, op._hi]
 
 
 def test_zero_image_zero_sinogram():
@@ -75,7 +78,7 @@ def test_shape_mismatch():
 def test_geometries_that_differ_only_in_scale_share_their_tables():
     geom = RadonGeometry(image_side=9, n_angles=5, n_bins=14)
     first, second = Radon(geom), Radon(replace(geom, scale=0.3))
-    assert all(getattr(first, name) is getattr(second, name) for name in TABLES)
+    assert all(a is b for a, b in zip(work_arrays(first), work_arrays(second), strict=True))
 
 
 @pytest.mark.parametrize("change", [
@@ -84,7 +87,13 @@ def test_geometries_that_differ_only_in_scale_share_their_tables():
 def test_geometries_that_differ_beyond_scale_have_their_own_tables(change):
     geom = RadonGeometry(image_side=9, n_angles=5, n_bins=14)
     first, second = Radon(geom), Radon(replace(geom, **change))
-    assert not any(getattr(first, name) is getattr(second, name) for name in TABLES)
+    assert not any(a is b for a in work_arrays(first) for b in work_arrays(second))
+
+
+def test_a_64px_geometry_work_buffers_take_one_block_whatever_its_angle_count():
+    few, many = (Radon(RadonGeometry(image_side=64, n_angles=n, n_bins=92)) for n in (40, 400))
+    assert few._lo.nbytes + few._hi.nbytes == many._lo.nbytes + many._hi.nbytes
+    assert few._hi.nbytes <= radon.BLOCK_BYTES
 
 
 def test_results_are_not_views_of_the_shared_work_buffers():
@@ -152,4 +161,79 @@ def test_a_64px_projection_allocates_under_a_quarter_of_a_table(call):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < op._w_lo.nbytes / 4
+    assert peak < sum(block[1].nbytes for block in op._blocks) / 4  # the w_lo table
+
+
+class Unblocked(LinOp):
+    """The projector with all angles in one table: one multiply over all of them, two
+    bincounts, and the back-splat summed over the angles by sum(axis=0)."""
+
+    kind = "unblocked_radon"
+
+    def __init__(self, geom):
+        self.input_shape, self.output_shape = (geom.image_side,) * 2, geom.sinogram_shape
+        self.scale, nb = geom.scale, geom.n_bins
+        centers = np.arange(geom.image_side) - (geom.image_side - 1) / 2.0
+        ys, xs = np.meshgrid(centers, centers, indexing="ij")
+        angles = np.asarray(geom.angles)[:, None]
+        t = np.cos(angles) * xs.ravel()[None, :] + np.sin(angles) * ys.ravel()[None, :]
+        u = np.clip(t / geom.detector_spacing + (nb - 1) / 2.0, -1.0, nb)
+        lo = np.floor(u).astype(np.int64)
+        frac, rows = u - lo, np.arange(geom.n_angles)[:, None] * nb
+        self.w_lo = np.where((lo >= 0) & (lo < nb), 1.0 - frac, 0.0)
+        self.w_hi = np.where((lo + 1 >= 0) & (lo + 1 < nb), frac, 0.0)
+        self.idx_lo = rows + np.clip(lo, 0, nb - 1)
+        self.idx_hi = rows + np.clip(lo + 1, 0, nb - 1)
+
+    def _apply(self, x):
+        n = int(np.prod(self.output_shape))
+        sino = np.bincount(self.idx_lo.ravel(), (x.ravel() * self.w_lo).ravel(), minlength=n)
+        sino += np.bincount(self.idx_hi.ravel(), (x.ravel() * self.w_hi).ravel(), minlength=n)
+        return self.scale * sino.reshape(self.output_shape)
+
+    def _adjoint(self, s):
+        back = self.w_lo * s.ravel()[self.idx_lo] + self.w_hi * s.ravel()[self.idx_hi]
+        return self.scale * back.sum(axis=0).reshape(self.input_shape)
+
+
+def assert_bitwise_unblocked(geom):
+    op, ref = Radon(geom), Unblocked(geom)
+    rng = np.random.default_rng(geom.n_angles)
+    x, s = rng.standard_normal(op.input_shape), rng.standard_normal(op.output_shape)
+    signed_zeros = np.where(rng.random(op.output_shape) < 0.5, -0.0, s)
+    for arg in (x, np.abs(x), -np.zeros(op.input_shape)):
+        assert op.apply(arg).tobytes() == ref.apply(arg).tobytes()
+    for arg in (s, signed_zeros, -np.zeros(op.output_shape)):
+        assert op.adjoint(arg).tobytes() == ref.adjoint(arg).tobytes()
+    assert Radon(geom).norm_bound == collatz_wielandt(ref)
+
+
+@pytest.mark.parametrize("geom, blocks", [
+    (RadonGeometry(image_side=16, n_angles=12, n_bins=24), (12,)),
+    (RadonGeometry(image_side=64, n_angles=40, n_bins=92), (8,) * 5),
+    (RadonGeometry(image_side=64, n_angles=42, n_bins=92, detector_spacing=1.3), (8,) * 5 + (2,)),
+    (RadonGeometry(image_side=33, n_angles=45, n_bins=48, scale=0.2), (30, 15)),
+    # a detector 64.4 pixels wide: the corners, 5% of the pixel-angle pairs, project off it
+    (RadonGeometry(image_side=64, n_angles=17, n_bins=92, detector_spacing=0.7), (8, 8, 1))],
+    ids=["one_block", "full_blocks", "partial_last_block", "33px", "clipped_detector"])
+def test_blocked_projector_is_bitwise_the_unblocked_one(geom, blocks):
+    assert tuple(len(block[1]) for block in Radon(geom)._blocks) == blocks
+    assert_bitwise_unblocked(geom)
+
+
+def test_small_blocks_on_a_small_geometry_are_bitwise_the_unblocked_projector(monkeypatch):
+    # on this narrow detector the first block reaches 86 of the 144 pixels, and the
+    # bound's last bit depends on the pixels only later blocks reach
+    geom = RadonGeometry(image_side=12, n_angles=10, n_bins=5, detector_spacing=0.8)
+    monkeypatch.setattr(radon, "BLOCK_BYTES", 3 * 8 * 12**2)
+    radon._radon_work.cache_clear()
+    radon._cw_bound.cache_clear()
+    try:
+        op = Radon(geom)
+        blocks = [(block[0], len(block[1])) for block in op._blocks]
+        assert blocks == [(0, 3), (3, 3), (6, 3), (9, 1)]
+        assert op._lo.shape == (4, 144) and op._hi.shape == (3, 144)
+        assert_bitwise_unblocked(geom)
+    finally:
+        radon._radon_work.cache_clear()
+        radon._cw_bound.cache_clear()
