@@ -135,11 +135,7 @@ def assemble_blocks(spec: IcnnSpec, forward: LinOp = None) -> BlockAssembly:
     for layer in spec.layers[:-1]:
         primal_shapes.append(tuple(layer.output_shape))
     blocks = []
-    if forward is not None:
-        if tuple(forward.input_shape) != tuple(spec.input_shape):
-            raise ValueError(
-                f"forward operator expects {tuple(forward.input_shape)}, "
-                f"network input is {tuple(spec.input_shape)}")
+    if forward is not None:  # its BlockOperator refuses an input shape other than slot 0's
         blocks.append(ConstraintBlock("fidelity", BlockOperator([[(0, forward)]], primal_shapes)))
     depth = spec.depth
     for i, layer in enumerate(spec.layers, start=1):

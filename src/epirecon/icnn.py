@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linops
-from .tensor import (NonFiniteError, as_shape, as_tensor, check_shape, ensure_finite,
+from .tensor import (NonFiniteError, as_array, as_shape, as_tensor, check_shape,
                      read_tensor, write_tensor)
 
 
@@ -85,7 +85,7 @@ class IcnnLayer:
     residual: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "bias", ensure_finite(as_tensor(self.bias), "icnn bias"))
+        object.__setattr__(self, "bias", as_array(self.bias, "icnn bias"))
         if not isinstance(self.residual, bool):  # bool() would read [] as False
             raise TypeError(f"residual: expected a flag, got {self.residual!r}")
 
@@ -137,7 +137,7 @@ class IcnnSpec:
         object.__setattr__(self, "input_shape", as_shape(self.input_shape, "input_shape", least=1))
         object.__setattr__(self, "layers", tuple(self.layers))
         if self.head is not None:
-            object.__setattr__(self, "head", ensure_finite(as_tensor(self.head), "icnn head"))
+            object.__setattr__(self, "head", as_array(self.head, "icnn head"))
 
     @property
     def depth(self) -> int:

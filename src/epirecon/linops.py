@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (ShapeMismatchError, as_count, as_real, as_shape, as_tensor,
-                     check_shape, ensure_finite)
+from .tensor import ShapeMismatchError, as_array, as_count, as_real, as_shape, check_shape
 
 
 def pad_bound(value) -> float:
@@ -59,7 +58,7 @@ class Dense(LinOp):
     kind = "dense"
 
     def __init__(self, matrix, input_shape=None):
-        matrix = ensure_finite(as_tensor(matrix), "dense matrix")
+        matrix = as_array(matrix, "dense matrix")
         if matrix.ndim != 2:
             raise ValueError(f"dense operator needs a 2-d matrix, got shape {matrix.shape}")
         self.matrix = matrix
@@ -97,7 +96,7 @@ class Conv2D(LinOp):
     kind = "conv2d"
 
     def __init__(self, filters, input_shape):
-        filters = ensure_finite(as_tensor(filters), "conv2d filters")
+        filters = as_array(filters, "conv2d filters")
         input_shape = as_shape(input_shape, "input_shape", least=1)
         if len(input_shape) not in (2, 3):
             raise ValueError(f"conv2d input must be 2-d or 3-d, got {input_shape}")
@@ -242,7 +241,7 @@ class DiagonalMask(LinOp):
     kind = "diagonal_mask"
 
     def __init__(self, mask):
-        self.mask = ensure_finite(as_tensor(mask), "diagonal_mask mask")
+        self.mask = as_array(mask, "diagonal_mask mask")
         self.input_shape = as_shape(self.mask.shape, "diagonal_mask mask shape", least=1)
         self.output_shape = self.input_shape
         self.norm_bound = float(np.max(np.abs(self.mask)))

@@ -9,21 +9,7 @@ test suite.
 
 import numpy as np
 
-from .tensor import check_shape
-
-
-def _check_step(step):
-    step = np.asarray(step, dtype=np.float64)
-    if np.any(step <= 0.0) or not np.all(np.isfinite(step)):
-        raise ValueError("step must be positive and finite")
-    return step
-
-
-def _check_nonnegative(values, what):
-    values = np.asarray(values, dtype=np.float64)
-    if np.any(values < 0.0):
-        raise ValueError(f"{what} must be nonnegative")
-    return values
+from .tensor import as_array, as_real, check_shape
 
 
 def _out(*operands):
@@ -151,7 +137,7 @@ def soft_shrink(xbar, threshold, center=0.0):
     xbar - center < -t, center inside the dead zone.
     """
     xbar = np.asarray(xbar, dtype=np.float64)
-    t = _check_step(threshold)
+    t, center = as_array(threshold, "step", "positive"), as_array(center, "center")
     return shrink_kernel(t, center)(xbar, _out(xbar, t, center))
 
 
@@ -171,8 +157,7 @@ def project_epigraph_leaky_relu(alpha, pbar, qbar):
     nonzero (both vanish in the corner), so each branch's foot comes out
     exactly; inside points are copied back unchanged.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"negative slope must lie in [0, 1], got {alpha}")
+    alpha = as_real(alpha, "negative slope", "within [0, 1]")
     pbar = np.asarray(pbar, dtype=np.float64)
     qbar = np.asarray(qbar, dtype=np.float64)
     check_shape(qbar, pbar.shape, "epigraph projection")
@@ -191,10 +176,10 @@ def readout_conjugate_prox(wbar, sigma, cap, bias=0.0, negative_slope=0.0):
       clip(wbar + sigma*bias, negative_slope*cap, cap).
     negative_slope 0 covers relu, 1 covers the identity readout.
     """
-    sigma = _check_step(sigma)
-    cap = _check_nonnegative(cap, "readout weights")
-    if not 0.0 <= negative_slope <= 1.0:
-        raise ValueError(f"negative slope must lie in [0, 1], got {negative_slope}")
+    sigma = as_array(sigma, "step", "positive")
+    cap = as_array(cap, "readout weights", "nonnegative")
+    bias = as_array(bias, "bias")
+    negative_slope = as_real(negative_slope, "negative slope", "within [0, 1]")
     return readout_kernel(sigma, cap, bias, negative_slope)(
         wbar, _out(wbar, sigma, cap, bias))
 
@@ -206,9 +191,9 @@ def kl_conjugate_prox(wbar, sigma, counts, background):
       (wbar + 1 + sigma*bg - sqrt((wbar - 1 + sigma*bg)^2 + 4*sigma*counts)) / 2.
     The output is < 1 strictly wherever counts > 0 (dual feasibility).
     """
-    sigma = _check_step(sigma)
-    counts = _check_nonnegative(counts, "counts")
-    background = _check_nonnegative(background, "background")
+    sigma = as_array(sigma, "step", "positive")
+    counts = as_array(counts, "counts", "nonnegative")
+    background = as_array(background, "background", "nonnegative")
     out = _out(wbar, sigma, counts, background)
     return kl_conjugate_kernel(sigma, counts, background, out.shape)(wbar, out)
 

@@ -14,6 +14,7 @@ import copy
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import prox
 from .blocks import BlockAssembly, assemble_blocks, split
 from .icnn import IcnnSpec, require_admissible
 from .linops import DiagonalMask
-from .tensor import as_count, as_real, as_tensor, check_shape, ensure_finite
+from .tensor import as_array, as_count, as_real, as_tensor, check_shape
 
 
 class CertificationError(ValueError):
@@ -128,13 +129,12 @@ class KLFidelity(Fidelity):
         if self.background is None:
             raise ValueError("kl fidelity needs a background level")
 
-    def bind(self, forward, measurement):
+    def bind(self, forward, y):
         if forward is None:
             raise ValueError("dualized fidelity needs an explicit forward operator")
-        bg = as_tensor(np.broadcast_to(self.background, measurement.shape))
-        bg = prox._check_nonnegative(ensure_finite(bg, "kl background"), "kl background")
-        prox._check_nonnegative(measurement, "kl counts")
-        return super().bind(forward, measurement, background=bg)
+        bg = as_array(np.broadcast_to(self.background, y.shape), "kl background", "nonnegative")
+        as_array(y, "kl counts", "nonnegative")
+        return super().bind(forward, y, background=bg)
 
     def _domain(self, fwd, y):
         """(A x + b, y > 0, out of the domain: A x + b <= 0 where y > 0, < 0 where y = 0)."""
@@ -178,8 +178,7 @@ class ProblemSpec:
     nonneg: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "measurement",
-                           ensure_finite(as_tensor(self.measurement), "measurement"))
+        object.__setattr__(self, "measurement", as_array(self.measurement, "measurement"))
         object.__setattr__(self, "reg_weight",
                            as_real(self.reg_weight, "reg_weight", "nonnegative"))
         require_admissible(self.regularizer)
@@ -432,8 +431,8 @@ class SolvePlan:
     and each layer's skip(x) + carry(z_{i-1}). K u0 is applied when the plan
     is built, so a warm restart continues a run bitwise. step() only does
     arithmetic, through out= into the plan's buffers. Nothing is checked
-    per iteration: the steps were certified, the fidelity's data when its
-    ProblemSpec was built, and the readout cap here.
+    per iteration: the steps were certified, and the data, reg_weight and
+    network when the ProblemSpec was built.
     """
 
     def __init__(self, problem: ProblemSpec, steps: StepSizes, state: SaddleState):
@@ -450,8 +449,15 @@ class SolvePlan:
         self.u = split(self.u_flat, shapes)
         self.duals = [split(flat, block.operator.output_shapes)
                       for flat, block in zip(dual_flats, assembly.blocks)]
-        for dst, src in zip(self.u + [d for rows in self.duals for d in rows],
-                            [state.x, *state.z, *(d for rows in state.duals for d in rows)]):
+        # the state's first missing, extra or misshapen array is refused (copyto would broadcast)
+        pairs = [("primal image", self.u[0], state.x)] + [
+            (f"auxiliary block {j}", *p) for j, p in enumerate(zip_longest(self.u[1:], state.z), 1)]
+        for b, (rows, given) in enumerate(zip_longest(self.duals, state.duals, fillvalue=())):
+            pairs += [(f"dual block {b} row {r}", *p) for r, p in enumerate(zip_longest(rows, given))]
+        for name, dst, src in pairs:
+            if src is None or dst is None:
+                raise ValueError(f"init state: {name} is {'missing' if src is None else 'extra'}")
+            check_shape(np.asarray(src), dst.shape, f"init state {name}")
             np.copyto(dst, src)
         self.iteration = state.iteration
         # per block, its (flat, rows) stretch of each half
@@ -482,8 +488,7 @@ class SolvePlan:
         self.primal_prox = None if fidelity.dualize else fidelity.primal_kernel(
             steps.tau[0], problem.measurement, problem.forward)
         self.nonneg = problem.nonneg
-        cap = prox._check_nonnegative(
-            problem.reg_weight * problem.regularizer.readout_weights(), "readout weights")
+        cap = problem.reg_weight * problem.regularizer.readout_weights()
         self.dual_steps = [self._dual_step(problem, block, sigma, flat, rows, cap, halves_of)
                            for block, sigma, flat, rows, halves_of
                            in zip(assembly.blocks, steps.sigma, dual_flats, self.duals, ku)]
@@ -557,9 +562,9 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
     run on the block assembly they were certified on, which must have been
     built for this problem's regularizer and dualized forward map (the
     same objects). metrics_every controls how often objectives are
-    evaluated; the final iterate is always recorded. A supplied init state
-    is only read; the returned state owns its arrays, so it can be the init
-    of a later call that continues the run.
+    evaluated; the final iterate is always recorded. A supplied init state,
+    of the plan's array count and shapes, is only read; the returned state
+    owns its arrays, so it can be the init of a later call that continues it.
     """
     budget = as_count(budget, 1, "budget")
     metrics_every = as_count(metrics_every, 0, "metrics_every")

@@ -15,7 +15,7 @@ import numpy as np
 from .linops import DiagonalMask
 from .radon import Radon, RadonGeometry, ramp_filter
 from .solver import ProblemSpec, kl_fidelity, l1_fidelity, l2_fidelity
-from .tensor import as_real, as_tensor, check_shape
+from .tensor import as_array, as_real, as_tensor, check_shape
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,10 @@ class TaskConfig:
             object.__setattr__(self, name, as_real(getattr(self, name), name, domain))
         if self.kind == "ct" and self.geometry is None:
             object.__setattr__(self, "geometry", ct_geometry(self.image_side))
+        side = None if self.geometry is None else self.geometry.image_side
+        if side is not None and (self.kind, side) != ("ct", self.image_side):
+            raise ValueError(f"geometry: only a ct task takes one, of its image_side "
+                             f"{self.image_side}; got image_side {side} for {self.kind}")
 
 
 def ct_geometry(side: int, n_angles: int = None, n_bins: int = None) -> RadonGeometry:
@@ -201,7 +205,7 @@ def fbp(geometry: RadonGeometry, sinogram: np.ndarray) -> np.ndarray:
 
 def write_pgm(path, image: np.ndarray) -> None:
     """8-bit binary PGM plus a JSON sidecar recording the linear rescale."""
-    image = as_tensor(image)
+    image = as_array(image, "pgm image")
     if image.ndim != 2:
         raise ValueError(f"pgm wants a 2-d image, got shape {image.shape}")
     lo, hi = float(image.min()), float(image.max())

@@ -1,8 +1,8 @@
 """Dense float64 tensors and the lossless binary blob format.
 
 All signal, weight and dual data in this package is carried by C-contiguous
-float64 numpy arrays; counts and shapes are read as ints, refusing a bool or a
-fraction, and scalars as finite floats, refusing a bool. Blob files are
+float64 numpy arrays, read as finite; counts and shapes are read as ints, refusing
+a bool or a fraction, and scalars as finite floats, refusing a bool. Blob files are
 bit-exact round trips: magic "TNSB", u16 version, u16 rank, rank x u64 dims,
 then row-major f64 payload, all little-endian.
 """
@@ -64,7 +64,7 @@ def as_count(value, least=None, name=None):
 
 
 DOMAINS = {"positive": lambda v: v > 0.0, "nonnegative": lambda v: v >= 0.0,
-           "within [0, 1]": lambda v: 0.0 <= v <= 1.0}
+           "within [0, 1]": lambda v: (v >= 0.0) & (v <= 1.0)}
 
 
 def as_real(value, name=None, domain=None):
@@ -92,6 +92,16 @@ def ensure_finite(arr: np.ndarray, context: str = "") -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(arr).ravel())[0])
         what = context or "array"
         raise NonFiniteError(f"{what}: non-finite entry at flat index {bad}")
+    return arr
+
+
+def as_array(values, name, domain=None) -> np.ndarray:
+    """values as a C-contiguous float64 array, refusing a non-finite entry through
+    ensure_finite and, when one of DOMAINS is named, an entry outside it."""
+    arr = ensure_finite(as_tensor(values), name)
+    if domain is not None and not (inside := DOMAINS[domain](arr)).all():
+        bad = int(np.flatnonzero(~inside)[0])
+        raise ValueError(f"{name} must be {domain}, got {arr.item(bad)} at flat index {bad}")
     return arr
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import icnn as icnn_mod
-from . import linops, prox, solver
+from . import linops, prox, solver, tensor
 from .blocks import assemble_blocks
 from .icnn import ConvPoolDenseTemplate, DenseTemplate, random_admissible
 from .radon import Radon, RadonGeometry
@@ -45,7 +45,7 @@ def moreau_conjugate_prox(prox_fn, step, xbar):
 
     prox_fn(step, point) must evaluate prox of step*h at point.
     """
-    step = prox._check_step(step)
+    step = tensor.as_array(step, "step", "positive")
     xbar = np.asarray(xbar, dtype=np.float64)
     return xbar - step * prox_fn(1.0 / step, xbar / step)
 
@@ -255,11 +255,11 @@ def default_operator_set(seed=0):
     return ops
 
 
-def adjoint_suite(named_ops=None, pairs=100, seed=0, tol=1e-8):
-    """<Kx, w> == <x, K*w> within tol*(1 + |x||w|) on random pairs."""
+def adjoint_suite(named_ops=None, pairs=100, seed=0):
+    """<Kx, w> == <x, K*w> within tol*(1 + |x||w|), tol = 1e-8, on random pairs."""
     def run():
         ops = named_ops if named_ops is not None else default_operator_set(seed)
-        rng = np.random.default_rng(seed + 17)
+        rng, tol = np.random.default_rng(seed + 17), 1e-8
         worst = (0.0, "")
         for name, op in ops:
             for _ in range(pairs):
@@ -275,9 +275,9 @@ def adjoint_suite(named_ops=None, pairs=100, seed=0, tol=1e-8):
     return _timed("adjoint", seed, run)
 
 
-def linearity_suite(named_ops=None, trials=20, seed=0, rel_tol=1e-10):
+def linearity_suite(seed=0):
     def run():
-        ops = named_ops if named_ops is not None else default_operator_set(seed)
+        ops, trials, rel_tol = default_operator_set(seed), 20, 1e-10
         rng = np.random.default_rng(seed + 29)
         for name, op in ops:
             for _ in range(trials):
@@ -338,11 +338,11 @@ def _require_close(gaps, family, gap, tol):
     gaps[family] = max(gaps.get(family, 0.0), gap)
 
 
-def prox_oracle_suite(instances=300, seed=0, tol=1e-6):
+def prox_oracle_suite(instances=300, seed=0):
     """Closed-form scalar proxes against golden-section minimization; every
     branch of the shrink, readout and KL forms must be hit."""
     def run():
-        rng = np.random.default_rng(seed + 53)
+        rng, tol = np.random.default_rng(seed + 53), 1e-6
         n = instances
         gaps = {}
         xb = rng.uniform(-4, 4, n)
@@ -395,12 +395,12 @@ def prox_oracle_suite(instances=300, seed=0, tol=1e-6):
     return _timed("prox-vs-oracle", seed, run)
 
 
-def epigraph_suite(instances=200, seed=0, tol=1e-6):
+def epigraph_suite(instances=200, seed=0):
     """Leaky-relu epigraph projection and the PDHG plan's conjugate kernel
     against the golden-section oracle, and the cone properties that kernel
     uses; all four branches must be hit."""
     def run():
-        rng = np.random.default_rng(seed + 67)
+        rng, tol = np.random.default_rng(seed + 67), 1e-6
         gaps = {}
         for alpha in (0.0, 0.2):
             pb = rng.uniform(-3, 3, instances)
@@ -440,10 +440,10 @@ def epigraph_suite(instances=200, seed=0, tol=1e-6):
     return _timed("epigraph-projection", seed, run)
 
 
-def convexity_suite(specs=8, triples=400, seed=0, tol=1e-9):
+def convexity_suite(specs=8, triples=400, seed=0):
     """Jensen inequality sampling on random admissible networks."""
     def run():
-        rng = np.random.default_rng(seed + 71)
+        rng, tol = np.random.default_rng(seed + 71), 1e-9
         templates = [
             DenseTemplate(input_dim=4, hidden_dims=(5,), readout_dim=3),
             DenseTemplate(input_dim=3, hidden_dims=(4, 4), skip_all=True),
@@ -513,15 +513,15 @@ def preconditioned_norm(steps) -> float:
     return jacobi_spectral_norm(np.vstack(rows) * cols[None, :])
 
 
-def certificate_suite(seed=0, tol=1e-6):
-    """Materialized scaled block norm under the certified step sizes."""
+def certificate_suite(seed=0):
+    """Materialized scaled block norm under the certified step sizes, at most 1 + 1e-6."""
     def run():
         net = random_admissible(seed + 500, ConvPoolDenseTemplate(
             side=8, filters=2, kernel=3, pool=4, hidden=4))
         for forward in (None, Radon(RadonGeometry(image_side=8, n_angles=6, n_bins=13))):
             steps = solver.compute_step_sizes(assemble_blocks(net, forward=forward))
             norm = preconditioned_norm(steps)
-            _require(norm <= 1.0 + tol, f"scaled block norm {norm} exceeds 1")
+            _require(norm <= 1.0 + 1e-6, f"scaled block norm {norm} exceeds 1")
         return "preconditioned norm <= 1 with and without a fidelity block"
     return _timed("step-certificates", seed, run)
 

@@ -110,3 +110,10 @@ def test_estimate_block_norm_matches_materialized(rng):
         est = er.estimate_norm(flat, tol=1e-11, max_iters=5000)
         oracle = jacobi_spectral_norm(er.materialize(flat))
         assert abs(est.value - oracle) <= 1e-6 * max(1.0, oracle)
+
+
+def test_assemble_blocks_refuses_a_forward_of_another_input_shape():
+    # the fidelity block's operator refuses it: slot 0 holds the network input
+    with pytest.raises(ValueError, match=r"^block entry at slot 0 expects \(2,\), "
+                                         r"primal slot holds \(3,\)$"):
+        assemble_blocks(two_layer_dense(), forward=er.Dense(np.ones((3, 2))))

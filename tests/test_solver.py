@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 import epirecon as er
 from epirecon import prox
 from epirecon import solver as solver_mod
+from epirecon import tensor as tensor_mod
 from epirecon.blocks import assemble_blocks
 from epirecon.solver import (CertificationError, DivergenceError, KLFidelity, RunMetrics,
-                             SolvePlan, assemble_problem, compute_step_sizes,
+                             SaddleState, SolvePlan, assemble_problem, compute_step_sizes,
                              initial_state)
-from epirecon.tensor import NonFiniteError
+from epirecon.tensor import NonFiniteError, ShapeMismatchError
 from epirecon.verify import icnn_batch_values, preconditioned_norm, refine_grid_minimize
 from conftest import CT12_SCALES, make_ct12_problem, make_relu_1d
 
@@ -371,23 +373,57 @@ def test_step_rules_refuse_a_bool_step(rule):
 
 
 def test_pdhg_validates_proxes_per_solve_not_per_iteration(monkeypatch):
+    # every binding of the array reader and of the prox kernel builders counts;
+    # a plan builds its kernels once, whatever the budget
     problem = make_ct12_problem()
     steps = compute_step_sizes(assemble_problem(problem), scales=CT12_SCALES)
     calls = []
-    for name in ("_check_step", "_check_nonnegative"):
-        real = getattr(prox, name)
+    bindings = [(module, name) for key, module in list(sys.modules.items())
+                if key.partition(".")[0] == "epirecon"
+                for name, value in vars(module).items() if value is tensor_mod.as_array]
+    bindings += [(prox, name) for name in vars(prox) if name.endswith("_kernel")]
+    for module, name in bindings:
+        real = getattr(module, name)
 
-        def counting(*args, _real=real, _name=name):
+        def counting(*args, _real=real, _name=name, **kwargs):
             calls.append(_name)
-            return _real(*args)
+            return _real(*args, **kwargs)
 
-        monkeypatch.setattr(prox, name, counting)
+        monkeypatch.setattr(module, name, counting)
     counts = []
     for budget in (10, 200):
         calls.clear()
         er.pdhg_solve(problem, steps, budget=budget, metrics_every=0)
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] > 0 and counts[0] == counts[1]
+
+
+def test_pdhg_init_state_of_another_layout_is_refused_naming_the_first_at_fault():
+    problem, _ = dense_problem()  # image (3,), auxiliary (4,), dual rows [(4,), (4,)], [(2,)]
+    good, _ = er.pdhg_solve(problem, budget=1, metrics_every=0)
+    x, z, (epi, readout) = good.x, good.z, good.duals
+    cases = [
+        (SaddleState(np.zeros(1), z, good.duals), ShapeMismatchError,
+         r"^init state primal image: shape mismatch: expected \(3,\), got \(1,\)$"),
+        (SaddleState(x, [], []), ValueError, "^init state: auxiliary block 1 is missing$"),
+        (SaddleState(x, z + [z[0]], good.duals), ValueError,
+         "^init state: auxiliary block 2 is extra$"),
+        (SaddleState(x, [z[0][:2]], good.duals), ShapeMismatchError,
+         "^init state auxiliary block 1: shape mismatch"),
+        (SaddleState(x, z, []), ValueError, "^init state: dual block 0 row 0 is missing$"),
+        (SaddleState(x, z, [epi[:1], readout]), ValueError,
+         "^init state: dual block 0 row 1 is missing$"),
+        (SaddleState(x, z, [epi, readout + [readout[0]]]), ValueError,
+         "^init state: dual block 1 row 1 is extra$"),
+        (SaddleState(x, z, [epi, [np.zeros(3)]]), ShapeMismatchError,
+         "^init state dual block 1 row 0: shape mismatch"),
+        (SaddleState(x, z, [epi, readout, [np.zeros(1)]]), ValueError,
+         "^init state: dual block 2 row 0 is extra$"),
+    ]
+    for state, error, message in cases:
+        with pytest.raises(error, match=message):
+            er.pdhg_solve(problem, budget=1, init=state, metrics_every=0)
+    er.pdhg_solve(problem, budget=1, init=good, metrics_every=0)
 
 
 def test_pdhg_refuses_steps_certified_for_another_network():

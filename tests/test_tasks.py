@@ -184,6 +184,17 @@ def test_task_config_validation():
     assert cfg.geometry.n_bins >= 16
 
 
+def test_task_config_refuses_a_geometry_it_would_ignore_or_cannot_use():
+    geometry = er.RadonGeometry(image_side=16, n_angles=4, n_bins=24)
+    for kind in ("denoise_salt_pepper", "inpaint"):
+        with pytest.raises(ValueError, match=f"^geometry: .* for {kind}$"):
+            er.TaskConfig(kind=kind, image_side=16, geometry=geometry)
+    with pytest.raises(ValueError, match="^geometry: .* image_side 12; got image_side 16 for ct$"):
+        er.TaskConfig(kind="ct", image_side=12, geometry=geometry)
+    assert er.TaskConfig(kind="ct", image_side=16, geometry=geometry).geometry is geometry
+    assert er.TaskConfig(kind="inpaint", image_side=16).geometry is None
+
+
 @pytest.mark.parametrize("field, bad", [
     ("poisson_scale", np.nan), ("poisson_scale", np.inf), ("poisson_scale", 0.0),
     ("background", np.nan), ("background", np.inf), ("background", -5.0),

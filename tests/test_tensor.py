@@ -6,8 +6,9 @@ import pytest
 
 import epirecon as er
 from epirecon.blocks import assemble_blocks
-from epirecon.tensor import (BlobFormatError, NonFiniteError, as_real, as_tensor,
+from epirecon.tensor import (BlobFormatError, NonFiniteError, as_array, as_real, as_tensor,
                              ensure_finite, read_tensor, write_tensor)
+from epirecon.verify import moreau_conjugate_prox
 from conftest import make_relu_1d
 
 
@@ -129,3 +130,85 @@ def test_an_int_beyond_the_float_range_is_refused_as_a_value():
     for value in (10 ** 400, -10 ** 400):
         with pytest.raises(ValueError, match=f"^x: expected a finite number, got {value}$"):
             as_real(value, "x")
+
+
+RELU = er.Activation("relu")
+LAYER_2 = er.IcnnLayer(er.Dense([[1.0], [2.0]]), None, [0.0, 0.0], RELU)
+DOUBLE = er.Dense([[1.0], [1.0]])  # (1,) -> (2,), so a KL measurement has two counts
+
+
+def array_refusal(name, domain, value, index):
+    return f"^{re.escape(f'{name} must be {domain}, got {value} at flat index {index}')}$"
+
+
+def pair(v):
+    """An array whose entry at flat index 1 is v."""
+    return np.array([0.5, v])
+
+
+def reg_problem(fidelity, measurement):
+    return er.ProblemSpec(fidelity, DOUBLE, measurement, 1.0, make_relu_1d())
+
+
+# every array a builder, checked prox or write_pgm reads through as_array:
+# (name in the refusal, domain or None, a call reading v at flat index 1); a
+# non-finite KL count is refused earlier, as a measurement entry
+ARRAYS = {
+    "Dense": ("dense matrix", None, lambda v: er.Dense([pair(v)])),
+    "Conv2D": ("conv2d filters", None, lambda v: er.Conv2D(pair(v).reshape(1, 1, 2), (3, 3))),
+    "DiagonalMask": ("diagonal_mask mask", None, lambda v: er.DiagonalMask(pair(v))),
+    "IcnnLayer bias": ("icnn bias", None, lambda v: er.IcnnLayer(DOUBLE, None, pair(v), RELU)),
+    "IcnnSpec head": ("icnn head", None, lambda v: er.IcnnSpec((1,), (LAYER_2,), head=pair(v))),
+    "measurement": ("measurement", None, lambda v: reg_problem(er.l2_fidelity(), pair(v))),
+    "kl background": ("kl background", "nonnegative",
+                      lambda v: reg_problem(er.kl_fidelity(pair(v)), np.ones(2))),
+    "kl counts": (("measurement", "kl counts"), "nonnegative",
+                  lambda v: reg_problem(er.kl_fidelity(1.0), pair(v))),
+    "soft_shrink threshold": ("step", "positive", lambda v: er.soft_shrink(np.zeros(2), pair(v))),
+    "soft_shrink center": ("center", None, lambda v: er.soft_shrink(np.zeros(2), 0.1, pair(v))),
+    "readout sigma": ("step", "positive",
+                      lambda v: er.readout_conjugate_prox(np.zeros(2), pair(v), 1.0)),
+    "readout cap": ("readout weights", "nonnegative",
+                    lambda v: er.readout_conjugate_prox(np.zeros(2), 1.0, pair(v))),
+    "readout bias": ("bias", None,
+                     lambda v: er.readout_conjugate_prox(np.zeros(2), 1.0, 1.0, pair(v))),
+    "kl sigma": ("step", "positive", lambda v: er.kl_conjugate_prox(np.zeros(2), pair(v), 1.0, 0.5)),
+    "kl counts prox": ("counts", "nonnegative",
+                       lambda v: er.kl_conjugate_prox(np.zeros(2), 1.0, pair(v), 0.5)),
+    "kl background prox": ("background", "nonnegative",
+                           lambda v: er.kl_conjugate_prox(np.zeros(2), 1.0, 1.0, pair(v))),
+    "moreau step": ("step", "positive", lambda v: moreau_conjugate_prox(
+        lambda step, point: point, pair(v), np.zeros(2))),
+    "write_pgm": ("pgm image", None, lambda v: er.write_pgm("image.pgm", pair(v).reshape(1, 2))),
+}
+
+
+@pytest.mark.parametrize("site", ARRAYS)
+def test_array_input_is_refused_naming_it_when_not_finite_or_outside_its_domain(
+        site, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # write_pgm's file
+    names, domain, build = ARRAYS[site]
+    finite_name, domain_name = names if isinstance(names, tuple) else (names, names)
+    build(0.375)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteError,
+                           match=f"^{re.escape(finite_name)}: non-finite entry at flat index 1$"):
+            build(value)
+    outside = {"positive": (0.0, -0.5), "nonnegative": (-1e-300,), None: ()}[domain]
+    for value in outside:
+        with pytest.raises(ValueError, match=array_refusal(domain_name, domain, value, 1)):
+            build(value)
+
+
+@pytest.mark.parametrize("domain, inside, outside", [
+    ("positive", (1e-300, 2.5), (0.0, -1.0)),
+    ("nonnegative", (0.0, 2.5), (-1e-300,)),
+    ("within [0, 1]", (0.0, 0.5, 1.0), (-0.5, 1.5))])
+def test_as_array_reads_a_named_domain_entrywise(domain, inside, outside):
+    arr = as_array(np.array(inside)[::-1], "x", domain)  # a negative stride
+    assert arr.dtype == np.float64 and arr.flags.c_contiguous
+    assert arr.tolist() == list(inside[::-1])
+    assert as_array(inside[0], "x", domain).shape == ()
+    for value in outside:
+        with pytest.raises(ValueError, match=array_refusal("x", domain, value, 2)):
+            as_array([[inside[0], inside[-1]], [value, value]], "x", domain)
