@@ -14,13 +14,13 @@ import copy
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import zip_longest
+from itertools import accumulate, pairwise, zip_longest
 
 import numpy as np
 
 from . import icnn as icnn_mod
 from . import prox
-from .blocks import BlockAssembly, assemble_blocks, split
+from .blocks import BlockAssembly, BlockOperator, assemble_blocks, split
 from .icnn import IcnnSpec, require_admissible
 from .linops import DiagonalMask
 from .tensor import as_array, as_count, as_real, as_tensor, check_shape
@@ -176,12 +176,20 @@ class ProblemSpec:
     reg_weight: float
     regularizer: IcnnSpec
     nonneg: bool = False
+    readout_cap: np.ndarray = field(init=False, repr=False)  # reg_weight * head
 
     def __post_init__(self):
         object.__setattr__(self, "measurement", as_array(self.measurement, "measurement"))
         object.__setattr__(self, "reg_weight",
                            as_real(self.reg_weight, "reg_weight", "nonnegative"))
         require_admissible(self.regularizer)
+        head = self.regularizer.readout_weights()
+        with np.errstate(over="ignore"):  # a product of two checked factors can overflow
+            cap = self.reg_weight * head
+        if not np.isfinite(cap).all():
+            raise ValueError(f"readout cap = reg_weight × head is not finite: reg_weight "
+                             f"{self.reg_weight!r}, largest head entry {float(head.max())!r}")
+        object.__setattr__(self, "readout_cap", cap)
         expected = (tuple(self.forward.output_shape) if self.forward is not None
                     else tuple(self.regularizer.input_shape))
         check_shape(self.measurement, expected, "measurement")
@@ -418,37 +426,47 @@ def initial_state(problem: ProblemSpec, assembly: BlockAssembly,
 
 # --- the solve plan -----------------------------------------------------------
 
-class SolvePlan:
-    """The buffers and bound prox kernels of one PDHG run, built once.
+def _dual_kernel(problem, block, sigma):
+    """The kernel of the block's conjugate prox at step sigma."""
+    if block.kind == "epigraph":
+        return prox.epigraph_conjugate_kernel(sigma, block.bias, block.negative_slope,
+                                              block.operator.output_shapes[0])
+    if block.kind == "readout":
+        return prox.readout_kernel(sigma, problem.readout_cap, block.bias, block.negative_slope)
+    return problem.fidelity.dual_kernel(sigma, problem.measurement)
 
-    One flat buffer holds a half of K u, the primal slots u = (x, z_1, ...),
-    the duals and a second half. As u_bar = 2 u+ - u, no relaxed point is
-    formed (PDLP keeps K x alike): each block applies its operator to u+
-    into one half, and the other, which held K u, becomes
-    K u+ + (K u+ - K u), then c + sigma * (K u_bar) in place, its dual
-    prox's input. The halves swap roles every iteration. A record reads
-    row 0 of each block's kept half (kept_rows): the fidelity block's A x
-    and each layer's skip(x) + carry(z_{i-1}). K u0 is applied when the plan
-    is built, so a warm restart continues a run bitwise. step() only does
-    arithmetic, through out= into the plan's buffers. Nothing is checked
-    per iteration: the steps were certified, and the data, reg_weight and
-    network when the ProblemSpec was built.
+
+class SolvePlan:
+    """The buffers, the stacked operator K and the bound prox kernels of one
+    PDHG run, built once.
+
+    K stacks every dual block's rows, in block order, over u = (x, z_1, ...).
+    One flat buffer holds a half of K u, u, the duals and a second half, each
+    block contiguous in each. No relaxed point u_bar = 2 u+ - u is formed
+    (PDLP keeps K x alike): a step applies K to u+ into one half and, in
+    whole-half passes, turns the other, which held K u, into
+    c + sigma * (K u+ + (K u+ - K u)), sigma per block, the dual proxes'
+    input; the halves then swap roles. A record reads row 0 of each block's
+    kept half (kept_rows): A x of a dualized data term and each layer's
+    skip(x) + carry(z_{i-1}). K u0 is applied when the plan is built, so a
+    warm restart continues a run bitwise. step() checks nothing and writes
+    only into the plan's buffers: the steps were certified, and the data and
+    network checked when the ProblemSpec was built.
     """
 
     def __init__(self, problem: ProblemSpec, steps: StepSizes, state: SaddleState):
-        assembly = steps.assembly
-        shapes = assembly.primal_shapes
-        n = sum(math.prod(s) for s in shapes)
-        dual_sizes = [sum(math.prod(s) for s in block.operator.output_shapes)
-                      for block in assembly.blocks]
-        nd = sum(dual_sizes)
+        blocks, shapes = steps.assembly.blocks, steps.assembly.primal_shapes
+        self.K = BlockOperator([row for b in blocks for row in b.operator.rows], shapes)
+        # each block's rows a:b of K, and the size of its stretch of a half or of the duals
+        spans = list(pairwise(accumulate([len(b.operator.rows) for b in blocks], initial=0)))
+        sizes = [(sum(math.prod(s) for s in b.operator.output_shapes),) for b in blocks]
+        n, nd = sum(map(math.prod, shapes)), sum(map(math.prod, self.K.output_shapes))
         self.buf = np.zeros(n + 3 * nd)
         self.finite = np.empty(self.buf.shape, dtype=bool)
-        self.u_flat, *dual_flats = split(self.buf[nd:n + 2 * nd],
-                                         [(n,)] + [(d,) for d in dual_sizes])
+        self.u_flat, self.dual_flat = self.buf[nd:n + nd], self.buf[n + nd:n + 2 * nd]
         self.u = split(self.u_flat, shapes)
-        self.duals = [split(flat, block.operator.output_shapes)
-                      for flat, block in zip(dual_flats, assembly.blocks)]
+        self.dual_rows = split(self.dual_flat, self.K.output_shapes)
+        self.duals = [self.dual_rows[a:b] for a, b in spans]
         # the state's first missing, extra or misshapen array is refused (copyto would broadcast)
         pairs = [("primal image", self.u[0], state.x)] + [
             (f"auxiliary block {j}", *p) for j, p in enumerate(zip_longest(self.u[1:], state.z), 1)]
@@ -460,15 +478,14 @@ class SolvePlan:
             check_shape(np.asarray(src), dst.shape, f"init state {name}")
             np.copyto(dst, src)
         self.iteration = state.iteration
-        # per block, its (flat, rows) stretch of each half
-        halves = [split(half, [(d,) for d in dual_sizes])
-                  for half in (self.buf[:nd], self.buf[n + 2 * nd:])]
-        ku = [[(flat, split(flat, block.operator.output_shapes)) for flat in flats]
-              for block, *flats in zip(assembly.blocks, *halves)]
+        # the two K u halves as K's rows; per block, its stretch of each half and of the duals
+        self.halves = (self.buf[:nd], self.buf[n + 2 * nd:])
+        self.half_rows = [split(half, self.K.output_shapes) for half in self.halves]
+        stretches = [split(part, sizes) for part in (*self.halves, self.dual_flat)]
+        self.K.apply(self.u, out=self.half_rows[0])  # K u0
         self.keep = 0  # the half holding K u of the current u
-        fidelity = problem.fidelity
         # per value of keep, row 0 of each block's kept half, in block order
-        self.kept_rows = [[halves_of[k][1][0] for halves_of in ku] for k in (0, 1)]
+        self.kept_rows = [[rows[a] for a, _ in spans] for rows in self.half_rows]
         # per value of keep, the guard's window: u, the duals and the fresh half
         self.windows = [(self.buf[lo:hi], self.finite[lo:hi])
                         for lo, hi in ((nd, n + 3 * nd), (0, n + 2 * nd))]
@@ -476,52 +493,27 @@ class SolvePlan:
         # window in report order: the image, the auxiliaries, the duals, then K u_bar
         named = [("primal image", None, self.u[0])] + [
             (f"auxiliary block {j}", None, z) for j, z in enumerate(self.u[1:], 1)] + [
-            (f"dual block {bi}", bi, flat) for bi, flat in enumerate(dual_flats)]
-        self.iterates = [named + [(f"relaxed K u of dual block {bi}", bi, halves_of[1 - k][0])
-                                  for bi, halves_of in enumerate(ku)] for k in (0, 1)]
+            (f"dual block {bi}", bi, flat) for bi, flat in enumerate(stretches[2])]
+        self.iterates = [named + [(f"relaxed K u of dual block {bi}", bi, stretch)
+                                  for bi, stretch in enumerate(stretches[1 - k])] for k in (0, 1)]
 
         self.grad = np.empty(n)
         self.grads = split(self.grad, shapes)
         self.tau = steps.tau
-        self.blocks = [(block.operator, rows) for block, rows in zip(assembly.blocks,
-                                                                     self.duals)]
-        self.primal_prox = None if fidelity.dualize else fidelity.primal_kernel(
+        self.primal_prox = None if problem.fidelity.dualize else problem.fidelity.primal_kernel(
             steps.tau[0], problem.measurement, problem.forward)
         self.nonneg = problem.nonneg
-        cap = problem.reg_weight * problem.regularizer.readout_weights()
-        self.dual_steps = [self._dual_step(problem, block, sigma, flat, rows, cap, halves_of)
-                           for block, sigma, flat, rows, halves_of
-                           in zip(assembly.blocks, steps.sigma, dual_flats, self.duals, ku)]
-
-    def _dual_step(self, problem, block, sigma, dual, rows, cap, halves):
-        """The block's dual update: its conjugate prox kernel at c + sigma * (K u_bar);
-        halves are the block's (flat, rows) stretches of the two K u halves."""
-        op, u = block.operator, self.u
-        op.apply(u, out=halves[0][1])  # K u0
-        if block.kind == "epigraph":
-            kernel = prox.epigraph_conjugate_kernel(sigma, block.bias, block.negative_slope,
-                                                    op.output_shapes[0])
-        elif block.kind == "readout":
-            kernel = prox.readout_kernel(sigma, cap, block.bias, block.negative_slope)
-        else:
-            kernel = problem.fidelity.dual_kernel(sigma, problem.measurement)
-
-        def dual_step(keep):
-            (kept, kept_rows), (fresh, fresh_rows) = halves[keep], halves[1 - keep]
-            op.apply(u, out=kept_rows)  # K u+, kept for the next iteration
-            np.subtract(kept, fresh, out=fresh)
-            np.add(kept, fresh, out=fresh)  # K u_bar = K u+ + (K u+ - K u)
-            np.multiply(fresh, sigma, out=fresh)
-            np.add(dual, fresh, out=fresh)  # c + sigma * (K u_bar)
-            kernel(*fresh_rows, *rows)
-        return dual_step
+        # per value of keep, each block's fresh stretch and sigma, and its kernel and arrays
+        self.scaled = [list(zip(stretches[1 - k], steps.sigma)) for k in (0, 1)]
+        kernels = [_dual_kernel(problem, b, sigma) for b, sigma in zip(blocks, steps.sigma)]
+        self.kernels = [[(kernel, (*self.half_rows[1 - k][a:b], *self.dual_rows[a:b]))
+                         for kernel, (a, b) in zip(kernels, spans)] for k in (0, 1)]
 
     def step(self):
         """One iteration: primal step, extrapolation by 1, dual proxes."""
         grad, grads, u = self.grad, self.grads, self.u
         grad.fill(0.0)
-        for op, rows in self.blocks:
-            op.adjoint(rows, out=grads)
+        self.K.adjoint(self.dual_rows, out=grads)
         for g, t in zip(grads, self.tau):
             np.multiply(g, t, out=g)
         np.subtract(self.u_flat, grad, out=self.u_flat)  # u+, x before its prox
@@ -529,9 +521,16 @@ class SolvePlan:
             self.primal_prox(u[0], u[0])
         if self.nonneg:
             np.maximum(u[0], 0.0, out=u[0])
-        self.keep = 1 - self.keep
-        for dual_step in self.dual_steps:
-            dual_step(self.keep)
+        keep = self.keep = 1 - self.keep
+        kept, fresh = self.halves[keep], self.halves[1 - keep]
+        self.K.apply(u, out=self.half_rows[keep])  # K u+, kept for the next iteration
+        np.subtract(kept, fresh, out=fresh)
+        np.add(kept, fresh, out=fresh)  # K u_bar = K u+ + (K u+ - K u)
+        for stretch, sigma in self.scaled[keep]:
+            np.multiply(stretch, sigma, out=stretch)
+        np.add(self.dual_flat, fresh, out=fresh)  # c + sigma * (K u_bar)
+        for kernel, arrays in self.kernels[keep]:
+            kernel(*arrays)
         self.iteration += 1
 
     def view(self) -> SaddleState:

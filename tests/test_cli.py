@@ -313,6 +313,27 @@ def test_non_finite_head_blob_is_a_weights_error(tmp_path, capsys):
     assert not list(Path(cfg["output_dir"]).glob("*_metrics.csv"))
 
 
+def test_readout_cap_overflow_exits_2_naming_task_gamma(tmp_path, capsys):
+    # gamma and every saved head entry pass their checks, but gamma × 1e300
+    # overflows the readout cap; the run diverged at iteration 1 and blamed a
+    # pdhg scale
+    spec = er.random_admissible(3, er.ConvPoolDenseTemplate(
+        side=8, filters=2, kernel=3, pool=4, hidden=4))
+    er.save_weights(spec, tmp_path / "w")
+    head = spec.head.copy()
+    head[1] = 1e300
+    write_tensor(tmp_path / "w" / "head.tnsb", head)
+    cfg = denoise_config(tmp_path, "out_cap", budget=5)
+    cfg["task"] = {"kind": "inpaint", "image_side": 8, "phantom": "smooth_blobs",
+                   "mask_fraction": 0.3, "gaussian_sigma": 0.03, "gamma": 1e10}
+    cfg["weights"] = {"path": str(tmp_path / "w")}
+    assert main(["solve", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: task gamma: readout cap = reg_weight × head is not finite")
+    assert "pdhg scales" not in err
+    assert not list(Path(cfg["output_dir"]).glob("*.csv"))
+
+
 # manifest edit, entry named and message of each malformed weights manifest
 MALFORMED = {
     "operator_kind": (lambda m: m["layers"][0]["skip"].update(kind="conv3d"),

@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import epirecon as er
 from epirecon import prox
 from epirecon import solver as solver_mod
 from epirecon import tensor as tensor_mod
-from epirecon.blocks import assemble_blocks
+from epirecon.blocks import BlockOperator, assemble_blocks
 from epirecon.solver import (CertificationError, DivergenceError, KLFidelity, RunMetrics,
                              SaddleState, SolvePlan, assemble_problem, compute_step_sizes,
                              initial_state)
@@ -344,6 +345,89 @@ def test_pdhg_records_equal_a_fresh_evaluation_bitwise(make, monkeypatch):
         assert np.array(recorded).tobytes() == np.array(fresh).tobytes()
 
 
+def inpaint_problem():
+    # a masked l2 data term stays primal: its prox divides by 1 + tau w d^2 on the
+    # mask's diagonal d; the image is kept nonnegative
+    spec = er.random_admissible(7, er.ConvPoolDenseTemplate(
+        side=12, filters=2, kernel=3, pool=4, hidden=4))
+    truth = er.make_phantom("smooth_blobs", 12, 6)
+    cfg = er.TaskConfig(kind="inpaint", image_side=12, seed=5)
+    return er.build_problem(cfg, truth, spec, 10.0, nonneg=True)[0], None
+
+
+def textbook_pdhg(problem, steps, budget):
+    """(u, duals) after `budget` PDHG iterations written block by block: each
+    block's operator applied into fresh arrays, the epigraph and readout duals
+    through the checked public proxes, and K u_bar formed as
+    K u+ + (K u+ - K u), the rounding the plan keeps (K (2 u+ - u) is not it)."""
+    assembly, fidelity = steps.assembly, problem.fidelity
+    state = initial_state(problem, assembly)
+    u, duals = [state.x, *state.z], state.duals
+    ku = [block.operator.apply(u) for block in assembly.blocks]
+    cap = problem.reg_weight * problem.regularizer.readout_weights()
+    for _ in range(budget):
+        grad = [np.zeros(shape) for shape in assembly.primal_shapes]
+        for block, rows in zip(assembly.blocks, duals):  # summed into grad in block order
+            block.operator.adjoint(rows, out=grad)
+        u = [v - tau * g for v, tau, g in zip(u, steps.tau, grad)]
+        if not fidelity.dualize:
+            u[0] = fidelity.primal_kernel(steps.tau[0], problem.measurement,
+                                          problem.forward)(u[0], np.empty(u[0].shape))
+        if problem.nonneg:
+            u[0] = np.maximum(u[0], 0.0)
+        ku_plus = [block.operator.apply(u) for block in assembly.blocks]
+        for b, (block, sigma) in enumerate(zip(assembly.blocks, steps.sigma)):
+            v = [c + sigma * (kp + (kp - k)) for c, kp, k in zip(duals[b], ku_plus[b], ku[b])]
+            if block.kind == "epigraph":  # Moreau: v - P(v) at v = (pbar + sigma bias, qbar)
+                p, q = v[0] + sigma * block.bias, v[1]
+                foot = prox.project_epigraph_leaky_relu(block.negative_slope, p, q)
+                duals[b] = [p - foot[0], q - foot[1]]
+            elif block.kind == "readout":
+                duals[b] = [prox.readout_conjugate_prox(v[0], sigma, cap, block.bias,
+                                                        block.negative_slope)]
+            else:
+                duals[b] = [fidelity.dual_kernel(sigma, problem.measurement)(
+                    v[0], np.empty(v[0].shape))]
+        ku = ku_plus
+    return u, duals
+
+
+@pytest.mark.parametrize("make", [lambda: (depth3_dualized_problem((0.4, -0.7)), None),
+                                  lambda: (make_ct12_problem(), CT12_SCALES),
+                                  conv_denoise_problem, skip_residual_problem,
+                                  inpaint_problem],
+                         ids=["dense", "ct12", "conv_denoise", "skip_residual", "inpaint"])
+def test_pdhg_equals_a_textbook_block_loop_bitwise(make):
+    # the plan's stacked operator and whole-half passes only reorder work that
+    # touches disjoint entries, so its iterates are the block loop's, byte for byte
+    problem, scales = make()
+    steps = compute_step_sizes(assemble_problem(problem), scales=scales)
+    state, _ = er.pdhg_solve(problem, steps, budget=40, metrics_every=0)
+    u, duals = textbook_pdhg(problem, steps, 40)
+    assert [a.tobytes() for a in (state.x, *state.z)] == [a.tobytes() for a in u]
+    assert [[a.tobytes() for a in rows] for rows in state.duals] == \
+        [[a.tobytes() for a in rows] for rows in duals]
+
+
+def test_pdhg_step_applies_and_adjoins_the_stacked_operator_once(monkeypatch):
+    # one apply and one adjoint of K per iteration, whatever the block count
+    problem = depth3_dualized_problem((0.4, -0.7))
+    steps = compute_step_sizes(assemble_problem(problem))
+    assert len(steps.assembly.blocks) == 4
+    plan = SolvePlan(problem, steps, initial_state(problem, steps.assembly))
+    calls = []
+    for name in ("apply", "adjoint"):
+        def counting(self, *args, _real=getattr(BlockOperator, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(BlockOperator, name, counting)
+    for _ in range(3):
+        calls.clear()
+        plan.step()
+        assert sorted(calls) == ["adjoint", "apply"]
+
+
 SOLVES = {"pdhg": er.pdhg_solve,
           "subgradient": lambda problem, **kw: er.subgradient_solve(
               problem, er.ConstantStep(0.1), **kw)}
@@ -671,6 +755,24 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError, match="reg_weight"):
         er.ProblemSpec(er.l2_fidelity(), None, np.array([1.0]), -0.1, spec)
 
+
+
+def test_readout_cap_overflow_refused_when_built():
+    # reg_weight and the head each pass their checks, but the readout cap, their
+    # product, overflows; a plan clipping to it diverged at iteration 1 and blamed
+    # a dual block. The refusal is a plain ValueError, which the CLI names.
+    spec = depth3_dualized_problem().regularizer
+    spec = replace(spec, head=np.array([spec.head[0], 1e300]))
+    y = np.zeros(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the overflow is the check's to report
+        with pytest.raises(ValueError) as info:
+            er.ProblemSpec(er.l2_fidelity(), None, y, 1e10, spec)
+    assert type(info.value) is ValueError
+    assert str(info.value) == ("readout cap = reg_weight × head is not finite: "
+                               "reg_weight 10000000000.0, largest head entry 1e+300")
+    problem = er.ProblemSpec(er.l2_fidelity(), None, y, 1e8, spec)  # 1e308 is finite
+    assert problem.readout_cap[1] == 1e308
 
 
 @pytest.mark.parametrize("fidelity", [er.kl_fidelity(1.0)], ids=["kl"])
