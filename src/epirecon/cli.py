@@ -248,8 +248,6 @@ def _json_safe(value):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return _json_safe(float(value))
     return value
 
 

@@ -9,13 +9,13 @@ every activation is convex and non-decreasing; validate() certifies this.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import linops
-from .tensor import (NonFiniteError, as_array, as_shape, as_tensor, check_shape,
+from .tensor import (NonFiniteError, as_array, as_count, as_shape, as_tensor, check_shape,
                      read_tensor, write_tensor)
 
 
@@ -355,8 +355,6 @@ def _random_dense(rng, tpl: DenseTemplate) -> IcnnSpec:
     for i, width in enumerate(dims, start=1):
         final = i == len(dims)
         residual = (not final) and i in tpl.residual_layers
-        if residual and width != (prev if i > 1 else tpl.input_dim):
-            raise ValueError(f"residual layer {i} needs width {prev or tpl.input_dim}")
         skip = None
         if i == 1 or tpl.skip_all:
             skip = linops.Dense(rng.normal(0.0, 1.0, (width, tpl.input_dim))
@@ -375,11 +373,8 @@ def _random_dense(rng, tpl: DenseTemplate) -> IcnnSpec:
 
 
 def _random_conv(rng, tpl: ConvPoolDenseTemplate) -> IcnnSpec:
-    for name in ("filters", "kernel", "pool", "hidden"):
-        if getattr(tpl, name) < 1:  # refused before the draws and side % pool
-            raise ValueError(f"{name} must be at least 1, got {getattr(tpl, name)}")
-    if tpl.side % tpl.pool:
-        raise ValueError(f"pool {tpl.pool} does not divide side {tpl.side}")
+    tpl = replace(tpl, **{name: as_count(getattr(tpl, name), 1, name)  # named before the draws
+                          for name in ("side", "filters", "kernel", "pool", "hidden")})
     filters = rng.normal(0.0, 1.0, (tpl.filters, tpl.kernel, tpl.kernel))
     # zero-centered filters respond to structure, not brightness, which keeps
     # the downstream relus straddling their kinks on [0, 1] images

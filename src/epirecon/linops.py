@@ -261,9 +261,7 @@ class ScaledIdentity(LinOp):
     def __init__(self, shape, scale=1.0):
         self.input_shape = as_shape(shape, "shape", least=1)
         self.output_shape = self.input_shape
-        if isinstance(scale, bool) or not np.isfinite(scale):  # float() reads true as 1.0
-            raise ValueError(f"scaled identity needs a finite scale, got {scale!r}")
-        self.scale = float(scale)
+        self.scale = as_real(scale, "scaled identity scale")
         self.norm_bound = abs(self.scale)
 
     def _apply(self, x):

@@ -99,22 +99,32 @@ def readout_kernel(sigma, cap, bias=0.0, negative_slope=0.0):
 
 
 def kl_conjugate_kernel(sigma, counts, background, shape):
-    """kernel(wbar, out) of kl_conjugate_prox at step sigma on arrays of
-    `shape`; out may be wbar."""
+    """kernel(wbar, out) of kl_conjugate_prox at step sigma on arrays of `shape`; out may
+    be wbar. Where a = wbar - 1 + sigma*bg > 0 the root is taken without cancellation,
+    as 1 - 2*sigma*counts / (a + sqrt(a^2 + 4*sigma*counts)), from halves that do not overflow."""
     shift = sigma * background
     spread = 4.0 * sigma * counts
-    root = np.empty(shape)
+    half = np.sqrt(sigma * counts)  # sqrt(spread) / 2
+    a, root, ahead = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
     def kernel(wbar, out):
-        np.subtract(wbar, 1.0, out=root)
-        np.add(root, shift, out=root)
-        np.square(root, out=root)
+        np.subtract(wbar, 1.0, out=a)
+        np.add(a, shift, out=a)
+        np.square(a, out=root)
         np.add(root, spread, out=root)
         np.sqrt(root, out=root)
         np.add(wbar, 1.0, out=out)
         np.add(out, shift, out=out)
         np.subtract(out, root, out=out)
-        return np.multiply(out, 0.5, out=out)
+        np.multiply(out, 0.5, out=out)
+        if not np.greater(a, 0.0, out=ahead).any():
+            return out
+        np.multiply(a, 0.5, out=a)
+        np.hypot(a, half, out=root)
+        np.add(a, root, out=a)  # (a + sqrt(a^2 + spread)) / 2
+        np.divide(spread, a, out=a, where=ahead)
+        np.multiply(a, 0.25, out=a, where=ahead)
+        return np.subtract(1.0, a, out=out, where=ahead)
     return kernel
 
 

@@ -36,10 +36,7 @@ class RadonGeometry:
 
     def __post_init__(self):
         for name in ("image_side", "n_angles", "n_bins"):
-            object.__setattr__(self, name, as_count(getattr(self, name), name=name))
-        if min(self.image_side, self.n_angles, self.n_bins) < 1:
-            raise ValueError(f"degenerate geometry: image_side={self.image_side}, "
-                             f"n_angles={self.n_angles}, n_bins={self.n_bins}")
+            object.__setattr__(self, name, as_count(getattr(self, name), 1, name))
         if self.scale is None:
             object.__setattr__(self, "scale", 1.0 / self.image_side)
         for name in ("detector_spacing", "scale"):

@@ -59,8 +59,6 @@ def jacobi_spectral_norm(mat):
     It stops after 100 sweeps, or once no Gram entry off the diagonal exceeds tol * scale."""
     b, tol = np.asarray(mat, dtype=np.float64).T, 1e-13
     n = b.shape[0]
-    if n == 0:
-        return 0.0
     half = (n + 1) // 2
     b = np.concatenate([b, np.zeros((2 * half - n, b.shape[1]))])
     scale = max(float(np.einsum("ij,ij->i", b, b).max()), 1.0)

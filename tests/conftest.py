@@ -51,3 +51,16 @@ def operator_network(side=8):
     third = er.IcnnLayer(None, er.Dense(np.full((1, 2 * bins), 0.1), input_shape=(2, bins)),
                          np.zeros(1), er.Activation("identity"))
     return er.IcnnSpec((side, side), (first, second, third))
+
+
+class CustomOp(er.LinOp):
+    """The identity on (2,) as an operator kind the package does not know."""
+
+    kind = "custom"
+    input_shape = output_shape = (2,)
+
+    def _apply(self, x):
+        return x.copy()
+
+    def _adjoint(self, w):
+        return w.copy()

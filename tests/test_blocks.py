@@ -112,6 +112,18 @@ def test_estimate_block_norm_matches_materialized(rng):
         assert abs(est.value - oracle) <= 1e-6 * max(1.0, oracle)
 
 
+def test_block_operator_refuses_a_mismatched_entry_or_count():
+    with pytest.raises(ValueError, match=r"^block entry emits \(3,\), row is \(2,\)$"):
+        BlockOperator([[(0, er.Dense(np.ones((2, 2)))), (1, er.Dense(np.ones((3, 4))))]],
+                      [(2,), (4,)])
+    op = BlockOperator([[(0, er.Dense(np.ones((2, 2)))), (1, er.Dense(np.ones((2, 4))))]],
+                       [(2,), (4,)])
+    with pytest.raises(ValueError, match="^expected 2 primal slots, got 1$"):
+        op.apply([np.ones(2)])
+    with pytest.raises(ValueError, match="^expected 1 dual rows, got 2$"):
+        op.adjoint([np.ones(2), np.ones(2)])
+
+
 def test_assemble_blocks_refuses_a_forward_of_another_input_shape():
     # the fidelity block's operator refuses it: slot 0 holds the network input
     with pytest.raises(ValueError, match=r"^block entry at slot 0 expects \(2,\), "

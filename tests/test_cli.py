@@ -244,6 +244,14 @@ def test_suites_fail_on_a_branch_never_hit_or_a_nan_result(monkeypatch):
     assert (result.passed, result.detail) == (False, "shrink off its oracle by nan")
 
 
+def test_a_suite_that_raises_reports_the_exception(monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("broken shrink")
+    monkeypatch.setattr(prox, "soft_shrink", broken)
+    result = prox_oracle_suite()
+    assert (result.passed, result.detail) == (False, "exception: broken shrink")
+
+
 # (kernel builder, its line, the broken line, family whose oracle gap fails)
 EPIGRAPH_MUTANTS = {
     "left_foot_max": ("epigraph_kernel", "np.minimum(q, 0.0, out=q)",
@@ -641,16 +649,36 @@ def test_ct_at_a_vanishing_count_scale_reports_minus_inf_psnr(tmp_path):
 
 
 def test_diverging_dual_block_names_its_scale_key(tmp_path, capsys):
-    # at unit c0 the KL conjugate kernel squares a shift of about 1e300 and
-    # the fidelity dual overflows at iteration 1; the refusal names c0
+    # counts of about 1e300 at c0 = 1e12 overflow 4 * sigma * counts in the KL
+    # conjugate kernel, so the fidelity dual is non-finite at iteration 1; the
+    # refusal names c0
     cfg = ct_config(tmp_path)
     cfg["task"]["poisson_scale"] = 1e-300
+    cfg["solvers"][0]["scales"]["c0"] = 1e12
     with warnings.catch_warnings():  # the overflow is the guard's to report
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["solve", str(write_config(tmp_path, cfg))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: pdhg scales c0: ") and "dual block 0 at iteration 1" in err
     assert not list(Path(cfg["output_dir"]).glob("*.csv"))
+
+
+@pytest.mark.parametrize("solver, error", [
+    ("pdhg_solve", solver_mod.DivergenceError(3, "primal image")),
+    ("subgradient_solve", solver_mod.DivergenceError(4, "subgradient iterate"))],
+    ids=["pdhg", "sm_c"])
+def test_a_divergence_no_config_entry_explains_reaches_main_unchanged(
+        tmp_path, capsys, monkeypatch, solver, error):
+    # only a dual block's divergence names a scale key, and only a kl baseline that
+    # fails at iteration 0 names the background; any other reaches main as raised
+    def diverging(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(solver_mod, solver, diverging)
+    cfg = ct_config(tmp_path)
+    if solver == "subgradient_solve":
+        cfg["solvers"].append({"kind": "sm_c", "step": 0.05})
+    assert main(["solve", str(write_config(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("entry", [{"kind": "sm_c", "step": 0.05},

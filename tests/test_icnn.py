@@ -8,7 +8,8 @@ import pytest
 import epirecon as er
 from epirecon.icnn import AdmissibilityError, WeightsFormatError
 from epirecon.tensor import NonFiniteError, read_tensor, write_tensor
-from conftest import make_relu_1d, make_two_layer_1d
+from epirecon.verify import icnn_batch_values
+from conftest import CustomOp, make_relu_1d, make_two_layer_1d
 
 
 def test_forward_relu_1d():
@@ -279,6 +280,32 @@ def test_validate_reports_each_violation_with_its_detail(code):
                for v in er.validate(spec).violations), str(er.validate(spec))
 
 
+# a carry path of each kind whose sign min_coefficient reads by its own rule, on
+# a (2,) activation: (carry, the code validate reports or None, text in its detail)
+CARRIES = {
+    "diagonal_mask": (er.DiagonalMask(np.array([1.0, 0.5])), None, ""),
+    "negative_diagonal_mask": (er.DiagonalMask(np.array([1.0, -0.25])), "negative_carry_weight",
+                               "carry path has negative coefficient -0.25"),
+    "scaled_identity": (er.ScaledIdentity((2,), 2.0), None, ""),
+    "negative_scaled_identity": (er.ScaledIdentity((2,), -2.0), "negative_carry_weight",
+                                 "carry path has negative coefficient -2"),
+    "custom": (CustomOp(), "uncertifiable_sign",
+               "carry path (custom) nonnegativity cannot be certified"),
+    "compose_custom": (er.Compose([er.ScaledIdentity((2,)), CustomOp()]), "uncertifiable_sign",
+                       "carry path (compose) nonnegativity cannot be certified"),
+}
+
+
+@pytest.mark.parametrize("kind", CARRIES)
+def test_validate_reads_the_sign_of_each_carry_kind(kind):
+    carry, code, detail = CARRIES[kind]
+    report = er.validate(er.IcnnSpec((2,), (FIRST, make_layer(None, carry, 2)), head=np.ones(2)))
+    if code is None:
+        assert report.ok and str(report) == "admissible"
+    else:
+        assert [(v.layer, v.code, v.detail) for v in report.violations] == [(2, code, detail)]
+
+
 def test_validate_non_scalar_output():
     l1 = er.IcnnLayer(er.Dense(np.ones((3, 2))), None, np.zeros(3),
                       er.Activation("relu"))
@@ -309,6 +336,32 @@ def test_random_admissible_always_validates():
     for seed in range(100):
         spec = er.random_admissible(seed, templates[seed % len(templates)])
         assert er.validate(spec).ok
+
+
+@pytest.mark.parametrize("residual_layers", [(1,), (2,), (1, 2)])
+@pytest.mark.parametrize("skip_all", [False, True])
+@pytest.mark.parametrize("final_activation", ["identity", "leaky_relu"])
+def test_batch_oracle_agrees_with_forward_on_residual_networks(
+        residual_layers, skip_all, final_activation, rng):
+    # the criterion-4 oracle recomputes each layer from its dense matrices
+    spec = er.random_admissible(5, er.DenseTemplate(
+        input_dim=3, hidden_dims=(3, 3), readout_dim=2, final_activation=final_activation,
+        skip_all=skip_all, residual_layers=residual_layers))
+    points = rng.standard_normal((6, 3))
+    values = [er.forward(spec, p)[0] for p in points]
+    assert np.allclose(icnn_batch_values(spec, points), values, rtol=1e-13, atol=0.0)
+
+
+def test_random_admissible_refuses_a_residual_layer_that_changes_width():
+    with pytest.raises(AdmissibilityError, match=re.escape(
+            "layer 2: residual_shape: residual needs matching shapes, input (4,) vs output (5,)")):
+        er.random_admissible(0, er.DenseTemplate(input_dim=3, hidden_dims=(4, 5),
+                                                 residual_layers=(2,)))
+
+
+def test_random_admissible_refuses_an_unknown_template():
+    with pytest.raises(TypeError, match="^unsupported template type dict$"):
+        er.random_admissible(0, {"input_dim": 2, "hidden_dims": (3,)})
 
 
 def test_trace_is_minimal_over_feasible_auxiliaries(rng):
@@ -421,6 +474,16 @@ def test_load_missing_blob_error(tmp_path):
     er.save_weights(spec, tmp_path / "w")
     (tmp_path / "w" / "layer0_bias.tnsb").unlink()
     with pytest.raises(WeightsFormatError, match="missing blob"):
+        er.load_weights(tmp_path / "w")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "invalid JSON: "), (json.dumps({"format": "icnn-weights", "version": 1}),
+                              "missing field 'layers'")], ids=["invalid_json", "missing_field"])
+def test_load_names_an_unreadable_manifest(tmp_path, text, message):
+    er.save_weights(make_relu_1d(), tmp_path / "w")
+    (tmp_path / "w" / "manifest.json").write_text(text)
+    with pytest.raises(WeightsFormatError, match=re.escape(f"manifest.json: {message}")):
         er.load_weights(tmp_path / "w")
 
 

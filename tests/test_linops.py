@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import epirecon as er
 from epirecon.linops import min_coefficient, op_from_config, op_to_config
 from epirecon.tensor import ShapeMismatchError
 from epirecon.verify import default_operator_set
+from conftest import CustomOp
 
 
 def test_diagonal_mask_identity(rng):
@@ -110,6 +113,33 @@ def test_avgpool_rejects_non_divisible():
         er.AvgPool2D(3, (8, 8))
 
 
+# each builder's refusal of an operand of the wrong rank or channel count, or of
+# no operand: (build, error, its message)
+MISSHAPEN = {
+    "dense_vector": (lambda: er.Dense(np.ones(3)), ValueError,
+                     "dense operator needs a 2-d matrix, got shape (3,)"),
+    "dense_input_shape": (lambda: er.Dense(np.ones((2, 4)), input_shape=(3,)), ShapeMismatchError,
+                          "dense input_shape product: shape mismatch: expected (4,), got (3,)"),
+    "conv2d_input_rank": (lambda: er.Conv2D(np.ones((1, 1, 1)), (4,)), ValueError,
+                          "conv2d input must be 2-d or 3-d, got (4,)"),
+    "conv2d_filters_rank": (lambda: er.Conv2D(np.ones((1, 1)), (4, 4)), ValueError,
+                            "conv2d filters must be 3-d or 4-d, got shape (1, 1)"),
+    "conv2d_channels": (lambda: er.Conv2D(np.ones((1, 2, 1, 1)), (4, 4)), ShapeMismatchError,
+                        "conv2d filter channels: shape mismatch: expected (1, 1, 1, 1), "
+                        "got (1, 2, 1, 1)"),
+    "avgpool2d_input_rank": (lambda: er.AvgPool2D(2, (4,)), ValueError,
+                             "avgpool2d input must be 2-d or 3-d, got (4,)"),
+    "compose_empty": (lambda: er.Compose([]), ValueError, "compose needs at least one operator"),
+}
+
+
+@pytest.mark.parametrize("case", MISSHAPEN)
+def test_builder_refuses_a_misshapen_operand(case):
+    build, error, message = MISSHAPEN[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
 EMPTY = {"scaled_identity": lambda s: er.ScaledIdentity((s, 8)),
          "dense_rows": lambda s: er.Dense(np.zeros((max(s, 0), 3))),
          "dense_columns": lambda s: er.Dense(np.zeros((2, max(s, 0)))),
@@ -129,7 +159,7 @@ def test_no_operator_or_network_builds_on_an_empty_shape(build, size):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_scaled_identity_refuses_non_finite_scale(bad):
-    with pytest.raises(ValueError, match="finite scale"):
+    with pytest.raises(ValueError, match="scaled identity scale: expected a finite number"):
         er.ScaledIdentity((2, 2), bad)
 
 
@@ -266,6 +296,11 @@ def test_min_coefficient():
     mixed = er.Compose([er.AvgPool2D(2, (4, 4)),
                         er.Dense(-np.ones((2, 4)), input_shape=(2, 2))])
     assert min_coefficient(mixed) is None
+
+
+def test_an_operator_of_an_unknown_kind_is_not_serialized():
+    with pytest.raises(ValueError, match="^cannot serialize operator kind 'custom'$"):
+        op_to_config(CustomOp(), lambda hint, arr: hint)
 
 
 def test_serialization_round_trip(tmp_path, rng):

@@ -1,3 +1,6 @@
+import itertools
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -162,6 +165,50 @@ def test_kl_conjugate_dual_feasibility(rng):
     v = prox.kl_conjugate_prox(wb, sig, y, r)
     assert np.all(np.isfinite(v))
     assert np.all(v < 1.0)  # strict wherever counts are positive
+
+
+def kl_root(wbar, sigma, counts, background):
+    """The KL conjugate prox's root from the floats' exact values, to 700 digits: what
+    cancels at a near 1e308 still leaves 60."""
+    with localcontext() as ctx:
+        ctx.prec = 700
+        wbar, sigma, counts, background = map(Decimal, (wbar, sigma, counts, background))
+        a = wbar - 1 + sigma * background
+        return (a + 2 - (a * a + 4 * sigma * counts).sqrt()) / 2
+
+
+# (wbar, sigma, counts, background), with a = wbar - 1 + sigma*background of either sign
+KL_GRID = list(itertools.product([-1e8, -10.0, 0.5, 1e2, 1e4, 1e6, 1e8, 1e10], [0.01, 1.0],
+                                 [0.0, 5.0], [0.0, 50.0]))
+
+
+def test_kl_conjugate_is_exact_and_below_1_across_magnitudes():
+    # (wbar + 1 + sigma*bg - sqrt(...)) / 2 cancelled for large wbar: off by up to 2.5e-11
+    # at 1e6 and 5.3e-9 at 1e8, and exactly 1.0 at six points where the root is below 1
+    for point in KL_GRID:
+        got = prox.kl_conjugate_prox(np.array([point[0]]), *point[1:])[0]
+        exact = kl_root(*point)
+        assert abs(Decimal(got) - exact) <= Decimal(1e-14) * abs(exact), point
+        assert point[2] == 0.0 or got < 1.0, point
+
+
+def test_kl_conjugate_does_not_overflow_where_its_square_does():
+    # a = 1e300 - 1: a^2 overflows, a hypot of the halves does not
+    for wbar, counts in ((1e300, 5e300), (1.5e308, 1e300)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = prox.kl_conjugate_prox(np.array([wbar]), 1.0, counts, 0.0)[0]
+        exact = kl_root(wbar, 1.0, counts, 0.0)
+        assert abs(Decimal(got) - exact) <= Decimal(1e-14) * abs(exact)
+
+
+def test_kl_conjugate_keeps_its_closed_form_bits_where_a_is_not_positive(rng):
+    wbar = rng.uniform(-5.0, 0.0, 500)
+    sigma, counts, background = (rng.uniform(lo, hi, 500) for lo, hi in ((0.1, 2.0), (0.0, 5.0),
+                                                                         (0.0, 0.5)))
+    assert np.all(wbar - 1.0 + sigma * background <= 0.0)
+    a = wbar - 1.0 + sigma * background
+    closed = (wbar + 1.0 + sigma * background - np.sqrt(a * a + 4.0 * sigma * counts)) * 0.5
+    assert prox.kl_conjugate_prox(wbar, sigma, counts, background).tobytes() == closed.tobytes()
 
 
 def test_kl_rejects_negative_parameters():

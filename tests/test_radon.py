@@ -42,12 +42,14 @@ def test_default_scale_and_angles():
 
 
 def test_degenerate_geometry_rejected():
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match="^n_angles: must be at least 1, got 0$"):
         RadonGeometry(image_side=8, n_angles=0, n_bins=8)
     with pytest.raises(ValueError, match="spacing"):
         RadonGeometry(image_side=8, n_angles=4, n_bins=8, detector_spacing=0.0)
     with pytest.raises(ValueError, match="increasing"):
         RadonGeometry(image_side=8, n_angles=2, n_bins=8, angles=(0.5, 0.5))
+    with pytest.raises(ValueError, match="^2 angles given, n_angles=3$"):
+        RadonGeometry(image_side=8, n_angles=3, n_bins=8, angles=(0.0, 1.0))
 
 
 @pytest.mark.parametrize("field", ["scale", "detector_spacing"])

@@ -16,7 +16,7 @@ from epirecon.solver import (CertificationError, DivergenceError, KLFidelity, Ru
                              initial_state)
 from epirecon.tensor import NonFiniteError, ShapeMismatchError
 from epirecon.verify import icnn_batch_values, preconditioned_norm, refine_grid_minimize
-from conftest import CT12_SCALES, make_ct12_problem, make_relu_1d
+from conftest import CT12_SCALES, make_ct12_problem, make_relu_1d, make_two_layer_1d
 
 
 def scalar_chain_spec(v0=2.0, w1=1.0):
@@ -567,6 +567,18 @@ def test_evaluate_objectives_trace_relations(rng):
     assert above.reformulated >= above.primal - 1e-9
     below = er.evaluate_objectives(problem, x, [t - 1.0 for t in trace])
     assert np.isclose(below.feasibility, 1.0)
+
+
+def test_evaluate_objectives_refuses_a_wrong_auxiliary_count():
+    problem = er.ProblemSpec(er.l2_fidelity(), er.Dense([[1.0]]), np.array([2.0]), 1.0,
+                             make_two_layer_1d())
+    with pytest.raises(ValueError, match="^expected 1 auxiliary tensors, got 2$"):
+        er.evaluate_objectives(problem, np.array([1.0]), [np.zeros(1), np.zeros(1)])
+
+
+def test_kl_fidelity_needs_a_background():
+    with pytest.raises(ValueError, match="^kl fidelity needs a background level$"):
+        KLFidelity()
 
 
 def test_evaluate_objectives_kl_domain_flag():

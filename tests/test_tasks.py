@@ -172,6 +172,8 @@ def test_write_pgm_and_sidecar(tmp_path):
     sidecar = json.loads((tmp_path / "img.pgm.json").read_text())
     assert np.isclose(sidecar["min"], img.min())
     assert np.isclose(sidecar["max"], img.max())
+    with pytest.raises(ValueError, match=r"^pgm wants a 2-d image, got shape \(16,\)$"):
+        write_pgm(tmp_path / "row.pgm", img[0])
 
 
 def test_task_config_validation():

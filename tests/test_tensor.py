@@ -55,6 +55,12 @@ def test_blob_errors(tmp_path):
     with pytest.raises(BlobFormatError, match="payload"):
         read_tensor(truncated)
 
+    # cut inside the version and rank, then inside the second of the two dims
+    for cut, problem in ((6, "truncated header"), (20, "truncated dims")):
+        truncated.write_bytes(bytes(raw[:cut]))
+        with pytest.raises(BlobFormatError, match=f"short.tnsb: {problem}$"):
+            read_tensor(truncated)
+
 
 def test_ensure_finite_reports_position():
     arr = np.array([1.0, np.nan, 2.0])
@@ -70,7 +76,9 @@ def test_as_tensor_contiguous_float64():
 
 
 def refusal(name, domain, value):
-    return f"^{re.escape(f'{name} must be finite and {domain}, got {value!r}')}$"
+    text = (f"{name}: expected a finite number, got {value!r}" if domain is None
+            else f"{name} must be finite and {domain}, got {value!r}")
+    return f"^{re.escape(text)}$"
 
 
 @pytest.mark.parametrize("domain, inside, outside", [
@@ -87,9 +95,11 @@ def test_as_real_reads_a_named_domain(domain, inside, outside):
 
 
 X, REFERENCE = np.full(3, 0.1), np.zeros(3)
-# every scalar setting a builder reads through as_real: (name, domain, the
-# value as the builder stores it, or psnr's result for its peak)
+# every scalar setting a builder reads through as_real: (name, domain or None,
+# the value as the builder stores it, or psnr's result for its peak)
 SETTINGS = {
+    "scaled identity scale": ("scaled identity scale", None,
+                              lambda v: er.ScaledIdentity((2,), v).scale),
     "geometry detector_spacing": ("detector_spacing", "positive", lambda v: er.RadonGeometry(
         image_side=8, n_angles=4, n_bins=12, detector_spacing=v).detector_spacing),
     "geometry scale": ("scale", "positive", lambda v: er.RadonGeometry(
@@ -116,10 +126,46 @@ def test_scalar_setting_is_read_as_a_float_or_refused_naming_it(site):
     name, domain, build = SETTINGS[site]
     stored = build(np.float32(0.375))
     assert type(stored) is float and stored == build(0.375)
-    below = -0.5 if domain == "positive" else -1e-300
-    for value in (True, "0.5", np.nan, np.inf, -np.inf, 10 ** 400, below) + (
-            (1.5,) if domain == "within [0, 1]" else ()):
+    outside = {None: (), "positive": (-0.5,), "nonnegative": (-1e-300,),
+               "within [0, 1]": (-1e-300, 1.5)}[domain]
+    for value in (True, "0.5", (0.5,), np.nan, np.inf, -np.inf, 10 ** 400) + outside:
         with pytest.raises(ValueError, match=refusal(name, domain, value)):
+            build(value)
+
+
+GEOMETRY = {"image_side": 8, "n_angles": 4, "n_bins": 12}
+
+
+def conv_network(**sizes):
+    return er.random_admissible(0, er.ConvPoolDenseTemplate(
+        **{"side": 8, "filters": 2, "kernel": 3, "pool": 4, "hidden": 2, **sizes}))
+
+
+# every count a builder reads through as_count at least 1: (name, the count as
+# the builder stores it, or the size the network it draws has)
+COUNTS = {
+    **{f"geometry {name}": (name, lambda v, name=name: getattr(
+        er.RadonGeometry(**{**GEOMETRY, name: v}), name)) for name in GEOMETRY},
+    "template side": ("side", lambda v: conv_network(side=v).input_shape[0]),
+    "template filters": ("filters", lambda v: len(conv_network(filters=v).layers[0].skip.filters)),
+    "template kernel": ("kernel",
+                        lambda v: conv_network(kernel=v).layers[0].skip.filters.shape[-1]),
+    "template pool": ("pool", lambda v: conv_network(pool=v).layers[1].carry.parts[0].pool[0]),
+    "template hidden": ("hidden", lambda v: conv_network(hidden=v).head.size),
+}
+
+
+@pytest.mark.parametrize("site", COUNTS)
+def test_count_is_read_as_an_int_or_refused_naming_it(site):
+    # a template's bool or fraction failed inside numpy with a TypeError naming no field
+    name, build = COUNTS[site]
+    assert build(np.int64(4)) == build(4.0) == 4
+    for value in (True, 2.5, "4", None):
+        with pytest.raises(ValueError,
+                           match=f"^{name}: expected an integer, got {re.escape(repr(value))}$"):
+            build(value)
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=f"^{name}: must be at least 1, got {value}$"):
             build(value)
 
 
