@@ -167,18 +167,16 @@ class Instance:
             else _value(budget_override, CONFIG["budget"], "--budget")
         task = self.config["task"]
         kind, side = task["kind"], task["image_side"]
-        if side < 8:  # the phantoms' minimum, refused before the network is built
-            raise ConfigError(f"task image_side: must be at least 8, got {side}")
-        weights = _build_weights(self.config["weights"], side, self.seed + SEEDS["weights"])
         measured = {f.name: task[f.name] for f in dataclasses.fields(tasks_mod.TaskConfig)
                     if f.name in task}  # kind, image_side and the kind's own fields
-        with _refused("task"):
+        with _refused("task"):  # the phantom refuses a side too small, before the network
             self.ground_truth = tasks_mod.make_phantom(task["phantom"], side,
                                                        self.seed + SEEDS["phantom"])
             geometry = tasks_mod.ct_geometry(side, task["n_angles"], task["n_bins"]) \
                 if kind == "ct" else None
             task_config = tasks_mod.TaskConfig(geometry=geometry,
                                                seed=self.seed + SEEDS["noise"], **measured)
+        weights = _build_weights(self.config["weights"], side, self.seed + SEEDS["weights"])
         lam = task["lam"] if kind == "denoise_salt_pepper" else None
         with _refused("task gamma" if lam is None else "task gamma or lam"):
             self.problem, self.init_x = tasks_mod.build_problem(

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import linops
-from .tensor import (NonFiniteError, as_array, as_count, as_shape, as_tensor, check_shape,
-                     read_tensor, write_tensor)
+from .tensor import (NonFiniteError, as_array, as_count, as_real, as_shape, as_tensor,
+                     check_shape, read_tensor, write_tensor)
 
 
 class AdmissibilityError(ValueError):
@@ -43,6 +43,8 @@ class Activation:
         if self.kind not in ("relu", "leaky_relu", "identity"):
             raise ValueError(f"unknown activation kind {self.kind!r}")
         leaky = self.kind == "leaky_relu"
+        if leaky:
+            object.__setattr__(self, "alpha", as_real(self.alpha, "leaky_relu alpha"))
         if not (0.0 <= self.alpha < 1.0 if leaky else self.alpha == 0.0):
             raise ValueError(f"{self.kind} alpha must {'lie in [0, 1)' if leaky else 'be 0'}, "
                              f"got {self.alpha!r}")
@@ -349,6 +351,10 @@ def random_admissible(seed: int, template) -> IcnnSpec:
 
 
 def _random_dense(rng, tpl: DenseTemplate) -> IcnnSpec:
+    tpl = replace(tpl, **{name: as_count(getattr(tpl, name), 1, name)  # named before the draws
+                          for name in ("input_dim", "readout_dim")},
+                  hidden_dims=as_shape(tpl.hidden_dims, "hidden_dims", 1),
+                  hidden_alpha=as_real(tpl.hidden_alpha, "hidden_alpha"))
     dims = list(tpl.hidden_dims) + [tpl.readout_dim]
     layers = []
     prev = None

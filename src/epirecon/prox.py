@@ -205,5 +205,6 @@ def kl_conjugate_prox(wbar, sigma, counts, background):
     counts = as_array(counts, "counts", "nonnegative")
     background = as_array(background, "background", "nonnegative")
     out = _out(wbar, sigma, counts, background)
-    return kl_conjugate_kernel(sigma, counts, background, out.shape)(wbar, out)
+    with np.errstate(over="ignore", invalid="ignore"):  # the a > 0 root overwrites a^2
+        return kl_conjugate_kernel(sigma, counts, background, out.shape)(wbar, out)
 

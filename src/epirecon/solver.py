@@ -23,7 +23,7 @@ from . import prox
 from .blocks import BlockAssembly, BlockOperator, assemble_blocks, split
 from .icnn import IcnnSpec, require_admissible
 from .linops import DiagonalMask
-from .tensor import as_array, as_count, as_real, as_tensor, check_shape
+from .tensor import as_array, as_count, as_real, check_shape
 
 
 class CertificationError(ValueError):
@@ -120,12 +120,10 @@ class L2Fidelity(Fidelity):
 class KLFidelity(Fidelity):
     """Poisson term sum(A x + b - y) + y.log(y / (A x + b)); no primal prox, no weight."""
 
+    weight: float = field(default=1.0, init=False)
     background: np.ndarray = None
 
     def __post_init__(self):
-        super().__post_init__()  # refuses a bool, which equals 1.0
-        if self.weight != 1.0:
-            raise ValueError(f"kl fidelity takes no weight, got {self.weight}")
         if self.background is None:
             raise ValueError("kl fidelity needs a background level")
 
@@ -159,11 +157,8 @@ class KLFidelity(Fidelity):
         return prox.kl_conjugate_kernel(sigma, y, self.background, y.shape)
 
 
-l1_fidelity, l2_fidelity = L1Fidelity, L2Fidelity  # each takes its weight
-
-
-def kl_fidelity(background):
-    return KLFidelity(background=background)
+# L1 and L2 take their weight, KL its background
+l1_fidelity, l2_fidelity, kl_fidelity = L1Fidelity, L2Fidelity, KLFidelity
 
 
 @dataclass(frozen=True)
@@ -313,6 +308,7 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norm_seed=None) -> 
         raise ValueError(f"need {nblocks} dual scales, got {len(scales)}")
 
     sigma = []
+    terms = [[] for _ in assembly.primal_shapes]  # (row-width * sigma, norm) per slot
     for bi, block in enumerate(assembly.blocks):
         peak = max(norms[(bi, 0, ei)] for ei in range(len(block.operator.rows[0])))
         try:
@@ -324,22 +320,17 @@ def compute_step_sizes(assembly: BlockAssembly, scales=None, norm_seed=None) -> 
                 f"dual block {bi} ({block.kind}): sigma = scale {scales[bi]} / norm "
                 f"bound {peak} squared is not a float in (0, inf)", block=bi)
         sigma.append(step)
-    terms = [[] for _ in assembly.primal_shapes]  # (row-width * sigma, norm) per slot
-    for bi, block in enumerate(assembly.blocks):
         for ri, row in enumerate(block.operator.rows):
             for ei, (slot, _) in enumerate(row):
-                terms[slot].append((len(row) * sigma[bi], norms[(bi, ri, ei)]))
+                terms[slot].append((len(row) * step, norms[(bi, ri, ei)]))
     tau = []
     certificates = {}
     for slot, slot_terms in enumerate(terms):
         denom = sum(w * b * b for w, b in slot_terms)
-        if denom <= 0.0:  # assemble_blocks touches every slot, so its terms are 0
-            raise CertificationError(f"primal slot {slot}: the row-width * sigma * norm^2 "
-                                     f"terms on it sum to 0, so tau = 1 / 0")
-        tau.append(1.0 / denom)
+        tau.append(1.0 / denom if denom > 0.0 else np.inf)
         if not 0.0 < tau[slot] < np.inf:
-            raise CertificationError(f"primal slot {slot}: tau = 1 / {denom} is not "
-                                     f"a float in (0, inf)")
+            raise CertificationError(f"primal slot {slot}: tau = 1 / {denom} (its row-width * "
+                                     f"sigma * norm^2 sum) is not a float in (0, inf)")
         value = tau[slot] * denom
         if not value <= 1.0 + 1e-9:
             raise CertificationError(
@@ -418,7 +409,7 @@ def default_initial_image(problem: ProblemSpec) -> np.ndarray:
 def initial_state(problem: ProblemSpec, assembly: BlockAssembly,
                   init_x=None) -> SaddleState:
     """Feasible start: trace auxiliaries at the initial image, zero duals."""
-    x0 = as_tensor(init_x) if init_x is not None else default_initial_image(problem)
+    x0 = as_array(init_x, "init_x") if init_x is not None else default_initial_image(problem)
     _, trace = icnn_mod.forward(problem.regularizer, x0)  # checks x0's shape
     duals = [[np.zeros(s) for s in block.operator.output_shapes] for block in assembly.blocks]
     return SaddleState(x=x0, z=[t.copy() for t in trace], duals=duals)
@@ -561,12 +552,14 @@ def pdhg_solve(problem: ProblemSpec, steps: StepSizes = None, *, budget: int,
     run on the block assembly they were certified on, which must have been
     built for this problem's regularizer and dualized forward map (the
     same objects). metrics_every controls how often objectives are
-    evaluated; the final iterate is always recorded. A supplied init state,
-    of the plan's array count and shapes, is only read; the returned state
-    owns its arrays, so it can be the init of a later call that continues it.
+    evaluated; the final iterate is always recorded. A run starts at init_x or
+    at an init state of the plan's array count and shapes, which is only read;
+    the returned state owns its arrays, so it can be a later call's init.
     """
     budget = as_count(budget, 1, "budget")
     metrics_every = as_count(metrics_every, 0, "metrics_every")
+    if init is not None and init_x is not None:
+        raise ValueError("pdhg_solve starts at init or at init_x, not both")
     if steps is None:
         steps = compute_step_sizes(assemble_problem(problem))
     assembly = steps.assembly
@@ -635,7 +628,7 @@ def subgradient_solve(problem: ProblemSpec, mode, *, budget: int, init_x=None,
     """
     budget = as_count(budget, 1, "budget")
     metrics_every = as_count(metrics_every, 0, "metrics_every")
-    x = as_tensor(init_x) if init_x is not None else default_initial_image(problem)
+    x = as_array(init_x, "init_x") if init_x is not None else default_initial_image(problem)
     metrics = RunMetrics(ground_truth)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing objective records inf
         for k in range(budget + 1):

@@ -15,7 +15,7 @@ import numpy as np
 from .linops import DiagonalMask
 from .radon import Radon, RadonGeometry, ramp_filter
 from .solver import ProblemSpec, kl_fidelity, l1_fidelity, l2_fidelity
-from .tensor import as_array, as_real, as_tensor, check_shape
+from .tensor import as_array, as_count, as_real, as_tensor, check_shape
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class TaskConfig:
     def __post_init__(self):
         if self.kind not in ("denoise_salt_pepper", "inpaint", "ct"):
             raise ValueError(f"unknown task kind {self.kind!r}")
+        object.__setattr__(self, "image_side", as_count(self.image_side, 1, "image_side"))
         for name, domain in (("sp_density", "within [0, 1]"), ("mask_fraction", "within [0, 1]"),
                              ("gaussian_sigma", "nonnegative"), ("background", "nonnegative"),
                              ("poisson_scale", "positive")):
@@ -61,8 +62,7 @@ def ct_geometry(side: int, n_angles: int = None, n_bins: int = None) -> RadonGeo
 
 def make_phantom(kind: str, side: int, seed: int = 0) -> np.ndarray:
     """Deterministic test image in [0, 1]."""
-    if side < 8:
-        raise ValueError(f"side must be >= 8, got {side}")
+    side = as_count(side, 8, "image_side")
     if kind == "checker":
         block = max(1, side // 8)
         idx = np.arange(side) // block

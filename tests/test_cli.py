@@ -517,6 +517,15 @@ def test_dense_weights_arch_is_unknown(tmp_path):
     assert main(["solve", str(path)]) == 2
 
 
+def test_task_is_read_before_the_network(tmp_path, capsys):
+    # the phantom refuses a side below 8 before a missing weights file is opened
+    cfg = denoise_config(tmp_path, "out_side", budget=5)
+    cfg["task"]["image_side"] = 5
+    cfg["weights"] = {"path": str(tmp_path / "missing")}
+    assert main(["solve", str(write_config(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err == "error: task: image_side: must be at least 8, got 5\n"
+
+
 def test_weights_path_input_shape_must_match_image(tmp_path):
     for side in (8, 16):
         spec = er.random_admissible(3, er.ConvPoolDenseTemplate(

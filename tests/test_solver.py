@@ -104,8 +104,78 @@ def test_step_sizes_outside_the_float_range_fail_certification(weight, scales, w
                                budget=1)], ids=["compute_step_sizes", "pdhg_solve"])
 def test_step_sizes_refuse_a_slot_whose_norm_bounds_are_0(solve):
     # the zero skip touches the image, but with bound 0: tau would be 1 / 0
-    with pytest.raises(CertificationError, match=r"^primal slot 0: .* sum to 0, so tau = 1 / 0$"):
+    with pytest.raises(CertificationError, match=r"^primal slot 0: tau = 1 / 0\.0 \(its row-width "
+                       r"\* sigma \* norm\^2 sum\) is not a float in \(0, inf\)$"):
         solve(scalar_chain_spec(v0=0.0))
+
+
+def reference_steps(assembly, scales):
+    """compute_step_sizes' docstring rule in Python floats, from the certified
+    norms: (sigma, tau, certificates), or ("block" or "slot", index) of the
+    first step outside (0, inf)."""
+    norms = solver_mod.certify_norms(assembly)
+    entries = [(bi, ri, len(row), slot, norms[(bi, ri, ei)])  # block, row, width, slot, norm
+               for bi, block in enumerate(assembly.blocks)
+               for ri, row in enumerate(block.operator.rows)
+               for ei, (slot, _) in enumerate(row)]
+    sigma = []
+    for bi, scale in enumerate(scales):
+        peak = max(bound for b, ri, _, _, bound in entries if (b, ri) == (bi, 0))
+        try:
+            step = scale / peak ** 2 if peak > 0.0 else scale
+        except (OverflowError, ZeroDivisionError):
+            return "block", bi
+        if not 0.0 < step < math.inf:
+            return "block", bi
+        sigma.append(step)
+    tau, certificates = [], {}
+    for slot in range(len(assembly.primal_shapes)):
+        terms = tuple((width * sigma[bi], bound)
+                      for bi, _, width, s, bound in entries if s == slot)
+        denom = sum(w * b * b for w, b in terms)
+        if not (denom > 0.0 and 0.0 < 1.0 / denom < math.inf):
+            return "slot", slot
+        tau.append(1.0 / denom)
+        certificates[slot] = (tau[slot] * denom, terms)
+    return sigma, tau, certificates
+
+
+def scaled_dense_network(rng, factor):
+    """A random admissible dense network with its skip and carry matrices times factor."""
+    spec = er.random_admissible(int(rng.integers(1 << 30)), er.DenseTemplate(
+        input_dim=int(rng.integers(1, 5)), readout_dim=int(rng.integers(1, 4)),
+        hidden_dims=tuple(rng.integers(1, 5, rng.integers(1, 4))), skip_all=bool(rng.integers(2))))
+    scaled = lambda op: None if op is None else er.Dense(op.matrix * factor)
+    return replace(spec, layers=[replace(layer, skip=scaled(layer.skip), carry=scaled(layer.carry))
+                                 for layer in spec.layers])
+
+
+@pytest.mark.parametrize("peak, scale_exponents", [(1.0, (-20.0, 3.0)), (1e154, (-3.0, 3.0)),
+                                                    (1e-162, (-322.0, -300.0))])
+def test_step_sizes_equal_their_rule_in_python_floats_bitwise(peak, scale_exponents):
+    # sigma and the slot terms are collected in one walk of the blocks; near
+    # 1e154 a squared peak overflows and near 1e-162 it underflows, and tiny
+    # sigmas push tau out of range, so refusals of both kinds are compared too
+    rng = np.random.default_rng(int(-math.log10(peak)) + 200)
+    outcomes = []
+    for _ in range(10):
+        assembly = assemble_blocks(scaled_dense_network(rng, peak * 10.0 ** rng.uniform(-1.0, 1.0)))
+        scales = [float(s) for s in 10.0 ** rng.uniform(*scale_exponents, len(assembly.blocks))]
+        expected = reference_steps(assembly, scales)
+        outcomes.append(expected[0] if isinstance(expected[0], str) else "steps")
+        if outcomes[-1] == "steps":
+            steps = compute_step_sizes(assembly, scales=scales)
+            # repr round-trips a float, so equal reprs are equal bits
+            assert repr((steps.sigma, steps.tau, steps.certificates)) == \
+                repr((tuple(expected[0]), tuple(expected[1]), expected[2]))
+            continue
+        with pytest.raises(CertificationError) as info:
+            compute_step_sizes(assembly, scales=scales)
+        where, index = expected
+        assert str(info.value).startswith(f"dual block {index} " if where == "block"
+                                          else f"primal slot {index}: tau = 1 / ")
+        assert info.value.block == (index if where == "block" else None)
+    assert "steps" in outcomes, outcomes
 
 
 def test_step_sizes_reject_wrong_scale_count():
@@ -434,6 +504,24 @@ SOLVES = {"pdhg": er.pdhg_solve,
 
 
 @pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES)
+def test_solvers_refuse_a_non_finite_start_naming_init_x(solve):
+    # a NaN start ran and ended in a DivergenceError blaming the primal image at
+    # iteration 0 (PDHG) or the subgradient iterate at iteration 1
+    problem = er.ProblemSpec(er.l2_fidelity(), None, np.array([0.7]), 1.0, make_relu_1d())
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteError, match=r"^init_x: non-finite entry at flat index 0$"):
+            solve(problem, budget=1, init_x=np.array([bad]))
+
+
+def test_pdhg_refuses_init_together_with_init_x():
+    # a given init state used to win, and init_x was dropped without a word
+    problem = er.ProblemSpec(er.l2_fidelity(), None, np.array([0.7]), 1.0, make_relu_1d())
+    state, _ = er.pdhg_solve(problem, budget=1)
+    with pytest.raises(ValueError, match=r"^pdhg_solve starts at init or at init_x, not both$"):
+        er.pdhg_solve(problem, budget=1, init=state, init_x=np.array([0.5]))
+
+
+@pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES)
 def test_solvers_refuse_counts_that_int_would_take(solve):
     # a bool or a fraction ran (budget=True as 1 iteration, metrics_every=2.5
     # recorded 0, 5 and 10), budget=2.5 was a TypeError of range(), and a
@@ -747,16 +835,15 @@ def test_the_forward_map_picks_the_data_terms_block(role):
     assert np.all(np.isfinite(state.x))
 
 
-def test_kl_fidelity_refuses_a_bool_weight():
-    # True == 1.0, so the "takes no weight" comparison alone let it through
-    with pytest.raises(ValueError,
-                       match=r"^fidelity weight must be finite and positive, got True$"):
-        KLFidelity(True, background=np.array([1.0]))
+def test_kl_fidelity_takes_no_weight():
+    # its weight is fixed at 1, not a setting: passing one, even 1.0, is an error
+    for weight in (True, 1.0, 2.0):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'weight'"):
+            KLFidelity(weight=weight, background=np.array([1.0]))
+    assert KLFidelity(background=np.array([1.0])).weight == 1.0
 
 
 def test_settings_the_code_would_ignore_are_refused():
-    with pytest.raises(ValueError, match="kl fidelity takes no weight, got 2.0"):
-        KLFidelity(2.0, background=np.array([1.0]))
     for kind, alpha in (("relu", 0.5), ("identity", np.nan), ("relu", "x")):
         with pytest.raises(ValueError, match=f"{kind} alpha must be 0"):
             er.Activation(kind, alpha)

@@ -33,6 +33,17 @@ def test_phantoms_deterministic_and_in_range():
         er.make_phantom("noise", 16)
 
 
+def test_phantom_reads_its_side_as_a_count_of_at_least_8():
+    # 8.5 used to give a 9 x 9 image, and True was compared as 1
+    for side in (8.5, True, "16"):
+        with pytest.raises(ValueError, match=rf"^image_side: expected an integer, got {side!r}$"):
+            er.make_phantom("checker", side)
+    with pytest.raises(ValueError, match=r"^image_side: must be at least 8, got 7$"):
+        er.make_phantom("smooth_blobs", 7)
+    assert er.make_phantom("checker", np.int64(8)).tobytes() == \
+        er.make_phantom("checker", 8.0).tobytes() == er.make_phantom("checker", 8).tobytes()
+
+
 def test_denoise_zero_density_is_identity():
     x = er.make_phantom("smooth_blobs", 16, 0)
     cfg = er.TaskConfig(kind="denoise_salt_pepper", image_side=16, sp_density=0.0, seed=1)

@@ -118,6 +118,9 @@ SETTINGS = {
                             ("gaussian_sigma", "nonnegative"), ("background", "nonnegative"),
                             ("poisson_scale", "positive"))},
     "psnr peak": ("peak", "positive", lambda v: er.psnr(X, REFERENCE, peak=v)),
+    "leaky_relu alpha": ("leaky_relu alpha", None, lambda v: er.Activation("leaky_relu", v).alpha),
+    "dense hidden_alpha": ("hidden_alpha", None, lambda v: er.random_admissible(
+        0, er.DenseTemplate(2, (3,), hidden_alpha=v)).layers[0].activation.alpha),
 }
 
 
@@ -141,6 +144,11 @@ def conv_network(**sizes):
         **{"side": 8, "filters": 2, "kernel": 3, "pool": 4, "hidden": 2, **sizes}))
 
 
+def dense_network(**sizes):
+    return er.random_admissible(0, er.DenseTemplate(**{"input_dim": 2, "hidden_dims": (3,),
+                                                       **sizes}))
+
+
 # every count a builder reads through as_count at least 1: (name, the count as
 # the builder stores it, or the size the network it draws has)
 COUNTS = {
@@ -152,6 +160,12 @@ COUNTS = {
                         lambda v: conv_network(kernel=v).layers[0].skip.filters.shape[-1]),
     "template pool": ("pool", lambda v: conv_network(pool=v).layers[1].carry.parts[0].pool[0]),
     "template hidden": ("hidden", lambda v: conv_network(hidden=v).head.size),
+    "dense input_dim": ("input_dim", lambda v: dense_network(input_dim=v).input_shape[0]),
+    "dense hidden_dims": ("hidden_dims",
+                          lambda v: dense_network(hidden_dims=(3, v)).layers[1].bias.size),
+    "dense readout_dim": ("readout_dim", lambda v: dense_network(readout_dim=v).head.size),
+    "task image_side": ("image_side", lambda v: er.TaskConfig(
+        kind="denoise_salt_pepper", image_side=v).image_side),
 }
 
 
