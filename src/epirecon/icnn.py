@@ -38,6 +38,7 @@ class Activation:
 
     kind: str
     alpha: float = 0.0
+    negative_slope: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("relu", "leaky_relu", "identity"):
@@ -48,14 +49,8 @@ class Activation:
         if not (0.0 <= self.alpha < 1.0 if leaky else self.alpha == 0.0):
             raise ValueError(f"{self.kind} alpha must {'lie in [0, 1)' if leaky else 'be 0'}, "
                              f"got {self.alpha!r}")
-
-    @property
-    def negative_slope(self) -> float:
-        if self.kind == "relu":
-            return 0.0
-        if self.kind == "leaky_relu":
-            return self.alpha
-        return 1.0
+        object.__setattr__(self, "negative_slope",
+                           self.alpha if leaky else float(self.kind == "identity"))
 
     def __call__(self, t: np.ndarray, out=None) -> np.ndarray:
         """max(t, a t) for a > 0, else t * (t > 0): in two passes the bits of

@@ -9,7 +9,7 @@ operator norm; estimate_norm is a lower-bound diagnostic.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -196,7 +196,9 @@ class AvgPool2D(LinOp):
         self.pool = (ph, pw)
         self.input_shape = input_shape
         self.output_shape = input_shape[:-2] + (h // ph, w // pw)
-        self.norm_bound = 1.0 / np.sqrt(ph * pw)
+        area = ph * pw  # a power of 4 is the only area whose 1/sqrt rounds exactly
+        exact = area & (area - 1) == 0 and area.bit_length() % 2
+        self.norm_bound = 1.0 / np.sqrt(area) if exact else pad_bound(1.0 / np.sqrt(area))
 
     def _apply(self, x):
         """mean over the window axes in numpy's order for a C-contiguous x: each
@@ -412,11 +414,7 @@ def op_to_config(op, save_blob):
     if isinstance(op, Compose):
         return {"kind": op.kind, "parts": [op_to_config(p, save_blob) for p in op.parts]}
     if op.kind == "radon":
-        g = op.geometry
-        return {"kind": "radon", "geometry": {
-            "image_side": g.image_side, "n_angles": g.n_angles, "n_bins": g.n_bins,
-            "detector_spacing": g.detector_spacing, "scale": g.scale,
-            "angles": list(g.angles)}}
+        return {"kind": "radon", "geometry": asdict(op.geometry)}
     raise ValueError(f"cannot serialize operator kind {op.kind!r}")
 
 
@@ -438,10 +436,7 @@ def op_from_config(cfg, load_blob):
         return Compose([op_from_config(p, load_blob) for p in cfg["parts"]])
     if kind == "radon":
         from .radon import Radon, RadonGeometry
-        g = cfg["geometry"]
-        geom = RadonGeometry(image_side=g["image_side"], n_angles=g["n_angles"],
-                             n_bins=g["n_bins"], detector_spacing=g["detector_spacing"],
-                             scale=as_real(g["scale"], "scale"),  # null: no default here
-                             angles=tuple(g["angles"]))
-        return Radon(geom)
+        g = {f.name: cfg["geometry"][f.name] for f in fields(RadonGeometry)}
+        g.update(scale=as_real(g["scale"], "scale"), angles=tuple(g["angles"]))  # null: no default
+        return Radon(RadonGeometry(**g))
     raise ValueError(f"unknown operator kind {kind!r}")

@@ -101,11 +101,13 @@ def readout_kernel(sigma, cap, bias=0.0, negative_slope=0.0):
 def kl_conjugate_kernel(sigma, counts, background, shape):
     """kernel(wbar, out) of kl_conjugate_prox at step sigma on arrays of `shape`; out may
     be wbar. Where a = wbar - 1 + sigma*bg > 0 the root is taken without cancellation,
-    as 1 - 2*sigma*counts / (a + sqrt(a^2 + 4*sigma*counts)), from halves that do not overflow."""
+    as 1 - 2*sigma*counts / (a + sqrt(a^2 + 4*sigma*counts)), from halves that do not overflow;
+    where a^2 overflows with a < 0, as 1 + a/2 - hypot(a/2, sqrt(sigma*counts))."""
     shift = sigma * background
     spread = 4.0 * sigma * counts
     half = np.sqrt(sigma * counts)  # sqrt(spread) / 2
-    a, root, ahead = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    a, root = np.empty(shape), np.empty(shape)
+    ahead, huge = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
 
     def kernel(wbar, out):
         np.subtract(wbar, 1.0, out=a)
@@ -117,10 +119,12 @@ def kl_conjugate_kernel(sigma, counts, background, shape):
         np.add(out, shift, out=out)
         np.subtract(out, root, out=out)
         np.multiply(out, 0.5, out=out)
-        if not np.greater(a, 0.0, out=ahead).any():
+        if not (np.greater(a, 0.0, out=ahead).any() | np.isinf(root, out=huge).any()):
             return out
         np.multiply(a, 0.5, out=a)
         np.hypot(a, half, out=root)
+        np.subtract(a, root, out=out, where=huge)
+        np.add(out, 1.0, out=out, where=huge)
         np.add(a, root, out=a)  # (a + sqrt(a^2 + spread)) / 2
         np.divide(spread, a, out=a, where=ahead)
         np.multiply(a, 0.25, out=a, where=ahead)

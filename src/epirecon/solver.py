@@ -389,18 +389,16 @@ class RunMetrics:
 # --- initialization -----------------------------------------------------------
 
 def default_initial_image(problem: ProblemSpec) -> np.ndarray:
-    """Measurement itself for (masked) identity forwards, else a
-    least-squares-scaled backprojection."""
-    if problem.forward is None:
-        x0 = problem.measurement.copy()
-    elif isinstance(problem.forward, DiagonalMask):
-        x0 = problem.forward.adjoint(problem.measurement)
-    else:
-        bp = problem.adjoint_forward(problem.measurement)
-        resp = problem.apply_forward(bp)
-        denom = float(np.vdot(resp, resp))
-        scale = float(np.vdot(resp, problem.measurement)) / denom if denom > 0.0 else 0.0
-        x0 = scale * bp
+    """A* y scaled by s = <A A* y, y> / |A A* y|^2, exactly 1 for the identity and a 0/1 mask.
+    Both products read copies scaled by powers of 2 into [-1, 1] and the image takes the power
+    back, so neither they nor s leave the float range; normal-range values keep their bits."""
+    bp = problem.adjoint_forward(problem.measurement)
+    resp = problem.apply_forward(bp)
+    kr, ky = (np.frexp(np.abs(v).max())[1] for v in (resp, problem.measurement))
+    r, y = np.ldexp(resp, -kr), np.ldexp(problem.measurement, -ky)
+    denom = float(np.vdot(r, r))
+    scale = float(np.vdot(r, y)) / denom if denom > 0.0 else 0.0
+    x0 = np.ldexp(scale * bp, ky - kr)
     if problem.nonneg:
         x0 = np.maximum(x0, 0.0)
     return x0

@@ -238,19 +238,14 @@ def default_operator_set(seed=0):
             linops.Dense(rng.standard_normal((3, 16)), input_shape=(4, 4))])),
         ("radon_16x16", Radon(RadonGeometry(image_side=16, n_angles=12, n_bins=24))),
     ]
-    net = random_admissible(seed + 1, ConvPoolDenseTemplate(
-        side=8, filters=2, kernel=3, pool=4, hidden=4))
-    assembly = assemble_blocks(net, forward=Radon(
-        RadonGeometry(image_side=8, n_angles=6, n_bins=13)))
-    for i, block in enumerate(assembly.blocks):
-        ops.append((f"block_{block.kind}_{i}", block.operator.flat()))
-    deep = random_admissible(seed + 2, DenseTemplate(
-        input_dim=4, hidden_dims=(4, 4), readout_dim=2, skip_all=True,
-        residual_layers=(2,)))
-    deep_assembly = assemble_blocks(deep)
-    for i, block in enumerate(deep_assembly.blocks):
-        ops.append((f"dense_block_{block.kind}_{i}", block.operator.flat()))
-    return ops
+    conv = assemble_blocks(random_admissible(seed + 1, ConvPoolDenseTemplate(
+        side=8, filters=2, kernel=3, pool=4, hidden=4)),
+        forward=Radon(RadonGeometry(image_side=8, n_angles=6, n_bins=13)))
+    deep = assemble_blocks(random_admissible(seed + 2, DenseTemplate(
+        input_dim=4, hidden_dims=(4, 4), readout_dim=2, skip_all=True, residual_layers=(2,))))
+    return ops + [(f"{prefix}block_{block.kind}_{i}", block.operator.flat())
+                  for prefix, assembly in (("", conv), ("dense_", deep))
+                  for i, block in enumerate(assembly.blocks)]
 
 
 def adjoint_suite(named_ops=None, pairs=100, seed=0):

@@ -1,6 +1,7 @@
 import functools
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -499,3 +500,16 @@ def test_activation_domain():
         er.Activation("softplus")
     assert er.Activation("leaky_relu", 0.2).negative_slope == 0.2
     assert er.Activation("identity").negative_slope == 1.0
+
+
+def test_activation_slope_is_set_with_its_kind():
+    leaky = er.Activation("leaky_relu", 0.2)
+    assert [er.Activation(k).negative_slope for k in ("relu", "identity")] == [0.0, 1.0]
+    assert replace(leaky, alpha=0.3).negative_slope == 0.3
+    assert replace(leaky, kind="relu", alpha=0.0).negative_slope == 0.0
+    assert replace(leaky, kind="identity", alpha=0.0).negative_slope == 1.0
+    # the slope is derived: no init argument, and no part of repr, equality or hash
+    assert repr(leaky) == "Activation(kind='leaky_relu', alpha=0.2)"
+    assert leaky == er.Activation("leaky_relu", 0.2) and hash(leaky) == hash(("leaky_relu", 0.2))
+    with pytest.raises(TypeError):
+        er.Activation("relu", 0.0, 0.0)

@@ -1,4 +1,6 @@
+import itertools
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -108,6 +110,18 @@ def test_conv2d_refuses_a_kernel_with_a_zero_side(filters_shape):
         er.Conv2D(np.zeros(filters_shape), (4, 4))
 
 
+def test_avgpool_bound_is_never_below_its_exact_norm():
+    # 1/np.sqrt(ph*pw) rounds up to 1.1e-16 below 1/sqrt(ph*pw) on 25 of these sizes;
+    # only a power-of-4 area rounds exactly, and only there is the bound unpadded
+    for ph, pw in itertools.product(range(1, 9), repeat=2):
+        bound = er.AvgPool2D((ph, pw), (ph, pw)).norm_bound
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = 1 / Decimal(ph * pw).sqrt()
+            assert exact <= Decimal(bound) <= exact * (1 + Decimal(2e-12)), (ph, pw)
+        assert (Decimal(bound) == exact) == (ph * pw in (1, 4, 16, 64)), (ph, pw)
+
+
 def test_avgpool_rejects_non_divisible():
     with pytest.raises(ValueError, match="does not divide"):
         er.AvgPool2D(3, (8, 8))
@@ -182,6 +196,14 @@ def test_conv2d_adjoint_matches_materialized_transpose(rng, filters_shape, input
     w = rng.standard_normal(op.output_shape)
     expected = (mat.T @ w.ravel()).reshape(op.input_shape)
     assert np.max(np.abs(op.adjoint(w) - expected)) <= 1e-12
+
+
+def test_default_operator_set_names():
+    assert [name for name, _ in default_operator_set(0)] == [
+        "dense_7x5", "conv2d_2f3x3", "conv2d_even2x2", "conv2d_multi_in", "avgpool_2x2",
+        "diagonal_mask", "scaled_identity", "compose_pool_dense", "radon_16x16",
+        "block_fidelity_0", "block_epigraph_1", "block_readout_2",
+        "dense_block_epigraph_0", "dense_block_epigraph_1", "dense_block_readout_2"]
 
 
 def test_apply_adjoint_output_layout(rng):

@@ -194,8 +194,10 @@ def test_kl_conjugate_is_exact_and_below_1_across_magnitudes():
 
 def test_kl_conjugate_does_not_overflow_where_its_square_does():
     # a = 1e300 - 1: a^2 overflows, a hypot of the halves does not; the
-    # overwritten square raises no warning (RuntimeWarnings are errors here)
-    for wbar, counts in ((1e300, 5e300), (1.5e308, 1e300)):
+    # overwritten square raises no warning (RuntimeWarnings are errors here);
+    # with a below about -1.3e154 the closed form's root was inf and the result -inf
+    for wbar, counts in ((1e300, 5e300), (1.5e308, 1e300), (-1e200, 5.0), (-1.4e154, 5.0),
+                         (-1e200, 1e300), (-1e160, 1e300)):
         got = prox.kl_conjugate_prox(np.array([wbar]), 1.0, counts, 0.0)[0]
         exact = kl_root(wbar, 1.0, counts, 0.0)
         assert abs(Decimal(got) - exact) <= Decimal(1e-14) * abs(exact)

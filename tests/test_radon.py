@@ -1,11 +1,14 @@
+import json
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import epirecon as er
 from epirecon import radon
+from epirecon.icnn import WeightsFormatError
 from epirecon.linops import LinOp, pad_bound
 from epirecon.radon import Radon, RadonGeometry
 from epirecon.tensor import ShapeMismatchError
@@ -66,6 +69,36 @@ def test_network_on_a_numpy_scale_saves_and_loads(tmp_path):
     layer = er.IcnnLayer(Radon(geom), None, np.zeros((2, 12)), er.Activation("relu"))
     er.save_weights(er.IcnnSpec((8, 8), (layer,), head=np.ones((2, 12))), tmp_path / "w")
     assert er.load_weights(tmp_path / "w").layers[0].skip.geometry == geom
+
+
+def _saved_network(tmp_path, geom):
+    layer = er.IcnnLayer(Radon(geom), None, np.zeros(geom.sinogram_shape), er.Activation("relu"))
+    er.save_weights(er.IcnnSpec((geom.image_side,) * 2, (layer,), head=np.ones(geom.sinogram_shape)),
+                    tmp_path / "w")
+    return tmp_path / "w" / "manifest.json"
+
+
+def test_manifest_geometry_entry_is_the_dataclass(tmp_path):
+    geom = RadonGeometry(image_side=8, n_angles=3, n_bins=11, detector_spacing=0.75,
+                         scale=0.3, angles=(0.1, 0.9, 2.0))
+    entry = json.loads(_saved_network(tmp_path, geom).read_text())["layers"][0]["skip"]
+    assert set(entry["geometry"]) == {f.name for f in fields(RadonGeometry)}
+    assert er.load_weights(tmp_path / "w").layers[0].skip.geometry == geom
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda g: g.pop("n_bins"), "missing field 'n_bins'"),
+    (lambda g: g.update(scale=None), "layers[0] refused: scale: expected a finite number, got None"),
+    (lambda g: g.update(angles=None), "layers[0] refused: 'NoneType' object is not iterable")],
+    ids=["missing_n_bins", "null_scale", "null_angles"])
+def test_manifest_geometry_entry_refusals(tmp_path, edit, message):
+    # a null scale or null angles is refused, not given the geometry's default
+    path = _saved_network(tmp_path, RadonGeometry(image_side=8, n_angles=2, n_bins=12))
+    manifest = json.loads(path.read_text())
+    edit(manifest["layers"][0]["skip"]["geometry"])
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(WeightsFormatError, match=re.escape(f"manifest.json: {message}")):
+        er.load_weights(tmp_path / "w")
 
 
 def test_shape_mismatch():

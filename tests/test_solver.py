@@ -932,6 +932,44 @@ def test_kl_bind_refuses_negative_background_and_counts():
         er.ProblemSpec(er.kl_fidelity(1.0), fwd, np.array([-1.0]), 1.0, spec)
 
 
+def _start(forward, y, nonneg=False):
+    spec = er.random_admissible(3, er.DenseTemplate(input_dim=6, hidden_dims=(3,)))
+    problem = er.ProblemSpec(er.l2_fidelity(), forward, y, 1.0, spec, nonneg)
+    return solver_mod.default_initial_image(problem)
+
+
+def test_default_start_is_the_measurement_for_the_identity_and_a_0_1_mask(rng):
+    # the bits of the identity's copy and the mask's product, which the least-squares
+    # start replaced, also where |y|^2 under- or overflows (a NaN start, unscaled)
+    mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    base = rng.standard_normal(6)
+    for y in (base, mask * base, np.zeros(6), np.array([1.0, -0.0, 0.0, -2.0, 0.0, 3.0]),
+              base * 1e-170, base * 1e160, np.array([1e300, -1e-300, 5.0, -3.0, 0.0, 1.0])):
+        for nonneg in (False, True):
+            clip = np.maximum if nonneg else lambda v, _: v
+            assert _start(None, y, nonneg).tobytes() == clip(y.copy(), 0.0).tobytes()
+            assert (_start(er.DiagonalMask(mask), y, nonneg).tobytes()
+                    == clip(mask * y, 0.0).tobytes())
+
+
+def test_default_start_is_the_least_squares_backprojection(rng):
+    # a 0.5 mask over y = 0.5 x starts at x (the mask's own adjoint gave 0.25 x); on a
+    # dense forward the start keeps the unscaled formula's bits, and scales with y by
+    # powers of 2 where |y|^2 over- or underflows (a NaN or zero start, unscaled)
+    x = rng.standard_normal(6)
+    assert np.array_equal(_start(er.DiagonalMask(np.full(6, 0.5)), 0.5 * x), x)
+    forward, y = er.Dense(rng.standard_normal((9, 6))), rng.standard_normal(9)
+    bp = forward.adjoint(y)
+    resp = forward.apply(bp)
+    expected = float(np.vdot(resp, y)) / float(np.vdot(resp, resp)) * bp
+    assert _start(forward, y).tobytes() == expected.tobytes()
+    for k in (-560, 530):
+        assert _start(forward, np.ldexp(y, k)).tobytes() == np.ldexp(expected, k).tobytes()
+    # s = 2^1064 is past the float range, the start y * 2^532 is not
+    y = np.array([1.0, -2.0, 3.0, 0.0, 5.0, 6.0])
+    assert np.array_equal(_start(er.ScaledIdentity((6,), 2.0**-532), y), y * 2.0**532)
+
+
 def test_initial_state_is_feasible():
     spec = er.random_admissible(19, er.ConvPoolDenseTemplate(
         side=8, filters=2, kernel=3, pool=4, hidden=4))
